@@ -1,5 +1,5 @@
-//! Thread-scaling of the parallel Ripple engine: per-batch processing cost
-//! of the serial engine vs [`ripple_core::ParallelRippleEngine`] at 2/4/8
+//! Thread-scaling of the Ripple engine: per-batch processing cost of the
+//! 1-thread engine vs [`ripple_core::RippleEngine::with_threads`] at 2/4/8
 //! workers on a Criterion-sized medium synthetic graph (8k vertices, avg
 //! in-degree 10, batch size 200 — large enough that every hop's affected
 //! frontier dwarfs the pool's spawn cost, small enough for repeated
@@ -33,7 +33,7 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     for threads in [2usize, 4, 8] {
         group.bench_function(BenchmarkId::new("parallel", threads), |b| {
             b.iter_batched(
-                || scenario.parallel_ripple_engine(threads),
+                || scenario.ripple_engine().with_threads(threads),
                 |mut e| black_box(e.process_batch(&batch).unwrap()),
                 criterion::BatchSize::LargeInput,
             )

@@ -5,7 +5,7 @@
 //! The fixtures here keep graph sizes small enough for Criterion's repeated
 //! sampling while preserving the relative ordering of the strategies.
 
-use ripple_core::{ParallelRippleEngine, RippleConfig, RippleEngine};
+use ripple_core::{RippleConfig, RippleEngine};
 use ripple_gnn::layer_wise::full_inference;
 use ripple_gnn::recompute::{RecomputeConfig, RecomputeEngine};
 use ripple_gnn::{EmbeddingStore, GnnModel, Workload};
@@ -77,19 +77,6 @@ impl BenchScenario {
             RippleConfig::default(),
         )
         .expect("ripple engine")
-    }
-
-    /// A fresh multi-threaded Ripple engine over this scenario's bootstrap
-    /// state.
-    pub fn parallel_ripple_engine(&self, threads: usize) -> ParallelRippleEngine {
-        ParallelRippleEngine::new(
-            self.snapshot.clone(),
-            self.model.clone(),
-            self.store.clone(),
-            RippleConfig::default(),
-            threads,
-        )
-        .expect("parallel ripple engine")
     }
 
     /// A fresh recompute engine (RC or DRC-style) over this scenario's

@@ -8,7 +8,6 @@
 
 use crate::engine::RippleEngine;
 use crate::metrics::StreamSummary;
-use crate::parallel::ParallelRippleEngine;
 use crate::{Result, RippleError};
 use ripple_gnn::recompute::{vertex_wise_recompute_batch, BatchStats, RecomputeEngine};
 use ripple_gnn::{EmbeddingStore, GnnModel};
@@ -86,7 +85,7 @@ pub trait StreamingEngine {
     /// bit-identical to calling [`StreamingEngine::process_batch`] once per
     /// window in order, and the topology epoch must advance once per
     /// non-empty window either way. The default does exactly that sequential
-    /// replay; the Ripple engines override it with a single merged pass over
+    /// replay; the Ripple engine overrides it with a single merged pass over
     /// the concatenated batch, which is where disjoint windows actually
     /// share propagation work (see `ripple_core::footprint`). Callers are
     /// responsible for the disjointness precondition: merged execution of
@@ -199,49 +198,6 @@ impl StreamingEngine for RippleEngine {
 
     fn process_windows(&mut self, windows: &[UpdateBatch]) -> Result<Option<Vec<VertexId>>> {
         RippleEngine::process_windows(self, windows).map(Some)
-    }
-}
-
-impl StreamingEngine for ParallelRippleEngine {
-    fn process_batch(&mut self, batch: &UpdateBatch) -> Result<BatchStats> {
-        ParallelRippleEngine::process_batch(self, batch)
-    }
-
-    fn strategy_name(&self) -> &'static str {
-        "ripple-par"
-    }
-
-    fn current_store(&self) -> &EmbeddingStore {
-        self.store()
-    }
-
-    fn current_graph(&self) -> &DynamicGraph {
-        self.graph()
-    }
-
-    fn topology_epoch(&self) -> u64 {
-        ParallelRippleEngine::topology_epoch(self)
-    }
-
-    fn dirty_rows(&self) -> Option<&[ripple_graph::VertexId]> {
-        Some(ParallelRippleEngine::dirty_rows(self))
-    }
-
-    fn restore_state(
-        &mut self,
-        graph: DynamicGraph,
-        store: EmbeddingStore,
-        topology_epoch: u64,
-    ) -> Result<()> {
-        ParallelRippleEngine::restore_state(self, graph, store, topology_epoch)
-    }
-
-    fn model(&self) -> Option<&GnnModel> {
-        Some(ParallelRippleEngine::model(self))
-    }
-
-    fn process_windows(&mut self, windows: &[UpdateBatch]) -> Result<Option<Vec<VertexId>>> {
-        ParallelRippleEngine::process_windows(self, windows).map(Some)
     }
 }
 
@@ -535,15 +491,15 @@ mod tests {
         assert_eq!(merged.topology_epoch(), serial.topology_epoch());
         assert_eq!(merged_dirty, serial_dirty);
 
-        // The parallel engine upholds the same contract.
-        let mut par = ParallelRippleEngine::new(
+        // The same contract holds with the frontier split across threads.
+        let mut par = RippleEngine::new(
             graph.clone(),
             model.clone(),
             store.clone(),
             RippleConfig::default(),
-            2,
         )
-        .unwrap();
+        .unwrap()
+        .with_threads(2);
         let par_dirty = par.process_windows(&windows).unwrap();
         assert!(par.store() == serial.store(), "parallel store diverged");
         assert_eq!(par.topology_epoch(), serial.topology_epoch());

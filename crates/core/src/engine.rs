@@ -1,4 +1,4 @@
-//! The single-machine Ripple incremental engine.
+//! The Ripple incremental engine: one update operator and one hop loop.
 //!
 //! See the crate-level documentation for the algorithm outline. The
 //! correctness-critical details, all exercised by the tests below and by the
@@ -15,15 +15,30 @@
 //! * **mean aggregation stores unnormalised sums**: the stored aggregate is
 //!   only divided by the in-degree when the layer is evaluated, so degree
 //!   changes caused by edge updates re-normalise for free.
+//!
+//! The hop loop (inject → drain → apply → evaluate → commit) is written once,
+//! generic over a `Route` that decides where each mailbox deposit goes:
+//! every deposit stays local in a [`RippleEngine`], while a
+//! [`crate::ShardEngine`] sends deposits for foreign sinks to its outbox.
+//!
+//! Within a hop, every affected vertex re-evaluates against state that no
+//! other vertex of the same hop touches. [`RippleEngine::with_threads`]
+//! therefore splits each hop's sorted frontier into one contiguous range per
+//! [`WorkerPool`] worker, each evaluated into that worker's scratch arena.
+//! The owner thread then commits the blocks in range order, so embedding
+//! writes and next-hop deposits replay in exactly the 1-thread order and the
+//! results are **bit-identical for any thread count**.
 
 use crate::mailbox::{MailArena, MailboxSet};
+use crate::message::DeltaMessage;
 use crate::{Result, RippleError};
 use ripple_gnn::layer_wise::reevaluate_slice_into;
 use ripple_gnn::recompute::BatchStats;
-use ripple_gnn::{Aggregator, EmbeddingStore, GnnModel};
+use ripple_gnn::{EmbeddingStore, GnnModel};
 use ripple_graph::{CsrSnapshot, DynamicGraph, GraphUpdate, GraphView, UpdateBatch, VertexId};
-use ripple_tensor::{Matrix, Scratch};
+use ripple_tensor::{Scratch, WorkerPool};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration knobs of the incremental engine.
@@ -64,10 +79,50 @@ impl RippleConfig {
     }
 }
 
-/// Records one topology change of the current batch so its per-hop aggregate
-/// contributions can be injected during propagation.
+/// Where the update operator and the hop loop send each mailbox deposit.
+/// The hop loop is monomorphised over it, so routing costs no indirect call.
+pub(crate) trait Route {
+    /// Whether this engine owns `v`, and therefore emits the value deltas of
+    /// the edge updates whose source is `v`.
+    fn owns(&self, v: VertexId) -> bool;
+
+    /// Deposits `coeff * delta` for the hop-`hop` mailbox of `target`.
+    fn deposit(
+        &mut self,
+        mailboxes: &mut MailboxSet,
+        hop: usize,
+        target: VertexId,
+        coeff: f32,
+        delta: &[f32],
+    );
+}
+
+/// The single-engine route: the engine owns every vertex and keeps every
+/// deposit in its own mailboxes.
+struct Local;
+
+impl Route for Local {
+    fn owns(&self, _: VertexId) -> bool {
+        true
+    }
+
+    fn deposit(
+        &mut self,
+        mailboxes: &mut MailboxSet,
+        hop: usize,
+        target: VertexId,
+        coeff: f32,
+        delta: &[f32],
+    ) {
+        mailboxes.deposit(hop, target, coeff, delta);
+    }
+}
+
+/// One topology change of the current batch whose source this engine owns,
+/// recorded so its per-hop aggregate contributions can be injected during
+/// propagation.
 #[derive(Debug, Clone)]
-pub(crate) struct EdgeChange {
+struct EdgeChange {
     source: VertexId,
     sink: VertexId,
     /// +1 for addition, -1 for deletion.
@@ -77,13 +132,20 @@ pub(crate) struct EdgeChange {
     coeff: f32,
 }
 
-/// Validates that a graph, model and bootstrap store fit together, shared by
-/// the serial and parallel engine constructors.
-pub(crate) fn validate_parts(
-    graph: &DynamicGraph,
-    model: &GnnModel,
-    store: &EmbeddingStore,
-) -> Result<()> {
+/// Output of the hop-0 `update` operator: the state propagation starts from.
+struct UpdatePhase {
+    /// Per-hop mailboxes, with the hop-1 deltas already deposited.
+    mailboxes: MailboxSet,
+    /// Pre-batch embeddings (layers 1..L-1) of every edge-update source.
+    source_snapshots: HashMap<VertexId, Vec<Vec<f32>>>,
+    /// Topology changes of the batch, for per-hop contribution injection.
+    edge_changes: Vec<EdgeChange>,
+    /// Vertices whose hop-0 embedding (feature vector) changed.
+    changed_prev: HashSet<VertexId>,
+}
+
+/// Validates that a graph, model and bootstrap store fit together.
+fn validate_parts(graph: &DynamicGraph, model: &GnnModel, store: &EmbeddingStore) -> Result<()> {
     if store.num_vertices() != graph.num_vertices() {
         return Err(RippleError::Mismatch(format!(
             "store covers {} vertices, graph has {}",
@@ -108,109 +170,6 @@ pub(crate) fn validate_parts(
     Ok(())
 }
 
-/// Output of the hop-0 `update` operator: the state propagation starts from.
-pub(crate) struct UpdatePhase {
-    /// Per-hop mailboxes, with the hop-1 deltas already deposited.
-    pub mailboxes: MailboxSet,
-    /// Pre-batch embeddings (layers 1..L-1) of every edge-update source.
-    pub source_snapshots: HashMap<VertexId, Vec<Vec<f32>>>,
-    /// Topology changes of the batch, for per-hop contribution injection.
-    pub edge_changes: Vec<EdgeChange>,
-    /// Vertices whose hop-0 embedding (feature vector) changed.
-    pub changed_prev: HashSet<VertexId>,
-}
-
-/// Runs the `update` operator (hop 0) **sequentially** over the batch —
-/// interleaved feature updates and edge additions/deletions touching the same
-/// vertices must never double-count a contribution, so this phase is shared
-/// verbatim by the serial and parallel engines.
-///
-/// Topology mutations are applied to the dynamic graph **and** the engine's
-/// persistent [`CsrSnapshot`] in lockstep (the snapshot replays the exact
-/// same push/`swap_remove` semantics, so the two stay bit-identical per
-/// vertex); fanout reads stream the snapshot's contiguous rows.
-pub(crate) fn run_update_operator(
-    graph: &mut DynamicGraph,
-    topo: &mut CsrSnapshot,
-    store: &mut EmbeddingStore,
-    model: &GnnModel,
-    batch: &UpdateBatch,
-    stats: &mut BatchStats,
-) -> Result<UpdatePhase> {
-    let aggregator = model.aggregator();
-    let mut mailboxes = MailboxSet::new(model.num_layers());
-    let mut source_snapshots: HashMap<VertexId, Vec<Vec<f32>>> = HashMap::new();
-    let mut edge_changes: Vec<EdgeChange> = Vec::new();
-    let mut changed_prev: HashSet<VertexId> = HashSet::new();
-
-    for update in batch {
-        match update {
-            GraphUpdate::UpdateFeature { vertex, features } => {
-                if !graph.contains_vertex(*vertex) {
-                    return Err(RippleError::InvalidUpdate(format!(
-                        "feature update for unknown vertex {vertex}"
-                    )));
-                }
-                let old = store.embedding(0, *vertex).to_vec();
-                let delta: Vec<f32> = features
-                    .iter()
-                    .zip(old.iter())
-                    .map(|(n, o)| n - o)
-                    .collect();
-                // Deltas flow to the *current* out-neighbourhood, which
-                // reflects every earlier update in this batch.
-                let (sinks, weights) = GraphView::out_adjacency(topo, *vertex);
-                for (&w, &weight) in sinks.iter().zip(weights.iter()) {
-                    mailboxes.deposit(1, w, aggregator.edge_coefficient(weight), &delta);
-                    stats.aggregate_ops += 1;
-                }
-                graph.set_feature(*vertex, features)?;
-                store.set_embedding(0, *vertex, features)?;
-                changed_prev.insert(*vertex);
-            }
-            GraphUpdate::AddEdge { src, dst, weight } => {
-                snapshot_source(store, model, &mut source_snapshots, *src);
-                graph.add_edge(*src, *dst, *weight)?;
-                topo.add_edge(*src, *dst, *weight)
-                    .expect("topology snapshot out of sync with graph");
-                let coeff = aggregator.edge_coefficient(*weight);
-                mailboxes.deposit(1, *dst, coeff, store.embedding(0, *src));
-                stats.aggregate_ops += 1;
-                edge_changes.push(EdgeChange {
-                    source: *src,
-                    sink: *dst,
-                    sign: 1.0,
-                    coeff,
-                });
-            }
-            GraphUpdate::DeleteEdge { src, dst } => {
-                let weight = graph.edge_weight(*src, *dst).ok_or_else(|| {
-                    RippleError::InvalidUpdate(format!("deleting missing edge {src} -> {dst}"))
-                })?;
-                snapshot_source(store, model, &mut source_snapshots, *src);
-                graph.remove_edge(*src, *dst)?;
-                topo.remove_edge(*src, *dst)
-                    .expect("topology snapshot out of sync with graph");
-                let coeff = aggregator.edge_coefficient(weight);
-                mailboxes.deposit(1, *dst, -coeff, store.embedding(0, *src));
-                stats.aggregate_ops += 1;
-                edge_changes.push(EdgeChange {
-                    source: *src,
-                    sink: *dst,
-                    sign: -1.0,
-                    coeff,
-                });
-            }
-        }
-    }
-    Ok(UpdatePhase {
-        mailboxes,
-        source_snapshots,
-        edge_changes,
-        changed_prev,
-    })
-}
-
 /// Captures the pre-batch embeddings (layers 1..L-1) of an edge-update
 /// source vertex, once per batch.
 fn snapshot_source(
@@ -230,36 +189,15 @@ fn snapshot_source(
     snapshots.insert(source, layers);
 }
 
-/// Injects the hop-`hop` aggregate contribution of every topology change of
-/// the batch (hop 1 is handled sequentially by the update operator). A new
-/// (deleted) edge contributes (removes) the source's *pre-batch* embedding at
-/// each layer; the in-batch change, if any, arrives separately via the
-/// source's own delta message, so the two always sum to exactly the new
-/// value.
-pub(crate) fn inject_edge_changes(
-    mailboxes: &mut MailboxSet,
-    hop: usize,
-    edge_changes: &[EdgeChange],
-    source_snapshots: &HashMap<VertexId, Vec<Vec<f32>>>,
-    stats: &mut BatchStats,
-) {
-    for change in edge_changes {
-        let snapshot = &source_snapshots[&change.source];
-        let pre_batch = &snapshot[hop - 2];
-        mailboxes.deposit(hop, change.sink, change.sign * change.coeff, pre_batch);
-        stats.aggregate_ops += 1;
-    }
-}
-
 /// The hop-`hop` affected frontier in ascending vertex order: every vertex
 /// with pending mail (already sorted by the arena drain), plus — when the
 /// layer reads its own previous-layer embedding — every vertex that changed
 /// at the previous hop.
 ///
 /// Sorting pins the per-hop processing (and therefore float accumulation)
-/// order, which makes serial runs reproducible across processes and gives the
-/// parallel engine a canonical order to shard and merge against.
-pub(crate) fn sorted_affected(
+/// order, which makes runs reproducible across processes and gives the
+/// worker pool a canonical order to split and commit against.
+fn sorted_affected(
     mail_ids: &[VertexId],
     changed_prev: &HashSet<VertexId>,
     depends_on_self: bool,
@@ -273,27 +211,10 @@ pub(crate) fn sorted_affected(
     affected
 }
 
-/// Apply phase: folds every pending hop-`hop` mail delta into the stored raw
-/// aggregate **in place**, walking the flat sorted arena — two contiguous
-/// arrays, no hash lookups, zero allocations. Each delta targets its own
-/// store row, so the result is bit-identical to the historical `HashMap`
-/// walk ([`apply_mail_map`]) for any order; the engines run this on the
-/// owner thread before (possibly parallel) re-evaluation.
-pub(crate) fn apply_mail(
-    store: &mut EmbeddingStore,
-    hop: usize,
-    mail: &MailArena,
-    stats: &mut BatchStats,
-) {
-    for (v, delta) in mail.iter() {
-        ripple_tensor::add_assign(store.aggregate_mut(hop, v), delta);
-        stats.aggregate_ops += 1;
-    }
-}
-
-/// The historical apply phase over the drained `HashMap`, kept as the
-/// reference implementation that the arena path is parity-tested against
-/// (`tests/mailbox_parity.rs`).
+/// The reference apply phase over a drained `HashMap`: folds every pending
+/// hop-`hop` mail delta into the stored raw aggregate. The engine walks the
+/// flat sorted [`MailArena`] instead; each delta targets its own store row,
+/// so the two are bit-identical for any order (`tests/mailbox_parity.rs`).
 pub fn apply_mail_map(
     store: &mut EmbeddingStore,
     hop: usize,
@@ -306,61 +227,65 @@ pub fn apply_mail_map(
     }
 }
 
-/// Commits one hop's evaluation results in frontier order: writes the new
-/// embeddings back and forwards delta messages to the next hop's mailboxes.
-/// Because deposits replay in the same vertex order the serial engine uses,
-/// the resulting mailbox contents are bit-identical no matter how many
-/// workers produced `new_embeddings`.
+/// Frontiers smaller than this are evaluated inline: the per-hop spawn cost
+/// of scoped workers would dominate the handful of layer evaluations.
+const MIN_PARALLEL_FRONTIER: usize = 64;
+
+/// Evaluates a hop frontier against an immutable store (all pending deltas
+/// already folded in by the owner thread) into per-worker scratch arenas:
+/// the frontier is split into one contiguous range per arena (small
+/// frontiers, or a 1-thread pool, collapse onto `scratches[0]` inline) and
+/// each worker leaves its block's embeddings in its own `scratch.out`.
+/// Returns the ranges, index-aligned with `scratches`, so the caller can
+/// commit block after block in frontier order. Per-vertex evaluation cost is
+/// uniform at a given hop, so static ranges stay load-balanced.
 ///
-/// `new_embeddings` is a flat row-major block, one row per entry of
-/// `affected` (the layout [`reevaluate_slice_into`] leaves in a scratch
-/// arena); `delta` is a reusable buffer for the per-vertex output delta.
-/// Vertices whose hop-`hop` embedding actually changed (everything, unless
-/// `config.skip_unchanged` prunes) are inserted into `changed_now`, so a
-/// frontier split across several scratch blocks commits via several calls.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_hop<G: GraphView + ?Sized>(
-    view: &G,
-    store: &mut EmbeddingStore,
-    config: RippleConfig,
-    aggregator: Aggregator,
-    mailboxes: &mut MailboxSet,
+/// Once every arena has reached steady-state capacity, the per-worker
+/// evaluation kernels perform **zero heap allocations**. Shared by
+/// [`RippleEngine`] and the distributed engine's intra-worker parallelism.
+///
+/// # Errors
+///
+/// Propagates layer lookup and tensor shape errors from any range.
+///
+/// # Panics
+///
+/// Panics if `scratches` is empty.
+pub fn evaluate_frontier_into<G: GraphView + Sync + ?Sized>(
+    pool: &WorkerPool,
+    graph: &G,
+    model: &GnnModel,
+    store: &EmbeddingStore,
     hop: usize,
-    num_layers: usize,
-    affected: &[VertexId],
-    new_embeddings: &Matrix,
-    delta: &mut Vec<f32>,
-    changed_now: &mut HashSet<VertexId>,
-    stats: &mut BatchStats,
-) -> Result<()> {
-    debug_assert_eq!(affected.len(), new_embeddings.rows());
-    for (&v, new_embedding) in affected.iter().zip(new_embeddings.iter_rows()) {
-        let old = store.embedding(hop, v);
-        delta.clear();
-        delta.extend(new_embedding.iter().zip(old.iter()).map(|(n, o)| n - o));
-        store.set_embedding(hop, v, new_embedding)?;
-
-        let effectively_unchanged =
-            config.skip_unchanged && delta.iter().all(|d| d.abs() <= config.prune_tolerance);
-        if effectively_unchanged {
-            continue;
-        }
-        changed_now.insert(v);
-
-        // Forward messages to the next hop's mailboxes, streaming the
-        // view's contiguous out-neighbour/weight slices.
-        if hop < num_layers {
-            let (sinks, weights) = view.out_adjacency(v);
-            for (&w, &weight) in sinks.iter().zip(weights.iter()) {
-                mailboxes.deposit(hop + 1, w, aggregator.edge_coefficient(weight), delta);
-                stats.aggregate_ops += 1;
-            }
-        }
+    vertices: &[VertexId],
+    scratches: &mut [Scratch],
+) -> ripple_gnn::Result<Vec<Range<usize>>> {
+    assert!(!scratches.is_empty(), "need at least one scratch arena");
+    let arenas = if pool.threads() == 1 || vertices.len() < MIN_PARALLEL_FRONTIER {
+        1
+    } else {
+        scratches.len().min(pool.threads())
+    };
+    let mut ranges = Vec::with_capacity(arenas);
+    let results = pool.map_ranges(
+        &mut scratches[..arenas],
+        vertices.len(),
+        |scratch, range| {
+            let result =
+                reevaluate_slice_into(graph, model, store, hop, &vertices[range.clone()], scratch);
+            (range, result)
+        },
+    );
+    for (range, result) in results {
+        result?;
+        ranges.push(range);
     }
-    Ok(())
+    Ok(ranges)
 }
 
-/// The single-machine incremental inference engine.
+/// The incremental inference engine. It runs on one thread unless built
+/// with [`RippleEngine::with_threads`]; the thread count never changes a
+/// result.
 #[derive(Debug, Clone)]
 pub struct RippleEngine {
     graph: DynamicGraph,
@@ -373,10 +298,12 @@ pub struct RippleEngine {
     /// `graph` through the delta overlay, and a policy-triggered incremental
     /// compaction folds the overlay back after enough churn.
     topo: CsrSnapshot,
-    /// Persistent workspace of the compute phase: once its buffers reach the
-    /// steady-state frontier size, batch propagation re-evaluates every hop
-    /// without heap allocation.
-    scratch: Scratch,
+    /// The workers each hop's frontier is split across.
+    pool: WorkerPool,
+    /// One persistent scratch arena per pool worker: once each arena reaches
+    /// its steady-state size, the compute phase of every hop runs without
+    /// heap allocation.
+    scratches: Vec<Scratch>,
     /// Persistent flat arena the per-hop mailboxes drain into: the apply
     /// phase walks sorted contiguous rows instead of a hash map.
     mail: MailArena,
@@ -390,8 +317,9 @@ pub struct RippleEngine {
 }
 
 impl RippleEngine {
-    /// Creates an engine from a bootstrapped graph, model and embedding
-    /// store (normally produced by [`ripple_gnn::layer_wise::full_inference`]).
+    /// Creates a 1-thread engine from a bootstrapped graph, model and
+    /// embedding store (normally produced by
+    /// [`ripple_gnn::layer_wise::full_inference`]).
     ///
     /// # Errors
     ///
@@ -412,11 +340,26 @@ impl RippleEngine {
             store,
             config,
             topo,
-            scratch: Scratch::new(),
+            pool: WorkerPool::default(),
+            scratches: vec![Scratch::new()],
             mail: MailArena::new(),
             commit_delta: Vec::new(),
             dirty: Vec::new(),
         })
+    }
+
+    /// Splits each hop's frontier across `threads` pool workers (clamped to
+    /// at least 1). Results are bit-identical for any thread count.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.pool = WorkerPool::new(threads);
+        self.scratches = vec![Scratch::new(); self.pool.threads()];
+        self
+    }
+
+    /// Number of worker threads used per hop.
+    pub fn threads(&self) -> usize {
+        self.pool.threads()
     }
 
     /// Replaces the engine's graph and store with restored checkpoint state
@@ -494,13 +437,17 @@ impl RippleEngine {
     }
 
     /// Memory overhead of the additional state Ripple keeps relative to the
-    /// recompute baseline (the aggregate tables, the scratch arena and the
-    /// CSR topology snapshot), in bytes.
+    /// recompute baseline (the aggregate tables, the scratch arenas, the
+    /// mail arena and the CSR topology snapshot), in bytes.
     pub fn incremental_state_bytes(&self) -> usize {
         self.store.aggregate_memory_bytes()
-            + self.scratch.memory_bytes()
             + self.mail.memory_bytes()
             + self.topo.heap_bytes()
+            + self
+                .scratches
+                .iter()
+                .map(Scratch::memory_bytes)
+                .sum::<usize>()
     }
 
     /// Applies a batch of updates and incrementally refreshes every affected
@@ -511,38 +458,7 @@ impl RippleEngine {
     /// Propagates graph errors (e.g. deleting a non-existent edge) and tensor
     /// errors. The engine should be considered poisoned after an error.
     pub fn process_batch(&mut self, batch: &UpdateBatch) -> Result<BatchStats> {
-        let mut stats = BatchStats {
-            batch_size: batch.len(),
-            ..BatchStats::default()
-        };
-
-        // ------------------------------------------------------------------
-        // Phase 1 — the `update` operator (hop 0), sequential over the batch.
-        // ------------------------------------------------------------------
-        let update_start = Instant::now();
-        self.dirty.clear();
-        let mut phase = run_update_operator(
-            &mut self.graph,
-            &mut self.topo,
-            &mut self.store,
-            &self.model,
-            batch,
-            &mut stats,
-        )?;
-        stats.update_time = update_start.elapsed();
-
-        // ------------------------------------------------------------------
-        // Phase 2 — the `propagate` operator, hop by hop.
-        // ------------------------------------------------------------------
-        let propagate_start = Instant::now();
-        self.propagate_batch(&mut phase, &mut stats)?;
-        stats.propagate_time = propagate_start.elapsed();
-
-        // Batch absorbed: bump the topology epoch and let the snapshot fold
-        // its overlay back once enough churn has accumulated.
-        self.topo.advance_epoch();
-        self.topo.maybe_compact();
-        Ok(stats)
+        self.run_batch(batch, &[], &mut Local)
     }
 
     /// Applies a group of **pairwise footprint-disjoint** windows (see
@@ -587,44 +503,68 @@ impl RippleEngine {
         Ok(self.dirty.clone())
     }
 
-    /// The `propagate` operator: walks the hops, applying mail, re-evaluating
-    /// each affected frontier as one batched block in the engine's scratch
-    /// arena (the **compute phase** — allocation-free in steady state) and
-    /// committing results in canonical vertex order.
-    fn propagate_batch(&mut self, phase: &mut UpdatePhase, stats: &mut BatchStats) -> Result<()> {
+    /// Runs one batch end to end: the `update` operator, then the halo
+    /// deltas received from peer shards, then the `propagate` operator hop by
+    /// hop, with every deposit sent where `route` says.
+    ///
+    /// Each hop's mailbox receives its deposits in a fixed order — update
+    /// operator, halos, the previous hop's commit, this hop's edge-change
+    /// injection — which pins float accumulation order.
+    pub(crate) fn run_batch<R: Route>(
+        &mut self,
+        batch: &UpdateBatch,
+        halos: &[DeltaMessage],
+        route: &mut R,
+    ) -> Result<BatchStats> {
+        let mut stats = BatchStats {
+            batch_size: batch.len(),
+            ..BatchStats::default()
+        };
+
+        let update_start = Instant::now();
+        self.dirty.clear();
+        let mut phase = self.run_update_operator(batch, route, &mut stats)?;
+        for message in halos {
+            phase.mailboxes.deposit_message(message);
+            stats.aggregate_ops += 1;
+        }
+        stats.update_time = update_start.elapsed();
+
+        let propagate_start = Instant::now();
         let RippleEngine {
-            graph: _,
             model,
             store,
             config,
             topo,
-            scratch,
+            pool,
+            scratches,
             mail,
             commit_delta,
             dirty,
+            ..
         } = self;
         let num_layers = model.num_layers();
         let aggregator = model.aggregator();
         // Feature-updated vertices rewrote their layer-0 rows.
         dirty.extend(phase.changed_prev.iter().copied());
         for hop in 1..=num_layers {
-            // Inject the per-layer contribution of topology changes. Hop 1
-            // was already handled sequentially by the update operator.
+            // Inject the hop's contribution of every topology change (hop 1
+            // was deposited by the update operator). A new (deleted) edge
+            // adds (removes) the source's *pre-batch* embedding; the source's
+            // in-batch change arrives separately via its own delta.
             if hop >= 2 {
-                inject_edge_changes(
-                    &mut phase.mailboxes,
-                    hop,
-                    &phase.edge_changes,
-                    &phase.source_snapshots,
-                    stats,
-                );
+                for change in &phase.edge_changes {
+                    let pre_batch = &phase.source_snapshots[&change.source][hop - 2];
+                    let coeff = change.sign * change.coeff;
+                    route.deposit(&mut phase.mailboxes, hop, change.sink, coeff, pre_batch);
+                    stats.aggregate_ops += 1;
+                }
             }
 
             let layer = model.layer(hop)?;
             phase.mailboxes.drain_hop_sorted_into(hop, mail);
             let affected =
                 sorted_affected(mail.ids(), &phase.changed_prev, layer.depends_on_self());
-
             stats.affected_per_hop.push(affected.len());
             stats.propagation_tree_size += affected.len();
             if hop == num_layers {
@@ -632,29 +572,155 @@ impl RippleEngine {
             }
             dirty.extend_from_slice(&affected);
 
-            // Apply phase in place, compute phase over the frontier, commit.
-            apply_mail(store, hop, mail, stats);
-            reevaluate_slice_into(topo, model, store, hop, &affected, scratch)?;
+            // Apply: fold the mail into the stored raw aggregates in place,
+            // walking the flat sorted arena.
+            for (v, delta) in mail.iter() {
+                ripple_tensor::add_assign(store.aggregate_mut(hop, v), delta);
+                stats.aggregate_ops += 1;
+            }
+
+            // Evaluate: workers re-evaluate contiguous ranges of the frontier
+            // into their own scratch arenas, streaming the snapshot's rows.
+            let ranges =
+                evaluate_frontier_into(pool, topo, model, store, hop, &affected, scratches)?;
+
+            // Commit block after block in frontier order: write the new
+            // embeddings back and forward each vertex's delta to the next
+            // hop, exactly as one thread would.
             let mut changed_now = HashSet::with_capacity(affected.len());
-            commit_hop(
-                topo,
-                store,
-                *config,
-                aggregator,
-                &mut phase.mailboxes,
-                hop,
-                num_layers,
-                &affected,
-                &scratch.out,
-                commit_delta,
-                &mut changed_now,
-                stats,
-            )?;
+            let evaluated = scratches
+                .iter()
+                .zip(ranges)
+                .flat_map(|(scratch, range)| affected[range].iter().zip(scratch.out.iter_rows()));
+            for (&v, new_embedding) in evaluated {
+                let old = store.embedding(hop, v);
+                commit_delta.clear();
+                commit_delta.extend(new_embedding.iter().zip(old).map(|(n, o)| n - o));
+                store.set_embedding(hop, v, new_embedding)?;
+
+                if config.skip_unchanged
+                    && commit_delta
+                        .iter()
+                        .all(|d| d.abs() <= config.prune_tolerance)
+                {
+                    continue;
+                }
+                changed_now.insert(v);
+
+                if hop < num_layers {
+                    let (sinks, weights) = GraphView::out_adjacency(topo, v);
+                    for (&w, &weight) in sinks.iter().zip(weights) {
+                        let coeff = aggregator.edge_coefficient(weight);
+                        route.deposit(&mut phase.mailboxes, hop + 1, w, coeff, commit_delta);
+                        stats.aggregate_ops += 1;
+                    }
+                }
+            }
             phase.changed_prev = changed_now;
         }
         dirty.sort_unstable();
         dirty.dedup();
-        Ok(())
+        stats.propagate_time = propagate_start.elapsed();
+
+        // Batch absorbed: bump the topology epoch and let the snapshot fold
+        // its overlay back once enough churn has accumulated.
+        topo.advance_epoch();
+        topo.maybe_compact();
+        Ok(stats)
+    }
+
+    /// The `update` operator (hop 0), **sequential** over the batch so that
+    /// interleaved feature and edge updates touching the same vertices never
+    /// double-count a contribution.
+    ///
+    /// Topology mutations are applied to the dynamic graph **and** the CSR
+    /// snapshot in lockstep (the snapshot replays the exact same
+    /// push/`swap_remove` semantics, so the two stay bit-identical per
+    /// vertex); fanout reads stream the snapshot's contiguous rows. Only the
+    /// owner of an edge's source emits its value deltas.
+    fn run_update_operator<R: Route>(
+        &mut self,
+        batch: &UpdateBatch,
+        route: &mut R,
+        stats: &mut BatchStats,
+    ) -> Result<UpdatePhase> {
+        let RippleEngine {
+            graph,
+            model,
+            store,
+            topo,
+            ..
+        } = self;
+        let aggregator = model.aggregator();
+        let mut phase = UpdatePhase {
+            mailboxes: MailboxSet::new(model.num_layers()),
+            source_snapshots: HashMap::new(),
+            edge_changes: Vec::new(),
+            changed_prev: HashSet::new(),
+        };
+
+        for update in batch {
+            let (src, dst, weight, sign) = match update {
+                GraphUpdate::UpdateFeature { vertex, features } => {
+                    if !graph.contains_vertex(*vertex) {
+                        return Err(RippleError::InvalidUpdate(format!(
+                            "feature update for unknown vertex {vertex}"
+                        )));
+                    }
+                    let delta: Vec<f32> = features
+                        .iter()
+                        .zip(store.embedding(0, *vertex))
+                        .map(|(n, o)| n - o)
+                        .collect();
+                    // Deltas flow to the *current* out-neighbourhood, which
+                    // reflects every earlier update in this batch.
+                    let (sinks, weights) = GraphView::out_adjacency(topo, *vertex);
+                    for (&w, &weight) in sinks.iter().zip(weights) {
+                        let coeff = aggregator.edge_coefficient(weight);
+                        route.deposit(&mut phase.mailboxes, 1, w, coeff, &delta);
+                        stats.aggregate_ops += 1;
+                    }
+                    graph.set_feature(*vertex, features)?;
+                    store.set_embedding(0, *vertex, features)?;
+                    phase.changed_prev.insert(*vertex);
+                    continue;
+                }
+                GraphUpdate::AddEdge { src, dst, weight } => {
+                    graph.add_edge(*src, *dst, *weight)?;
+                    topo.add_edge(*src, *dst, *weight)
+                        .expect("topology snapshot out of sync with graph");
+                    (*src, *dst, *weight, 1.0)
+                }
+                GraphUpdate::DeleteEdge { src, dst } => {
+                    let weight = graph.edge_weight(*src, *dst).ok_or_else(|| {
+                        RippleError::InvalidUpdate(format!("deleting missing edge {src} -> {dst}"))
+                    })?;
+                    graph.remove_edge(*src, *dst)?;
+                    topo.remove_edge(*src, *dst)
+                        .expect("topology snapshot out of sync with graph");
+                    (*src, *dst, weight, -1.0)
+                }
+            };
+            if route.owns(src) {
+                snapshot_source(store, model, &mut phase.source_snapshots, src);
+                let coeff = aggregator.edge_coefficient(weight);
+                route.deposit(
+                    &mut phase.mailboxes,
+                    1,
+                    dst,
+                    sign * coeff,
+                    store.embedding(0, src),
+                );
+                stats.aggregate_ops += 1;
+                phase.edge_changes.push(EdgeChange {
+                    source: src,
+                    sink: dst,
+                    sign,
+                    coeff,
+                });
+            }
+        }
+        Ok(phase)
     }
 }
 
@@ -879,18 +945,29 @@ mod tests {
 
     #[test]
     fn invalid_updates_are_reported() {
-        let (mut engine, _snapshot, _model, _) = bootstrap(Workload::GcS, 2, 37);
-        let missing_edge =
-            UpdateBatch::from_updates(vec![GraphUpdate::delete_edge(VertexId(0), VertexId(1))]);
-        // Vertex 0 -> 1 may or may not exist; craft a guaranteed-missing edge
-        // by deleting twice.
-        let n = engine.graph().num_vertices() as u32;
-        let unknown_vertex = UpdateBatch::from_updates(vec![GraphUpdate::update_feature(
-            VertexId(n + 5),
-            vec![0.0; 6],
-        )]);
-        assert!(engine.process_batch(&unknown_vertex).is_err());
-        let _ = missing_edge; // the unknown-vertex case above is the deterministic one
+        for threads in [1, 4] {
+            let (engine, snapshot, _model, _) = bootstrap(Workload::GcS, 2, 37);
+            let mut engine = engine.with_threads(threads);
+            let n = snapshot.num_vertices() as u32;
+            let unknown_vertex = UpdateBatch::from_updates(vec![GraphUpdate::update_feature(
+                VertexId(n + 5),
+                vec![0.0; 6],
+            )]);
+            assert!(engine.process_batch(&unknown_vertex).is_err());
+
+            let (src, dst) = (0..n)
+                .flat_map(|s| (0..n).map(move |d| (VertexId(s), VertexId(d))))
+                .find(|&(s, d)| s != d && !snapshot.has_edge(s, d))
+                .unwrap();
+            let missing_edge = UpdateBatch::from_updates(vec![GraphUpdate::delete_edge(src, dst)]);
+            assert!(
+                matches!(
+                    engine.process_batch(&missing_edge),
+                    Err(RippleError::InvalidUpdate(_))
+                ),
+                "{threads} threads: deleting absent edge {src} -> {dst} must fail"
+            );
+        }
     }
 
     #[test]

@@ -54,17 +54,16 @@ pub mod footprint;
 pub mod mailbox;
 pub mod message;
 pub mod metrics;
-pub mod parallel;
+mod parallel;
 pub mod shard;
 
 pub use batch::{StreamRunner, StreamingEngine};
-pub use engine::{RippleConfig, RippleEngine};
+pub use engine::{evaluate_frontier_into, RippleConfig, RippleEngine};
 pub use error::RippleError;
 pub use footprint::Footprint;
 pub use mailbox::{MailArena, MailboxSet};
 pub use message::{DeltaMessage, HaloStubs};
 pub use metrics::StreamSummary;
-pub use parallel::{evaluate_frontier, evaluate_frontier_into, ParallelRippleEngine};
 /// Re-export of the worker pool, which now lives at the bottom of the
 /// compute stack so batched inference can shard over it too.
 pub use ripple_tensor::{pool, Scratch, WorkerPool};

@@ -1,429 +1,15 @@
-//! The multi-threaded single-machine Ripple engine.
-//!
-//! Delta propagation is embarrassingly parallel *within* a hop: every
-//! affected vertex folds its accumulated delta and re-evaluates its layer
-//! against state that no other vertex of the same hop touches. The parallel
-//! engine exploits exactly that:
-//!
-//! 1. the hop-0 `update` operator runs sequentially over the batch (shared
-//!    verbatim with [`crate::RippleEngine`] — interleaved updates must never
-//!    double-count);
-//! 2. the owner thread folds each hop's pending mailbox deltas into the
-//!    stored aggregates in place, then the affected frontier — sorted into
-//!    the serial engine's canonical vertex order — is split into one
-//!    contiguous range per [`WorkerPool`] worker and evaluated through the
-//!    lock-free, batched
-//!    [`ripple_gnn::layer_wise::reevaluate_slice_into`] primitive into that
-//!    worker's persistent scratch arena (allocation-free once warm); workers
-//!    only *read* the graph, model and store;
-//! 3. the owner thread commits the per-worker blocks in range order
-//!    (= ascending vertex order) and replays the embedding writes and
-//!    next-hop mailbox deposits exactly as the serial engine would.
-//!
-//! Because linear aggregators make every per-vertex computation independent
-//! and the ordered reduction replays float operations in the serial order,
-//! the engine's embeddings are **bit-identical** to [`crate::RippleEngine`]'s for
-//! any thread count — asserted by this module's tests and by the
-//! `parallel_determinism` property suite.
-
-use crate::engine::{
-    apply_mail, commit_hop, inject_edge_changes, run_update_operator, sorted_affected,
-    validate_parts, RippleConfig,
-};
-use crate::mailbox::MailArena;
-use crate::pool::WorkerPool;
-use crate::Result;
-use ripple_gnn::layer_wise::reevaluate_slice_into;
-use ripple_gnn::recompute::BatchStats;
-use ripple_gnn::{EmbeddingStore, GnnModel};
-use ripple_graph::{CsrSnapshot, DynamicGraph, GraphView, UpdateBatch, VertexId};
-use ripple_tensor::Scratch;
-use std::collections::HashSet;
-use std::ops::Range;
-use std::time::Instant;
-
-/// Frontiers smaller than this are evaluated inline: the per-hop spawn cost
-/// of scoped workers would dominate the handful of layer evaluations.
-const MIN_PARALLEL_FRONTIER: usize = 64;
-
-/// Evaluates a hop frontier against an immutable store (all pending deltas
-/// already folded in by the owner thread) into per-worker scratch arenas:
-/// the frontier is split into one contiguous range per arena (small
-/// frontiers, or a 1-thread pool, collapse onto `scratches[0]` inline) and
-/// each worker leaves its block's embeddings in its own `scratch.out`.
-/// Returns the ranges, index-aligned with `scratches`, so the caller can
-/// commit block after block in frontier order. Per-vertex evaluation cost is
-/// uniform at a given hop, so static ranges stay load-balanced.
-///
-/// Once every arena has reached steady-state capacity, the per-worker
-/// evaluation kernels perform **zero heap allocations**; the orchestration
-/// around them (range bookkeeping, scoped-thread spawns) still costs a few
-/// small allocations per hop — it is the serial engine's inline path that
-/// is allocation-free end to end. Shared by [`ParallelRippleEngine`] and
-/// the distributed engine's intra-worker parallelism.
-///
-/// # Errors
-///
-/// Propagates layer lookup and tensor shape errors from any shard.
-///
-/// # Panics
-///
-/// Panics if `scratches` is empty.
-pub fn evaluate_frontier_into<G: GraphView + Sync + ?Sized>(
-    pool: &WorkerPool,
-    graph: &G,
-    model: &GnnModel,
-    store: &EmbeddingStore,
-    hop: usize,
-    vertices: &[VertexId],
-    scratches: &mut [Scratch],
-) -> ripple_gnn::Result<Vec<Range<usize>>> {
-    assert!(!scratches.is_empty(), "need at least one scratch arena");
-    let arenas = if pool.threads() == 1 || vertices.len() < MIN_PARALLEL_FRONTIER {
-        1
-    } else {
-        scratches.len().min(pool.threads())
-    };
-    let mut ranges = Vec::with_capacity(arenas);
-    let results = pool.map_ranges(
-        &mut scratches[..arenas],
-        vertices.len(),
-        |scratch, range| {
-            let result =
-                reevaluate_slice_into(graph, model, store, hop, &vertices[range.clone()], scratch);
-            (range, result)
-        },
-    );
-    for (range, result) in results {
-        result?;
-        ranges.push(range);
-    }
-    Ok(ranges)
-}
-
-/// Evaluates a hop frontier against an immutable store, returning one
-/// freshly allocated embedding per vertex in frontier order regardless of
-/// the thread count. Thin wrapper over [`evaluate_frontier_into`] for
-/// callers outside the steady-state hot path.
-///
-/// # Errors
-///
-/// Propagates layer lookup and tensor shape errors from any shard.
-pub fn evaluate_frontier<G: GraphView + Sync + ?Sized>(
-    pool: &WorkerPool,
-    graph: &G,
-    model: &GnnModel,
-    store: &EmbeddingStore,
-    hop: usize,
-    vertices: &[VertexId],
-) -> ripple_gnn::Result<Vec<Vec<f32>>> {
-    let mut scratches = vec![Scratch::new(); pool.threads()];
-    let ranges = evaluate_frontier_into(pool, graph, model, store, hop, vertices, &mut scratches)?;
-    let mut evals = Vec::with_capacity(vertices.len());
-    for (scratch, range) in scratches.iter().zip(ranges) {
-        debug_assert_eq!(scratch.out.rows(), range.len());
-        evals.extend(scratch.out.iter_rows().map(<[f32]>::to_vec));
-    }
-    Ok(evals)
-}
-
-/// The multi-threaded single-machine incremental inference engine.
-///
-/// Behaves exactly like [`crate::RippleEngine`] — same configuration knobs, same
-/// statistics, bit-identical embeddings — but shards each hop's affected
-/// frontier across a fixed [`WorkerPool`].
-#[derive(Debug, Clone)]
-pub struct ParallelRippleEngine {
-    graph: DynamicGraph,
-    model: GnnModel,
-    store: EmbeddingStore,
-    config: RippleConfig,
-    pool: WorkerPool,
-    /// Persistent epoch-versioned CSR snapshot of the topology, kept in
-    /// lockstep with `graph` by the update operator; workers stream its
-    /// contiguous rows during frontier evaluation.
-    topo: CsrSnapshot,
-    /// One persistent scratch arena per pool worker: once each arena reaches
-    /// its steady-state frontier-shard size, the compute phase of every hop
-    /// runs without heap allocation.
-    scratches: Vec<Scratch>,
-    /// Persistent flat arena the per-hop mailboxes drain into: the apply
-    /// phase walks sorted contiguous rows instead of a hash map.
-    mail: MailArena,
-    /// Reusable buffer for the per-vertex output delta of the commit phase.
-    commit_delta: Vec<f32>,
-    /// Vertices whose store rows changed during the last processed batch
-    /// (sorted, deduplicated) — see [`crate::RippleEngine::dirty_rows`].
-    dirty: Vec<VertexId>,
-}
-
-impl ParallelRippleEngine {
-    /// Creates an engine from bootstrapped state, with `threads` workers
-    /// (clamped to at least 1; 1 behaves like the serial engine).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::RippleError::Mismatch`] under the same conditions as
-    /// [`crate::RippleEngine::new`].
-    pub fn new(
-        graph: DynamicGraph,
-        model: GnnModel,
-        store: EmbeddingStore,
-        config: RippleConfig,
-        threads: usize,
-    ) -> Result<Self> {
-        validate_parts(&graph, &model, &store)?;
-        let pool = WorkerPool::new(threads);
-        let scratches = vec![Scratch::new(); pool.threads()];
-        let topo = CsrSnapshot::from_dynamic(&graph);
-        Ok(ParallelRippleEngine {
-            graph,
-            model,
-            store,
-            config,
-            pool,
-            topo,
-            scratches,
-            mail: MailArena::new(),
-            commit_delta: Vec::new(),
-            dirty: Vec::new(),
-        })
-    }
-
-    /// Replaces the engine's graph and store with restored checkpoint state
-    /// and resumes the topology epoch at `topology_epoch` — see
-    /// [`crate::RippleEngine::restore_state`]. Bit-parity with the serial
-    /// engine is unaffected: the restored state is identical, and the
-    /// worker pool holds no cross-batch state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::RippleError::Mismatch`] if the restored parts do
-    /// not fit the engine's model.
-    pub fn restore_state(
-        &mut self,
-        graph: DynamicGraph,
-        store: EmbeddingStore,
-        topology_epoch: u64,
-    ) -> Result<()> {
-        validate_parts(&graph, &self.model, &store)?;
-        self.topo = CsrSnapshot::from_dynamic_at(&graph, topology_epoch);
-        self.graph = graph;
-        self.store = store;
-        self.dirty.clear();
-        Ok(())
-    }
-
-    /// Number of worker threads used per hop.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// The current graph (reflecting every processed batch).
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
-    }
-
-    /// The engine's persistent topology snapshot (in lockstep with
-    /// [`ParallelRippleEngine::graph`]).
-    pub fn topology(&self) -> &CsrSnapshot {
-        &self.topo
-    }
-
-    /// The topology epoch: how many update batches the snapshot has
-    /// absorbed.
-    pub fn topology_epoch(&self) -> u64 {
-        self.topo.epoch()
-    }
-
-    /// The sorted, deduplicated set of vertices whose store rows changed in
-    /// the last processed batch (empty before the first batch).
-    pub fn dirty_rows(&self) -> &[VertexId] {
-        &self.dirty
-    }
-
-    /// The current embedding store.
-    pub fn store(&self) -> &EmbeddingStore {
-        &self.store
-    }
-
-    /// The model used for inference.
-    pub fn model(&self) -> &GnnModel {
-        &self.model
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> RippleConfig {
-        self.config
-    }
-
-    /// Predicted label of a vertex from the current final-layer embeddings.
-    pub fn predicted_label(&self, v: VertexId) -> usize {
-        self.store.predicted_label(v)
-    }
-
-    /// Consumes the engine, returning the graph and store.
-    pub fn into_parts(self) -> (DynamicGraph, EmbeddingStore) {
-        (self.graph, self.store)
-    }
-
-    /// Memory overhead of the additional state Ripple keeps relative to the
-    /// recompute baseline (the aggregate tables, the per-worker scratch
-    /// arenas and the CSR topology snapshot), in bytes.
-    pub fn incremental_state_bytes(&self) -> usize {
-        self.store.aggregate_memory_bytes()
-            + self.mail.memory_bytes()
-            + self.topo.heap_bytes()
-            + self
-                .scratches
-                .iter()
-                .map(Scratch::memory_bytes)
-                .sum::<usize>()
-    }
-
-    /// Applies a batch of updates and incrementally refreshes every affected
-    /// embedding, sharding each hop's frontier across the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph and tensor errors, exactly like
-    /// [`crate::RippleEngine::process_batch`]. The engine should be considered
-    /// poisoned after an error.
-    pub fn process_batch(&mut self, batch: &UpdateBatch) -> Result<BatchStats> {
-        let ParallelRippleEngine {
-            graph,
-            model,
-            store,
-            config,
-            pool,
-            topo,
-            scratches,
-            mail,
-            commit_delta,
-            dirty,
-        } = self;
-        let num_layers = model.num_layers();
-        let aggregator = model.aggregator();
-        let mut stats = BatchStats {
-            batch_size: batch.len(),
-            ..BatchStats::default()
-        };
-
-        // Phase 1 — the `update` operator (hop 0), sequential over the batch.
-        let update_start = Instant::now();
-        dirty.clear();
-        let mut phase = run_update_operator(graph, topo, store, model, batch, &mut stats)?;
-        stats.update_time = update_start.elapsed();
-
-        // Phase 2 — the `propagate` operator, hop by hop, frontier-parallel.
-        let propagate_start = Instant::now();
-        dirty.extend(phase.changed_prev.iter().copied());
-        for hop in 1..=num_layers {
-            if hop >= 2 {
-                inject_edge_changes(
-                    &mut phase.mailboxes,
-                    hop,
-                    &phase.edge_changes,
-                    &phase.source_snapshots,
-                    &mut stats,
-                );
-            }
-
-            let layer = model.layer(hop)?;
-            phase.mailboxes.drain_hop_sorted_into(hop, mail);
-            let affected =
-                sorted_affected(mail.ids(), &phase.changed_prev, layer.depends_on_self());
-
-            stats.affected_per_hop.push(affected.len());
-            stats.propagation_tree_size += affected.len();
-            if hop == num_layers {
-                stats.affected_final = affected.len();
-            }
-            dirty.extend_from_slice(&affected);
-
-            // Apply phase in place on the owner thread, then compute phase:
-            // workers re-evaluate disjoint, contiguous shards of the
-            // frontier into their own scratch arenas — allocation-free once
-            // the arenas are warm — streaming the snapshot's CSR rows.
-            apply_mail(store, hop, mail, &mut stats);
-            let ranges =
-                evaluate_frontier_into(pool, topo, model, store, hop, &affected, scratches)?;
-
-            // Owner-ordered reduction: commit store writes and next-hop
-            // deposits block after block in ascending vertex order, exactly
-            // as the serial engine does.
-            let mut changed_now = HashSet::with_capacity(affected.len());
-            for (scratch, range) in scratches.iter().zip(ranges) {
-                commit_hop(
-                    topo,
-                    store,
-                    *config,
-                    aggregator,
-                    &mut phase.mailboxes,
-                    hop,
-                    num_layers,
-                    &affected[range],
-                    &scratch.out,
-                    commit_delta,
-                    &mut changed_now,
-                    &mut stats,
-                )?;
-            }
-            phase.changed_prev = changed_now;
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        stats.propagate_time = propagate_start.elapsed();
-
-        // Batch absorbed: bump the topology epoch and compact if due.
-        topo.advance_epoch();
-        topo.maybe_compact();
-        Ok(stats)
-    }
-
-    /// Applies a group of **pairwise footprint-disjoint** windows as one
-    /// merged frontier-parallel pass, returning the union of the dirtied
-    /// rows — the same contract and bit-identity argument as
-    /// [`crate::RippleEngine::process_windows`], with the topology epoch
-    /// advancing once per non-empty window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph and tensor errors like
-    /// [`ParallelRippleEngine::process_batch`].
-    pub fn process_windows(&mut self, windows: &[UpdateBatch]) -> Result<Vec<VertexId>> {
-        let non_empty = windows.iter().filter(|b| !b.is_empty()).count();
-        match non_empty {
-            0 => return Ok(Vec::new()),
-            1 => {
-                let batch = windows.iter().find(|b| !b.is_empty()).expect("counted");
-                self.process_batch(batch)?;
-                return Ok(self.dirty.clone());
-            }
-            _ => {}
-        }
-        let mut merged = UpdateBatch::new();
-        for batch in windows.iter().filter(|b| !b.is_empty()) {
-            for update in batch.iter() {
-                merged.push(update.clone());
-            }
-        }
-        self.process_batch(&merged)?;
-        for _ in 1..non_empty {
-            self.topo.advance_epoch();
-        }
-        Ok(self.dirty.clone())
-    }
-}
+//! Thread-count invariance of [`crate::RippleEngine::with_threads`]: the
+//! same batches leave a bit-identical store and report identical statistics
+//! at any thread count.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::RippleEngine;
+    use crate::{RippleConfig, RippleEngine};
     use ripple_gnn::layer_wise::full_inference;
-    use ripple_gnn::Workload;
+    use ripple_gnn::{EmbeddingStore, GnnModel, Workload};
     use ripple_graph::stream::{build_stream, StreamConfig};
     use ripple_graph::synth::DatasetSpec;
+    use ripple_graph::{DynamicGraph, UpdateBatch, VertexId};
 
     fn bootstrap(
         workload: Workload,
@@ -460,14 +46,14 @@ mod tests {
             )
             .unwrap();
             for threads in [1, 2, 4, 8] {
-                let mut parallel = ParallelRippleEngine::new(
+                let mut parallel = RippleEngine::new(
                     snapshot.clone(),
                     model.clone(),
                     store.clone(),
                     RippleConfig::default(),
-                    threads,
                 )
-                .unwrap();
+                .unwrap()
+                .with_threads(threads);
                 for batch in &batches {
                     parallel.process_batch(batch).unwrap();
                 }
@@ -495,8 +81,9 @@ mod tests {
             RippleConfig::default(),
         )
         .unwrap();
-        let mut parallel =
-            ParallelRippleEngine::new(snapshot, model, store, RippleConfig::default(), 4).unwrap();
+        let mut parallel = RippleEngine::new(snapshot, model, store, RippleConfig::default())
+            .unwrap()
+            .with_threads(4);
         for batch in &batches {
             let s = serial.process_batch(batch).unwrap();
             let p = parallel.process_batch(batch).unwrap();
@@ -511,17 +98,17 @@ mod tests {
     #[test]
     fn pruning_config_is_respected() {
         let (snapshot, model, store, batches) = bootstrap(Workload::GcS, 2, 13);
-        let mut exact = ParallelRippleEngine::new(
+        let mut exact = RippleEngine::new(
             snapshot.clone(),
             model.clone(),
             store.clone(),
             RippleConfig::default(),
-            2,
         )
-        .unwrap();
-        let mut pruning =
-            ParallelRippleEngine::new(snapshot, model, store, RippleConfig::pruning(1e-6), 2)
-                .unwrap();
+        .unwrap()
+        .with_threads(2);
+        let mut pruning = RippleEngine::new(snapshot, model, store, RippleConfig::pruning(1e-6))
+            .unwrap()
+            .with_threads(2);
         for batch in &batches {
             exact.process_batch(batch).unwrap();
             pruning.process_batch(batch).unwrap();
@@ -537,16 +124,16 @@ mod tests {
     fn constructor_validates_shapes_and_clamps_threads() {
         let (snapshot, model, store, _) = bootstrap(Workload::GcS, 2, 17);
         let wrong_model = Workload::GcS.build_model(6, 8, 4, 3, 0).unwrap();
-        assert!(ParallelRippleEngine::new(
+        assert!(RippleEngine::new(
             snapshot.clone(),
             wrong_model,
             store.clone(),
-            RippleConfig::default(),
-            4
+            RippleConfig::default()
         )
         .is_err());
-        let engine =
-            ParallelRippleEngine::new(snapshot, model, store, RippleConfig::default(), 0).unwrap();
+        let engine = RippleEngine::new(snapshot, model, store, RippleConfig::default())
+            .unwrap()
+            .with_threads(0);
         assert_eq!(engine.threads(), 1);
         assert!(engine.incremental_state_bytes() > 0);
         let n = engine.graph().num_vertices();
@@ -560,8 +147,9 @@ mod tests {
     fn invalid_updates_are_reported() {
         let (snapshot, model, store, _) = bootstrap(Workload::GcS, 2, 19);
         let n = snapshot.num_vertices() as u32;
-        let mut engine =
-            ParallelRippleEngine::new(snapshot, model, store, RippleConfig::default(), 2).unwrap();
+        let mut engine = RippleEngine::new(snapshot, model, store, RippleConfig::default())
+            .unwrap()
+            .with_threads(2);
         let bad = UpdateBatch::from_updates(vec![ripple_graph::GraphUpdate::update_feature(
             VertexId(n + 2),
             vec![0.0; 6],

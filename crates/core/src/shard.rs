@@ -1,110 +1,73 @@
 //! The per-shard incremental engine of the sharded serving tier.
 //!
-//! A [`ShardEngine`] is a [`crate::RippleEngine`] specialised for owning one
-//! partition of the vertex space. Its graph keeps the **full vertex-id
-//! space** but only the edges incident to at least one owned vertex (the
-//! halo-restricted topology): owned vertices therefore see their complete
-//! in-adjacency (so mean-aggregator in-degrees are exact) and complete
-//! out-adjacency (so fanout reaches every sink), while edges entirely
-//! between foreign vertices are absent — their propagation happens on the
-//! shards that own them.
+//! A [`ShardEngine`] is a [`crate::RippleEngine`] that owns one partition of
+//! the vertex space: it runs the same update operator and hop loop, and adds
+//! only routing. Its graph keeps the **full vertex-id space** but only the
+//! edges incident to at least one owned vertex (the halo-restricted
+//! topology): owned vertices therefore see their complete in-adjacency (so
+//! mean-aggregator in-degrees are exact) and complete out-adjacency (so
+//! fanout reaches every sink), while edges entirely between foreign vertices
+//! are absent — their propagation happens on the shards that own them.
 //!
 //! Cross-shard effects travel as [`DeltaMessage`]s, exactly like the halo
 //! stubs of the simulated distributed engine (`ripple-dist`):
 //!
-//! * a commit-phase delta whose sink is foreign accumulates in a
-//!   [`HaloStubs`] outbox slot instead of a local mailbox, and
-//!   [`ShardEngine::process_window`] returns the drained outbox so the
-//!   caller can ship it;
+//! * a deposit whose sink is foreign accumulates in a [`HaloStubs`] outbox
+//!   slot instead of a local mailbox, and [`ShardEngine::process_window`]
+//!   returns the drained outbox so the caller can ship it;
 //! * incoming messages from peer shards are handed to the next
-//!   `process_window` call and deposited into the local mailboxes before
-//!   propagation.
+//!   `process_window` call and deposited into the local mailboxes right
+//!   after the update operator;
+//! * both endpoint owners apply an edge update's topology change, but only
+//!   the source's owner emits its value deltas.
 //!
-//! Linearity of the aggregators makes this exact at quiescence: deltas sum
-//! in any window order, and a forwarded delta is the `new − old` of an
-//! actual re-evaluation, so once every in-flight message has been applied
-//! the union of the shards' owned rows equals the single-engine state (up to
-//! float accumulation order) — pinned by the parity tests below and by
-//! `tests/serve_consistency.rs`.
+//! A single engine is thus one shard with no halos. Linearity of the
+//! aggregators makes sharding exact at quiescence: deltas sum in any window
+//! order, and a forwarded delta is the `new − old` of an actual
+//! re-evaluation, so once every in-flight message has been applied the union
+//! of the shards' owned rows equals the single-engine state (up to float
+//! accumulation order) — pinned by the parity tests below,
+//! `tests/engine_golden.rs` and `tests/serve_consistency.rs`.
 
-use crate::engine::{apply_mail, sorted_affected, validate_parts, RippleConfig};
-use crate::mailbox::{MailArena, MailboxSet};
+use crate::engine::{RippleConfig, RippleEngine, Route};
+use crate::mailbox::MailboxSet;
 use crate::message::{DeltaMessage, HaloStubs};
 use crate::{Result, RippleError};
-use ripple_gnn::layer_wise::reevaluate_slice_into;
 use ripple_gnn::recompute::BatchStats;
 use ripple_gnn::{EmbeddingStore, GnnModel};
 use ripple_graph::partition::Partitioning;
-use ripple_graph::{
-    CsrSnapshot, DynamicGraph, GraphUpdate, GraphView, PartitionId, UpdateBatch, VertexId,
-};
-use ripple_tensor::Scratch;
-use std::collections::{HashMap, HashSet};
+use ripple_graph::{DynamicGraph, GraphUpdate, PartitionId, UpdateBatch, VertexId};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// One topology change of the current window, recorded by the shard that
-/// owns its source so the per-hop aggregate contributions can be injected
-/// during propagation (mirrors the single-engine bookkeeping).
-#[derive(Debug, Clone)]
-struct ShardEdgeChange {
-    source: VertexId,
-    sink: VertexId,
-    /// +1 for addition, -1 for deletion.
-    sign: f32,
-    /// Aggregator edge coefficient of the changed edge.
-    coeff: f32,
-}
-
-/// Hop-0 output of one window: the state propagation starts from.
-struct ShardPhase {
-    mailboxes: MailboxSet,
-    source_snapshots: HashMap<VertexId, Vec<Vec<f32>>>,
-    edge_changes: Vec<ShardEdgeChange>,
-    changed_prev: HashSet<VertexId>,
-}
-
-/// Deposits `coeff * delta` for `target`'s hop-`hop` mailbox, routed by
-/// ownership: locally owned sinks go straight into the shard's mailboxes,
-/// foreign sinks accumulate in the outbox slot of their owning shard.
-#[allow(clippy::too_many_arguments)]
-fn route_deposit(
-    partitioning: &Partitioning,
+/// The shard route: deposits for owned sinks go into the shard's own
+/// mailboxes, deposits for foreign sinks into the outbox slot of their
+/// owner.
+struct ToOwner<'a> {
+    partitioning: &'a Partitioning,
     part: PartitionId,
-    mailboxes: &mut MailboxSet,
-    outbox: &mut HaloStubs,
-    hop: usize,
-    target: VertexId,
-    coeff: f32,
-    delta: &[f32],
-    stats: &mut BatchStats,
-) {
-    let owner = partitioning.part_of(target);
-    if owner == part {
-        mailboxes.deposit(hop, target, coeff, delta);
-    } else {
-        outbox.deposit(owner, hop, target, coeff, delta);
-    }
-    stats.aggregate_ops += 1;
+    outbox: &'a mut HaloStubs,
 }
 
-/// Captures the pre-window embeddings (layers 1..L-1) of an edge-update
-/// source vertex, once per window.
-fn snapshot_source(
-    store: &EmbeddingStore,
-    model: &GnnModel,
-    snapshots: &mut HashMap<VertexId, Vec<Vec<f32>>>,
-    source: VertexId,
-) {
-    if snapshots.contains_key(&source) {
-        return;
+impl Route for ToOwner<'_> {
+    fn owns(&self, v: VertexId) -> bool {
+        self.partitioning.part_of(v) == self.part
     }
-    let upto = model.num_layers().saturating_sub(1);
-    let mut layers = Vec::with_capacity(upto);
-    for l in 1..=upto {
-        layers.push(store.embedding(l, source).to_vec());
+
+    fn deposit(
+        &mut self,
+        mailboxes: &mut MailboxSet,
+        hop: usize,
+        target: VertexId,
+        coeff: f32,
+        delta: &[f32],
+    ) {
+        let owner = self.partitioning.part_of(target);
+        if owner == self.part {
+            mailboxes.deposit(hop, target, coeff, delta);
+        } else {
+            self.outbox.deposit(owner, hop, target, coeff, delta);
+        }
     }
-    snapshots.insert(source, layers);
 }
 
 /// The incremental engine of one shard: owns the halo-restricted topology
@@ -115,19 +78,9 @@ fn snapshot_source(
 pub struct ShardEngine {
     part: PartitionId,
     partitioning: Arc<Partitioning>,
-    graph: DynamicGraph,
-    model: GnnModel,
-    store: EmbeddingStore,
-    config: RippleConfig,
-    /// Persistent epoch-versioned CSR snapshot of the halo-restricted
-    /// topology, compacted independently of every other shard.
-    topo: CsrSnapshot,
-    scratch: Scratch,
-    mail: MailArena,
-    commit_delta: Vec<f32>,
-    /// Owned vertices whose store rows changed in the last window (sorted,
-    /// deduplicated) — threaded into dirty-row epoch publication.
-    dirty: Vec<VertexId>,
+    /// The incremental engine over the halo-restricted topology, whose CSR
+    /// snapshot compacts independently of every other shard's.
+    engine: RippleEngine,
     /// Pending outgoing cross-shard deltas, drained at each window boundary.
     outbox: HaloStubs,
     /// The shard's owned vertices, ascending.
@@ -167,7 +120,6 @@ impl ShardEngine {
                 partitioning.num_parts()
             )));
         }
-        validate_parts(full_graph, &model, &store)?;
         let mut graph = DynamicGraph::new(full_graph.num_vertices(), full_graph.feature_dim());
         graph.set_features(full_graph.features().clone())?;
         for (src, dst, weight) in full_graph.iter_edges() {
@@ -175,23 +127,12 @@ impl ShardEngine {
                 graph.add_edge(src, dst, weight)?;
             }
         }
-        let topo = CsrSnapshot::from_dynamic(&graph);
-        let owned = partitioning.vertices_in(part);
-        let num_parts = partitioning.num_parts();
         Ok(ShardEngine {
             part,
+            engine: RippleEngine::new(graph, model, store, config)?,
+            outbox: HaloStubs::new(partitioning.num_parts()),
+            owned: partitioning.vertices_in(part),
             partitioning,
-            graph,
-            model,
-            store,
-            config,
-            topo,
-            scratch: Scratch::new(),
-            mail: MailArena::new(),
-            commit_delta: Vec::new(),
-            dirty: Vec::new(),
-            outbox: HaloStubs::new(num_parts),
-            owned,
         })
     }
 
@@ -213,11 +154,7 @@ impl ShardEngine {
         store: EmbeddingStore,
         topology_epoch: u64,
     ) -> Result<()> {
-        validate_parts(&graph, &self.model, &store)?;
-        self.topo = CsrSnapshot::from_dynamic_at(&graph, topology_epoch);
-        self.graph = graph;
-        self.store = store;
-        self.dirty.clear();
+        self.engine.restore_state(graph, store, topology_epoch)?;
         self.outbox = HaloStubs::new(self.partitioning.num_parts());
         Ok(())
     }
@@ -239,41 +176,41 @@ impl ShardEngine {
 
     /// The halo-restricted graph (full vertex space, incident edges only).
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        self.engine.graph()
     }
 
     /// The model used for inference.
     pub fn model(&self) -> &GnnModel {
-        &self.model
+        self.engine.model()
     }
 
     /// The shard store. Only the owned rows are maintained; foreign rows
     /// keep their bootstrap values.
     pub fn store(&self) -> &EmbeddingStore {
-        &self.store
+        self.engine.store()
     }
 
     /// The engine configuration.
     pub fn config(&self) -> RippleConfig {
-        self.config
+        self.engine.config()
     }
 
     /// The shard topology epoch: how many windows this shard has absorbed.
     pub fn topology_epoch(&self) -> u64 {
-        self.topo.epoch()
+        self.engine.topology_epoch()
     }
 
     /// The owned vertices whose store rows changed in the last processed
     /// window (sorted, deduplicated; empty before the first window).
     pub fn dirty_rows(&self) -> &[VertexId] {
-        &self.dirty
+        self.engine.dirty_rows()
     }
 
     /// Copies this shard's owned rows (all layers and aggregates) into
     /// `target`; `false` on shape mismatch. Gathering every shard into one
     /// store assembles the authoritative global state.
     pub fn gather_into(&self, target: &mut EmbeddingStore) -> bool {
-        target.copy_rows_from(&self.store, &self.owned)
+        target.copy_rows_from(self.engine.store(), &self.owned)
     }
 
     /// Applies one flush window — a coalesced batch of updates routed to
@@ -282,214 +219,61 @@ impl ShardEngine {
     /// cross-shard messages this window produced (in deterministic
     /// partition-major, (hop, target) order).
     ///
-    /// Routing contract (enforced, violations are
-    /// [`RippleError::InvalidUpdate`]): feature updates target owned
-    /// vertices only; edge updates have at least one owned endpoint (both
-    /// owners apply the topology change, only the source's owner emits value
-    /// deltas); halo messages target owned vertices at hops `1..=L`.
+    /// Routing contract, checked for the whole window before anything is
+    /// mutated (violations are [`RippleError::InvalidUpdate`]): feature
+    /// updates target owned vertices only; edge updates have at least one
+    /// owned endpoint; halo messages target owned vertices at hops `1..=L`.
     ///
     /// # Errors
     ///
-    /// Propagates graph and tensor errors; the shard should be considered
-    /// poisoned after an error.
+    /// Returns routing violations with the shard untouched; propagates
+    /// graph and tensor errors, after which the shard should be considered
+    /// poisoned.
     pub fn process_window(
         &mut self,
         batch: &UpdateBatch,
         halos: &[DeltaMessage],
     ) -> Result<(BatchStats, Vec<(PartitionId, DeltaMessage)>)> {
-        let mut stats = BatchStats {
-            batch_size: batch.len(),
-            ..BatchStats::default()
+        self.check_routing(batch, halos)?;
+        let mut route = ToOwner {
+            partitioning: &self.partitioning,
+            part: self.part,
+            outbox: &mut self.outbox,
         };
-
-        let update_start = Instant::now();
-        self.dirty.clear();
-        let mut phase = self.run_update_operator(batch, &mut stats)?;
-        self.absorb_halos(&mut phase, halos, &mut stats)?;
-        stats.update_time = update_start.elapsed();
-
-        let propagate_start = Instant::now();
-        self.propagate_window(&mut phase, &mut stats)?;
-        stats.propagate_time = propagate_start.elapsed();
-
-        self.topo.advance_epoch();
-        self.topo.maybe_compact();
+        let stats = self.engine.run_batch(batch, halos, &mut route)?;
         Ok((stats, self.outbox.drain()))
     }
 
-    /// The hop-0 `update` operator, sequential over the window's batch, with
-    /// every deposit routed by sink ownership.
-    fn run_update_operator(
-        &mut self,
-        batch: &UpdateBatch,
-        stats: &mut BatchStats,
-    ) -> Result<ShardPhase> {
-        let ShardEngine {
-            part,
-            partitioning,
-            graph,
-            model,
-            store,
-            topo,
-            outbox,
-            ..
-        } = self;
-        let part = *part;
-        let aggregator = model.aggregator();
-        let mut mailboxes = MailboxSet::new(model.num_layers());
-        let mut source_snapshots: HashMap<VertexId, Vec<Vec<f32>>> = HashMap::new();
-        let mut edge_changes: Vec<ShardEdgeChange> = Vec::new();
-        let mut changed_prev: HashSet<VertexId> = HashSet::new();
-
+    /// Checks a window and its halos against the routing contract of
+    /// [`ShardEngine::process_window`].
+    fn check_routing(&self, batch: &UpdateBatch, halos: &[DeltaMessage]) -> Result<()> {
+        let part = self.part;
+        let graph = self.engine.graph();
+        let owned = |v: VertexId| graph.contains_vertex(v) && self.partitioning.part_of(v) == part;
         for update in batch {
             match update {
-                GraphUpdate::UpdateFeature { vertex, features } => {
-                    if !graph.contains_vertex(*vertex) {
-                        return Err(RippleError::InvalidUpdate(format!(
-                            "feature update for unknown vertex {vertex}"
-                        )));
-                    }
-                    if partitioning.part_of(*vertex) != part {
+                GraphUpdate::UpdateFeature { vertex, .. } => {
+                    if !owned(*vertex) {
                         return Err(RippleError::InvalidUpdate(format!(
                             "feature update for {vertex} routed to non-owning shard {part}"
                         )));
                     }
-                    let old = store.embedding(0, *vertex).to_vec();
-                    let delta: Vec<f32> = features
-                        .iter()
-                        .zip(old.iter())
-                        .map(|(n, o)| n - o)
-                        .collect();
-                    // The owned vertex's out-adjacency is complete in the
-                    // halo-restricted topology, so fanout reaches every
-                    // sink; foreign sinks route to the outbox.
-                    let (sinks, weights) = GraphView::out_adjacency(topo, *vertex);
-                    for (&w, &weight) in sinks.iter().zip(weights.iter()) {
-                        route_deposit(
-                            partitioning,
-                            part,
-                            &mut mailboxes,
-                            outbox,
-                            1,
-                            w,
-                            aggregator.edge_coefficient(weight),
-                            &delta,
-                            stats,
-                        );
-                    }
-                    graph.set_feature(*vertex, features)?;
-                    store.set_embedding(0, *vertex, features)?;
-                    changed_prev.insert(*vertex);
                 }
-                GraphUpdate::AddEdge { src, dst, weight } => {
-                    let (src_owned, _) =
-                        Self::edge_roles(partitioning, part, graph, *src, *dst, "adding")?;
-                    if src_owned {
-                        snapshot_source(store, model, &mut source_snapshots, *src);
+                GraphUpdate::AddEdge { src, dst, .. } | GraphUpdate::DeleteEdge { src, dst } => {
+                    if !graph.contains_vertex(*src) || !graph.contains_vertex(*dst) {
+                        return Err(RippleError::InvalidUpdate(format!(
+                            "edge update {src} -> {dst} with unknown endpoint"
+                        )));
                     }
-                    graph.add_edge(*src, *dst, *weight)?;
-                    topo.add_edge(*src, *dst, *weight)
-                        .expect("topology snapshot out of sync with graph");
-                    if src_owned {
-                        let coeff = aggregator.edge_coefficient(*weight);
-                        route_deposit(
-                            partitioning,
-                            part,
-                            &mut mailboxes,
-                            outbox,
-                            1,
-                            *dst,
-                            coeff,
-                            store.embedding(0, *src),
-                            stats,
-                        );
-                        edge_changes.push(ShardEdgeChange {
-                            source: *src,
-                            sink: *dst,
-                            sign: 1.0,
-                            coeff,
-                        });
-                    }
-                }
-                GraphUpdate::DeleteEdge { src, dst } => {
-                    let (src_owned, _) =
-                        Self::edge_roles(partitioning, part, graph, *src, *dst, "deleting")?;
-                    let weight = graph.edge_weight(*src, *dst).ok_or_else(|| {
-                        RippleError::InvalidUpdate(format!("deleting missing edge {src} -> {dst}"))
-                    })?;
-                    if src_owned {
-                        snapshot_source(store, model, &mut source_snapshots, *src);
-                    }
-                    graph.remove_edge(*src, *dst)?;
-                    topo.remove_edge(*src, *dst)
-                        .expect("topology snapshot out of sync with graph");
-                    if src_owned {
-                        let coeff = aggregator.edge_coefficient(weight);
-                        route_deposit(
-                            partitioning,
-                            part,
-                            &mut mailboxes,
-                            outbox,
-                            1,
-                            *dst,
-                            -coeff,
-                            store.embedding(0, *src),
-                            stats,
-                        );
-                        edge_changes.push(ShardEdgeChange {
-                            source: *src,
-                            sink: *dst,
-                            sign: -1.0,
-                            coeff,
-                        });
+                    if !owned(*src) && !owned(*dst) {
+                        return Err(RippleError::InvalidUpdate(format!(
+                            "edge {src} -> {dst} routed to shard {part} owning neither endpoint"
+                        )));
                     }
                 }
             }
         }
-        Ok(ShardPhase {
-            mailboxes,
-            source_snapshots,
-            edge_changes,
-            changed_prev,
-        })
-    }
-
-    /// Validates an edge update against the routing contract and reports
-    /// whether this shard owns the source (and therefore emits the value
-    /// deltas) and/or the sink.
-    fn edge_roles(
-        partitioning: &Partitioning,
-        part: PartitionId,
-        graph: &DynamicGraph,
-        src: VertexId,
-        dst: VertexId,
-        verb: &str,
-    ) -> Result<(bool, bool)> {
-        if !graph.contains_vertex(src) || !graph.contains_vertex(dst) {
-            return Err(RippleError::InvalidUpdate(format!(
-                "{verb} edge {src} -> {dst} with unknown endpoint"
-            )));
-        }
-        let src_owned = partitioning.part_of(src) == part;
-        let dst_owned = partitioning.part_of(dst) == part;
-        if !src_owned && !dst_owned {
-            return Err(RippleError::InvalidUpdate(format!(
-                "edge {src} -> {dst} routed to shard {part} owning neither endpoint"
-            )));
-        }
-        Ok((src_owned, dst_owned))
-    }
-
-    /// Deposits the halo deltas received from peer shards into the local
-    /// mailboxes; propagation then treats them exactly like locally
-    /// generated mail.
-    fn absorb_halos(
-        &self,
-        phase: &mut ShardPhase,
-        halos: &[DeltaMessage],
-        stats: &mut BatchStats,
-    ) -> Result<()> {
-        let num_layers = self.model.num_layers();
+        let num_layers = self.engine.model().num_layers();
         for message in halos {
             if message.hop == 0 || message.hop > num_layers {
                 return Err(RippleError::InvalidUpdate(format!(
@@ -497,116 +281,13 @@ impl ShardEngine {
                     message.target, message.hop
                 )));
             }
-            if self.partitioning.part_of(message.target) != self.part {
+            if !owned(message.target) {
                 return Err(RippleError::InvalidUpdate(format!(
-                    "halo delta for foreign vertex {} delivered to shard {}",
-                    message.target, self.part
+                    "halo delta for foreign vertex {} delivered to shard {part}",
+                    message.target
                 )));
             }
-            phase
-                .mailboxes
-                .deposit(message.hop, message.target, 1.0, &message.delta);
-            stats.aggregate_ops += 1;
         }
-        Ok(())
-    }
-
-    /// The `propagate` operator: identical hop loop to the single-machine
-    /// engine, except the commit-phase fanout routes each delta by sink
-    /// ownership (local mailbox vs outbox).
-    fn propagate_window(&mut self, phase: &mut ShardPhase, stats: &mut BatchStats) -> Result<()> {
-        let ShardEngine {
-            part,
-            partitioning,
-            model,
-            store,
-            config,
-            topo,
-            scratch,
-            mail,
-            commit_delta,
-            dirty,
-            outbox,
-            ..
-        } = self;
-        let part = *part;
-        let num_layers = model.num_layers();
-        let aggregator = model.aggregator();
-        dirty.extend(phase.changed_prev.iter().copied());
-        for hop in 1..=num_layers {
-            // Inject the per-layer contribution of this window's topology
-            // changes (hop 1 was handled sequentially by the update
-            // operator); foreign sinks route to the outbox.
-            if hop >= 2 {
-                for change in &phase.edge_changes {
-                    let snapshot = &phase.source_snapshots[&change.source];
-                    let pre_window = &snapshot[hop - 2];
-                    route_deposit(
-                        partitioning,
-                        part,
-                        &mut phase.mailboxes,
-                        outbox,
-                        hop,
-                        change.sink,
-                        change.sign * change.coeff,
-                        pre_window,
-                        stats,
-                    );
-                }
-            }
-
-            let layer = model.layer(hop)?;
-            phase.mailboxes.drain_hop_sorted_into(hop, mail);
-            let affected =
-                sorted_affected(mail.ids(), &phase.changed_prev, layer.depends_on_self());
-
-            stats.affected_per_hop.push(affected.len());
-            stats.propagation_tree_size += affected.len();
-            if hop == num_layers {
-                stats.affected_final = affected.len();
-            }
-            dirty.extend_from_slice(&affected);
-
-            apply_mail(store, hop, mail, stats);
-            reevaluate_slice_into(topo, model, store, hop, &affected, scratch)?;
-
-            let mut changed_now = HashSet::with_capacity(affected.len());
-            for (&v, new_embedding) in affected.iter().zip(scratch.out.iter_rows()) {
-                let old = store.embedding(hop, v);
-                commit_delta.clear();
-                commit_delta.extend(new_embedding.iter().zip(old.iter()).map(|(n, o)| n - o));
-                store.set_embedding(hop, v, new_embedding)?;
-
-                let effectively_unchanged = config.skip_unchanged
-                    && commit_delta
-                        .iter()
-                        .all(|d| d.abs() <= config.prune_tolerance);
-                if effectively_unchanged {
-                    continue;
-                }
-                changed_now.insert(v);
-
-                if hop < num_layers {
-                    let (sinks, weights) = GraphView::out_adjacency(topo, v);
-                    for (&w, &weight) in sinks.iter().zip(weights.iter()) {
-                        route_deposit(
-                            partitioning,
-                            part,
-                            &mut phase.mailboxes,
-                            outbox,
-                            hop + 1,
-                            w,
-                            aggregator.edge_coefficient(weight),
-                            commit_delta,
-                            stats,
-                        );
-                    }
-                }
-            }
-            phase.changed_prev = changed_now;
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
         Ok(())
     }
 }
@@ -797,6 +478,35 @@ mod tests {
         assert!(shards[1]
             .process_window(&UpdateBatch::from_updates(Vec::new()), &[bad_hop])
             .is_err());
+    }
+
+    #[test]
+    fn misrouted_window_is_rejected_before_anything_changes() {
+        let (graph, model, store, _) = bootstrap(19, 2);
+        let mut shards = make_shards(&graph, &model, &store, 2);
+        let partitioning = Arc::clone(shards[0].partitioning());
+        let owned_by = |p: u32| {
+            (0..graph.num_vertices() as u32)
+                .map(VertexId)
+                .find(|v| partitioning.part_of(*v) == PartitionId(p))
+                .unwrap()
+        };
+        // A valid first update, then one for a vertex shard 0 does not own.
+        let window = UpdateBatch::from_updates(vec![
+            GraphUpdate::update_feature(owned_by(0), vec![0.5; 6]),
+            GraphUpdate::update_feature(owned_by(1), vec![0.5; 6]),
+        ]);
+        let shard = &mut shards[0];
+        let store_before = shard.store().clone();
+        let graph_before = shard.graph().clone();
+        let epoch_before = shard.topology_epoch();
+        assert!(matches!(
+            shard.process_window(&window, &[]),
+            Err(RippleError::InvalidUpdate(_))
+        ));
+        assert!(shard.store() == &store_before, "store mutated");
+        assert!(shard.graph() == &graph_before, "graph mutated");
+        assert_eq!(shard.topology_epoch(), epoch_before);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::scheduler::{spawn, BackpressurePolicy, ServeConfig, Submission};
 use crate::shard::spawn_sharded;
 use crate::QueryService;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use ripple_core::{ParallelRippleEngine, RippleConfig, RippleEngine, StreamingEngine};
+use ripple_core::{RippleConfig, RippleEngine};
 use ripple_gnn::layer_wise::full_inference;
 use ripple_gnn::Workload;
 use ripple_graph::stream::{build_stream, StreamConfig};
@@ -422,23 +422,9 @@ pub fn run_loadgen(config: &LoadgenConfig) -> LoadgenReport {
         handle.shutdown().expect("serving session failed");
         outcome
     } else {
-        let engine: Box<dyn StreamingEngine + Send> = if config.engine_threads > 1 {
-            Box::new(
-                ParallelRippleEngine::new(
-                    plan.snapshot,
-                    model,
-                    store,
-                    RippleConfig::default(),
-                    config.engine_threads,
-                )
-                .expect("parallel engine"),
-            )
-        } else {
-            Box::new(
-                RippleEngine::new(plan.snapshot, model, store, RippleConfig::default())
-                    .expect("serial engine"),
-            )
-        };
+        let engine = RippleEngine::new(plan.snapshot, model, store, RippleConfig::default())
+            .expect("ripple engine")
+            .with_threads(config.engine_threads);
         let handle = spawn(engine, config.serve.clone()).expect("serving session");
         let outcome = drive(&handle, config, stream);
         handle.shutdown().expect("serving session failed");

@@ -364,25 +364,6 @@ impl QueryService {
         Ok(stamped)
     }
 
-    /// The final-layer embedding of `v`, or `None` if `v` is out of range.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `QueryService::read_embedding`, which reports why a read failed"
-    )]
-    pub fn embedding(&mut self, v: VertexId) -> Option<Stamped<Vec<f32>>> {
-        self.read_embedding(v).ok()
-    }
-
-    /// The predicted class label of `v` (argmax of its final-layer
-    /// embedding), or `None` if `v` is out of range.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `QueryService::read_label`, which reports why a read failed"
-    )]
-    pub fn predicted_label(&mut self, v: VertexId) -> Option<Stamped<usize>> {
-        self.read_label(v).ok()
-    }
-
     /// Executes a validated top-k similarity request (see [`TopKRequest`]).
     ///
     /// [`ReadMode::Exact`] scans every row of the snapshot;
@@ -428,25 +409,8 @@ impl QueryService {
         Ok(stamped)
     }
 
-    /// The `k` vertices whose final-layer embeddings have the largest dot
-    /// product with `query`, scanning exactly. Returns `None` if `query`'s
-    /// width does not match the embedding width.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `QueryService::top_k` with a `TopKRequest`, which also offers the \
-                approximate index path and typed errors"
-    )]
-    pub fn top_k_by_dot(
-        &mut self,
-        query: &[f32],
-        k: usize,
-    ) -> Option<Stamped<Vec<(VertexId, f32)>>> {
-        self.top_k_impl(query, k, ReadMode::Exact).ok()
-    }
-
-    /// The unvalidated top-k engine behind [`QueryService::top_k`] and the
-    /// deprecated [`QueryService::top_k_by_dot`] shim (which is why, unlike
-    /// the public surface, it accepts `k == 0` and returns it empty).
+    /// The top-k engine behind [`QueryService::top_k`], which has already
+    /// checked `k > 0` and `nprobe > 0`.
     fn top_k_impl(
         &mut self,
         query: &[f32],
@@ -596,9 +560,7 @@ impl QueryService {
         // Partial selection: O(candidates + k log k) instead of sorting all.
         let order = |a: &(f32, u32), b: &(f32, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
         if k < scored.len() {
-            if k > 0 {
-                scored.select_nth_unstable_by(k - 1, order);
-            }
+            scored.select_nth_unstable_by(k - 1, order);
             scored.truncate(k);
         }
         scored.sort_unstable_by(order);
@@ -744,29 +706,6 @@ mod tests {
         publisher.publish(&base, 1, 0);
         let top = q.top_k(&request).unwrap();
         assert_eq!(top.epoch, 1);
-    }
-
-    #[test]
-    fn deprecated_shims_still_answer_reads() {
-        // The pre-redesign surface must keep working for one deprecation
-        // cycle; it delegates to the new internals.
-        #[allow(deprecated)]
-        {
-            let (mut q, _publisher) = service(&store(), 0);
-            assert_eq!(q.embedding(VertexId(0)).unwrap().value, vec![0.0, 1.0, 0.0]);
-            assert!(q.embedding(VertexId(99)).is_none());
-            assert_eq!(q.predicted_label(VertexId(0)).unwrap().value, 1);
-            let top = q.top_k_by_dot(&[1.0, 0.0, 0.0], 3).unwrap();
-            assert_eq!(top.value[0], (VertexId(1), 2.0));
-            // The shim keeps the old lenient edges: k = 0 is an empty hit,
-            // a mismatched width is None.
-            assert!(q
-                .top_k_by_dot(&[1.0, 0.0, 0.0], 0)
-                .unwrap()
-                .value
-                .is_empty());
-            assert!(q.top_k_by_dot(&[1.0, 0.0], 2).is_none());
-        }
     }
 
     #[test]

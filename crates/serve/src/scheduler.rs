@@ -538,15 +538,6 @@ impl FlushLog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The raw shared vector behind this log.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `FlushLog::snapshot` or `FlushLog::len` instead"
-    )]
-    pub fn into_arc(self) -> Arc<Mutex<Vec<FlushRecord>>> {
-        self.records
-    }
 }
 
 /// The coalescing window: pending updates with same-key churn deduplicated.
@@ -1284,13 +1275,6 @@ impl<E> ServeHandle<E> {
     /// so it stays readable after [`ServeHandle::shutdown`].
     pub fn flush_log(&self) -> Option<FlushLog> {
         self.flush_log.clone()
-    }
-
-    /// The flush log as its raw shared vector.
-    #[deprecated(since = "0.1.0", note = "use `ServeHandle::flush_log` instead")]
-    pub fn flush_log_arc(&self) -> Option<Arc<Mutex<Vec<FlushRecord>>>> {
-        #[allow(deprecated)]
-        self.flush_log.clone().map(FlushLog::into_arc)
     }
 
     /// What recovery did at session start (present iff the session was

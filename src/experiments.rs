@@ -104,7 +104,7 @@ impl Scale {
 
 /// Worker-thread count for the incremental engines, read from
 /// `RIPPLE_THREADS`: a number, or `auto` for the host's available
-/// parallelism (defaults to 1 = the serial engine).
+/// parallelism (defaults to 1).
 pub fn threads_from_env() -> usize {
     match std::env::var("RIPPLE_THREADS").as_deref() {
         Ok("auto") => ripple_core::WorkerPool::host_sized().threads(),
@@ -234,9 +234,9 @@ pub fn run_strategy(prepared: &PreparedStream, strategy: Strategy) -> StreamSumm
     run_strategy_with_threads(prepared, strategy, 1)
 }
 
-/// Like [`run_strategy`], but the Ripple strategy runs on
-/// [`ParallelRippleEngine`] when `threads > 1` (the other strategies have no
-/// parallel variant and ignore the knob).
+/// Like [`run_strategy`], but the Ripple strategy splits each hop across
+/// `threads` workers ([`RippleEngine::with_threads`]); the other strategies
+/// have no parallel variant and ignore the knob.
 ///
 /// # Panics
 ///
@@ -256,12 +256,10 @@ pub fn run_strategy_with_threads(
         Strategy::Rc => Box::new(
             RecomputeEngine::new(graph, model, store, RecomputeConfig::rc()).expect("rc engine"),
         ),
-        Strategy::Ripple if threads > 1 => Box::new(
-            ParallelRippleEngine::new(graph, model, store, RippleConfig::default(), threads)
-                .expect("parallel ripple engine"),
-        ),
         Strategy::Ripple => Box::new(
-            RippleEngine::new(graph, model, store, RippleConfig::default()).expect("ripple engine"),
+            RippleEngine::new(graph, model, store, RippleConfig::default())
+                .expect("ripple engine")
+                .with_threads(threads),
         ),
         Strategy::VertexWise => Box::new(ripple_core::batch::VertexWiseEngine::new(
             graph, model, store,
@@ -368,17 +366,17 @@ pub fn single_machine_sweep(
     println!("batch size; the gap is largest on the denser graphs and larger batches.");
 }
 
-/// One row of the Fig 9 thread-scaling sweep: the parallel engine's
-/// throughput at one thread count, normalised against the serial engine.
+/// One row of the Fig 9 thread-scaling sweep: the Ripple engine's
+/// throughput at one thread count, normalised against one thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalingRow {
-    /// Worker threads used by [`ParallelRippleEngine`].
+    /// Worker threads of the Ripple engine.
     pub threads: usize,
     /// Batches processed per second.
     pub batches_per_sec: f64,
     /// Updates processed per second.
     pub updates_per_sec: f64,
-    /// Throughput relative to the serial [`RippleEngine`] on the same stream.
+    /// Throughput relative to the 1-thread [`RippleEngine`] on the same stream.
     pub speedup_vs_serial: f64,
 }
 
@@ -395,8 +393,8 @@ pub fn scaling_cell(scale: Scale) -> PreparedStream {
     prepare_stream(&spec, Workload::GcS, 2, batch, num_batches, 29)
 }
 
-/// Replays the scaling cell through the serial engine once (the baseline)
-/// and then through [`ParallelRippleEngine`] at every requested thread
+/// Replays the scaling cell through the 1-thread engine once (the baseline)
+/// and then through [`RippleEngine::with_threads`] at every requested thread
 /// count, returning one row per count.
 ///
 /// # Panics

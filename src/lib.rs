@@ -50,8 +50,8 @@ pub mod experiments;
 /// The most commonly used items, re-exported for `use ripple::prelude::*`.
 pub mod prelude {
     pub use ripple_core::{
-        BatchStats, ParallelRippleEngine, RippleConfig, RippleEngine, StreamRunner, StreamSummary,
-        StreamingEngine, WorkerPool,
+        BatchStats, RippleConfig, RippleEngine, StreamRunner, StreamSummary, StreamingEngine,
+        WorkerPool,
     };
     pub use ripple_dist::{
         DistBatchStats, DistRecomputeEngine, DistRippleEngine, DistSummary, NetworkModel,

@@ -100,7 +100,7 @@ proptest! {
     }
 
     /// The engine spine on the snapshot: streaming a random update stream
-    /// through the serial engine and the parallel engine at 1/2/4/8 threads
+    /// through the 1-thread engine and the engine at 1/2/4/8 threads
     /// yields bit-identical stores, and every engine's internal snapshot
     /// stays in lockstep with its graph at each batch boundary.
     #[test]
@@ -147,14 +147,14 @@ proptest! {
             prop_assert_eq!(GraphView::num_edges(topo), serial.graph().num_edges());
         }
         for threads in [1usize, 2, 4, 8] {
-            let mut parallel = ParallelRippleEngine::new(
+            let mut parallel = RippleEngine::new(
                 graph.clone(),
                 model.clone(),
                 store.clone(),
                 RippleConfig::default(),
-                threads,
             )
-            .unwrap();
+            .unwrap()
+            .with_threads(threads);
             for batch in &batches {
                 parallel.process_batch(batch).unwrap();
             }

@@ -1,7 +1,7 @@
-//! Property-based tests of the parallel engine's determinism guarantee: for
-//! any thread count, [`ParallelRippleEngine`] produces embeddings (and raw
-//! aggregates) **bit-identical** to the serial [`RippleEngine`] — not merely
-//! within tolerance. The frontier of every hop is processed in a canonical
+//! Property-based tests of the engine's determinism guarantee: at any
+//! thread count, [`RippleEngine::with_threads`] produces embeddings (and raw
+//! aggregates) **bit-identical** to the 1-thread [`RippleEngine`] — not
+//! merely within tolerance. The frontier of every hop is processed in a canonical
 //! sorted vertex order and per-worker results are merged by a chunk-ordered
 //! reduction, so float accumulation order never depends on the thread count.
 
@@ -84,14 +84,14 @@ fn assert_bit_identical(
         serial.process_batch(batch).unwrap();
     }
     for threads in [2usize, 4, 8] {
-        let mut parallel = ParallelRippleEngine::new(
+        let mut parallel = RippleEngine::new(
             graph.clone(),
             model.clone(),
             store.clone(),
             RippleConfig::default(),
-            threads,
         )
-        .unwrap();
+        .unwrap()
+        .with_threads(threads);
         for batch in &batches {
             parallel.process_batch(batch).unwrap();
         }
@@ -181,14 +181,14 @@ fn parallel_engine_is_exact_and_deterministic_end_to_end() {
         RippleConfig::default(),
     )
     .unwrap();
-    let mut parallel = ParallelRippleEngine::new(
+    let mut parallel = RippleEngine::new(
         plan.snapshot.clone(),
         model.clone(),
         bootstrap,
         RippleConfig::default(),
-        8,
     )
-    .unwrap();
+    .unwrap()
+    .with_threads(8);
     let mut reference_graph = plan.snapshot.clone();
     for batch in &batches {
         serial.process_batch(batch).unwrap();

@@ -1,7 +1,6 @@
 //! Counting-allocator proof of the scratch-arena contract: once the arenas
 //! are warm, the **compute phase** of steady-state batch propagation — the
-//! exact `reevaluate_slice_into` call `RippleEngine::propagate_batch` makes
-//! per hop, and the per-worker closure of the parallel/distributed engines —
+//! exact `reevaluate_slice_into` call each engine worker makes per hop —
 //! performs **zero heap allocations**, as do the underlying `_into` kernels.
 //!
 //! The counting allocator is process-global, so the tests in this file
@@ -81,7 +80,7 @@ fn steady_state_compute_phase_performs_zero_allocations() {
         for hop in 1..=2 {
             // Warm-up: let every scratch buffer grow to steady-state size.
             reevaluate_slice_into(&graph, &model, &store, hop, &affected, &mut scratch).unwrap();
-            // Steady state: the compute phase of `propagate_batch` is
+            // Steady state: the engine's per-hop compute phase is
             // exactly this call against warm scratch.
             let (allocs, result) = count_allocations(|| {
                 reevaluate_slice_into(&graph, &model, &store, hop, &affected, &mut scratch)
