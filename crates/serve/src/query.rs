@@ -15,8 +15,9 @@
 //! query vector, `k`, a [`ReadMode`] — [`ReadMode::Exact`] scans every row,
 //! [`ReadMode::Approx`] probes the session's epoch-repaired IVF index
 //! (see [`crate::index`]) — and an optional epoch floor. Malformed requests
-//! (`k == 0`, zero probes, a query of the wrong width, an approximate read
-//! against a session serving without an index) fail up front with
+//! (`k == 0`, zero probes, a non-finite query component, a query of the
+//! wrong width, an approximate read against a session serving without an
+//! index) fail up front with
 //! [`ServeError::InvalidQuery`]; an unmet epoch floor fails with
 //! [`ServeError::StaleRead`]. Approximate reads score candidates from the
 //! same store snapshot the exact scan reads, so every returned score is
@@ -43,6 +44,9 @@ use crate::scheduler::ServeError;
 use crate::versioned::{EpochSnapshot, SnapshotReader};
 use ripple_graph::partition::Partitioning;
 use ripple_graph::{PartitionId, VertexId};
+use ripple_tensor::ops::score_rows_into;
+use ripple_tensor::Matrix;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -152,7 +156,8 @@ pub enum ReadMode {
 #[non_exhaustive]
 pub struct TopKRequest {
     /// The query vector; its width must match the final-layer embedding
-    /// width or the request fails with [`ServeError::InvalidQuery`].
+    /// width and every component must be finite, or the request fails with
+    /// [`ServeError::InvalidQuery`].
     pub query: Vec<f32>,
     /// How many results to return (must be non-zero; clamps to `|V|`).
     pub k: usize,
@@ -217,6 +222,9 @@ enum ServeTopology {
         /// cross-shard edge updates, used to dedup merged staleness.
         secondary_submitted: Vec<Arc<AtomicU64>>,
         partitioning: Arc<Partitioning>,
+        /// Each shard's owned vertex ids, ascending, indexed like `readers`
+        /// — the exact scan's id list per shard, built once.
+        owned: Arc<[Vec<u32>]>,
     },
 }
 
@@ -257,6 +265,10 @@ impl QueryService {
         if let Some(indexes) = &indexes {
             debug_assert_eq!(readers.len(), indexes.len());
         }
+        let mut owned = vec![Vec::new(); readers.len()];
+        for (v, part) in partitioning.assignment().iter().enumerate() {
+            owned[part.index()].push(v as u32);
+        }
         QueryService {
             topology: ServeTopology::Sharded {
                 readers,
@@ -264,6 +276,7 @@ impl QueryService {
                 submitted,
                 secondary_submitted,
                 partitioning,
+                owned: owned.into(),
             },
             metrics,
         }
@@ -375,12 +388,18 @@ impl QueryService {
     /// the stamp carries the per-shard epoch vector ([`Stamped::epochs`])
     /// with [`Stamped::epoch`] set to its minimum.
     ///
+    /// Every mode scores its rows through one scan: the lane-parallel
+    /// [`ripple_tensor::ops::score_rows_into`] kernel over stack-buffered id
+    /// chunks, feeding a streaming selector that keeps the best `k` in a
+    /// heap — `O(rows · dim)` scoring plus `O(rows · log k)` selection, with
+    /// no per-row allocation.
+    ///
     /// # Errors
     ///
-    /// * [`ServeError::InvalidQuery`] — `k == 0`, `nprobe == 0`, the query
-    ///   width does not match the embedding width, or an approximate read
-    ///   against a session spawned with
-    ///   [`crate::ServeConfigBuilder::no_index`].
+    /// * [`ServeError::InvalidQuery`] — `k == 0`, `nprobe == 0`, a query
+    ///   component that is NaN or infinite, the query width does not match
+    ///   the embedding width, or an approximate read against a session
+    ///   spawned with [`crate::ServeConfigBuilder::no_index`].
     /// * [`ServeError::StaleRead`] — the serving epoch (every shard's, for
     ///   a sharded session) has not reached [`TopKRequest::min_epoch`].
     pub fn top_k(&mut self, request: &TopKRequest) -> crate::Result<Stamped<Vec<(VertexId, f32)>>> {
@@ -388,6 +407,11 @@ impl QueryService {
             return Err(ServeError::InvalidQuery(
                 "top-k requests need k > 0".to_string(),
             ));
+        }
+        if let Some(bad) = request.query.iter().find(|x| !x.is_finite()) {
+            return Err(ServeError::InvalidQuery(format!(
+                "query components must be finite, got {bad}"
+            )));
         }
         match request.mode {
             ReadMode::Approx { nprobe: 0 } => {
@@ -428,8 +452,7 @@ impl QueryService {
                 "query width {got} does not match embedding width {want}"
             ))
         };
-        let mut scored: Vec<(f32, u32)>;
-        let stamped_parts = match &mut self.topology {
+        let (top, stamped_parts) = match &mut self.topology {
             ServeTopology::Single {
                 reader,
                 index,
@@ -442,37 +465,26 @@ impl QueryService {
                 if table.cols() != query.len() {
                     return Err(width_mismatch(table.cols(), query.len()));
                 }
-                scored = match mode {
-                    // One pass over the flat table; scored[v] = <h_v, query>.
-                    ReadMode::Exact => table
-                        .iter_rows()
-                        .enumerate()
-                        .map(|(v, row)| (dot(row, query), v as u32))
-                        .collect(),
+                let mut top = TopK::new(k.min(table.rows()));
+                match mode {
+                    ReadMode::Exact => scan(table, 0..table.rows() as u32, query, &mut top)?,
                     ReadMode::Approx { nprobe } => {
                         let index = index.as_mut().ok_or_else(no_index)?;
-                        // The index may run an epoch ahead of the snapshot
-                        // (it is published first); rows it knows that the
-                        // snapshot does not are skipped, costing recall only.
-                        // Gather in cluster-grouped order as returned — the
-                        // final (score desc, id asc) selection is a total
-                        // order over unique ids, so input order is free.
-                        index
-                            .index()
-                            .candidates(query, nprobe)
-                            .into_iter()
-                            .filter(|&v| (v as usize) < table.rows())
-                            .map(|v| (dot(table.row(v as usize), query), v))
-                            .collect()
+                        // Cluster-grouped order as returned: the selector's
+                        // (score desc, id asc) order is total, so input order
+                        // is free.
+                        let candidates = index.index().candidates(query, nprobe);
+                        scan(table, candidates, query, &mut top)?;
                     }
-                };
-                (
+                }
+                let parts = (
                     snapshot.epoch(),
                     snapshot.applied_seq(),
                     pending.saturating_sub(snapshot.applied_seq()),
                     snapshot.topology_epoch(),
                     None,
-                )
+                );
+                (top, parts)
             }
             ServeTopology::Sharded {
                 readers,
@@ -480,6 +492,7 @@ impl QueryService {
                 submitted,
                 secondary_submitted,
                 partitioning,
+                owned,
             } => {
                 let snapshots: Vec<Arc<EpochSnapshot>> = readers
                     .iter_mut()
@@ -490,40 +503,28 @@ impl QueryService {
                 if width != query.len() {
                     return Err(width_mismatch(width, query.len()));
                 }
-                scored = match mode {
+                let mut top = TopK::new(k.min(partitioning.assignment().len()));
+                match mode {
                     // Score each vertex against its owning shard's snapshot
                     // — only the owner's rows are authoritative.
-                    ReadMode::Exact => partitioning
-                        .assignment()
-                        .iter()
-                        .enumerate()
-                        .map(|(v, part)| {
-                            let row = snapshots[part.index()]
-                                .store()
-                                .embedding(num_layers, VertexId(v as u32));
-                            (dot(row, query), v as u32)
-                        })
-                        .collect(),
+                    ReadMode::Exact => {
+                        for (snapshot, ids) in snapshots.iter().zip(owned.iter()) {
+                            let table = snapshot.store().embeddings(num_layers);
+                            scan(table, ids.iter().copied(), query, &mut top)?;
+                        }
+                    }
                     ReadMode::Approx { nprobe } => {
                         let indexes = indexes.as_mut().ok_or_else(no_index)?;
                         // Each shard's index covers exactly its owned rows,
                         // so the merged candidate set is duplicate-free and
                         // scoring stays owner-authoritative.
-                        let mut merged = Vec::new();
                         for (snapshot, index) in snapshots.iter().zip(indexes.iter_mut()) {
                             let table = snapshot.store().embeddings(num_layers);
-                            merged.extend(
-                                index
-                                    .index()
-                                    .candidates(query, nprobe)
-                                    .into_iter()
-                                    .filter(|&v| (v as usize) < table.rows())
-                                    .map(|v| (dot(table.row(v as usize), query), v)),
-                            );
+                            let candidates = index.index().candidates(query, nprobe);
+                            scan(table, candidates, query, &mut top)?;
                         }
-                        merged
                     }
-                };
+                }
                 let epochs: Vec<u64> = snapshots.iter().map(|s| s.epoch()).collect();
                 let applied: u64 = snapshots.iter().map(|s| s.applied_seq()).sum();
                 // Dedup the merged backlog: an edge update owned by two
@@ -545,32 +546,19 @@ impl QueryService {
                     .map(|s| s.topology_epoch())
                     .min()
                     .unwrap_or(0);
-                (
+                let parts = (
                     epochs.iter().copied().min().unwrap_or(0),
                     applied,
                     staleness,
                     topology_epoch,
                     Some(epochs),
-                )
+                );
+                (top, parts)
             }
         };
-        let k = k.min(scored.len());
-        // Highest score first, smaller id on ties; NaN-free inputs are the
-        // caller's contract — total_cmp keeps the order deterministic anyway.
-        // Partial selection: O(candidates + k log k) instead of sorting all.
-        let order = |a: &(f32, u32), b: &(f32, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
-        if k < scored.len() {
-            scored.select_nth_unstable_by(k - 1, order);
-            scored.truncate(k);
-        }
-        scored.sort_unstable_by(order);
-        let value = scored
-            .into_iter()
-            .map(|(score, v)| (VertexId(v), score))
-            .collect();
         let (epoch, applied_seq, staleness, topology_epoch, epochs) = stamped_parts;
         let stamped = Stamped {
-            value,
+            value: top.into_sorted(),
             epoch,
             applied_seq,
             staleness,
@@ -583,8 +571,115 @@ impl QueryService {
     }
 }
 
-fn dot(row: &[f32], query: &[f32]) -> f32 {
-    row.iter().zip(query.iter()).map(|(a, b)| a * b).sum()
+/// Ids per call of the row-scoring kernel: the id and score buffers live on
+/// the stack (2 KiB together), and a call is long enough to amortise its
+/// shape and bounds checks.
+const SCAN_CHUNK: usize = 256;
+
+/// Scores the rows `ids` of `table` against `query` and offers each to
+/// `top`, feeding the kernel in [`SCAN_CHUNK`]-id stack chunks. Ids past the
+/// table's end are skipped: the index is published before the store, so it
+/// may know rows the snapshot does not yet hold, which costs recall only.
+fn scan(
+    table: &Matrix,
+    ids: impl IntoIterator<Item = u32>,
+    query: &[f32],
+    top: &mut TopK,
+) -> crate::Result<()> {
+    let rows = table.rows();
+    let mut chunk = [0u32; SCAN_CHUNK];
+    let mut scores = [0.0f32; SCAN_CHUNK];
+    let mut score_chunk = |ids: &[u32]| -> crate::Result<()> {
+        let scores = &mut scores[..ids.len()];
+        score_rows_into(table.as_slice(), table.cols(), ids, query, scores)
+            .map_err(|e| ServeError::InvalidQuery(e.to_string()))?;
+        for (&score, &id) in scores.iter().zip(ids) {
+            top.offer(score, id);
+        }
+        Ok(())
+    };
+    let mut len = 0;
+    for id in ids.into_iter().filter(|&v| (v as usize) < rows) {
+        chunk[len] = id;
+        len += 1;
+        if len == SCAN_CHUNK {
+            score_chunk(&chunk)?;
+            len = 0;
+        }
+    }
+    score_chunk(&chunk[..len])
+}
+
+/// One scored row under the read order: a *smaller* `Ranked` is a better
+/// answer — higher score by `total_cmp`, then smaller id. `top_k` rejects
+/// non-finite queries, so a NaN score needs a non-finite embedding; should
+/// one appear, `total_cmp` still orders it deterministically.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    score: f32,
+    id: u32,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .score
+            .total_cmp(&self.score)
+            .then(self.id.cmp(&other.id))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
+
+/// Streaming top-k selector: keeps the best `k` rows offered so far in a
+/// max-heap whose top is the worst kept row, so a row that does not beat it
+/// costs one comparison. The order is total, so the result depends only on
+/// the multiset of rows offered, never on their order.
+struct TopK {
+    k: usize,
+    heap: BinaryHeap<Ranked>,
+}
+
+impl TopK {
+    fn new(k: usize) -> TopK {
+        TopK {
+            k,
+            heap: BinaryHeap::with_capacity(k),
+        }
+    }
+
+    #[inline]
+    fn offer(&mut self, score: f32, id: u32) {
+        let row = Ranked { score, id };
+        if self.heap.len() < self.k {
+            self.heap.push(row);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if row < *worst {
+                *worst = row;
+            }
+        }
+    }
+
+    /// The kept rows, best first.
+    fn into_sorted(self) -> Vec<(VertexId, f32)> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|r| (VertexId(r.id), r.score))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -862,6 +957,167 @@ mod tests {
         let exact = q.top_k(&request).unwrap();
         let approx = q.top_k(&request.clone().approx(usize::MAX)).unwrap();
         assert_eq!(exact.value, approx.value);
+        // Both shards hold the same store, so the per-shard owned-id scans
+        // must rank exactly like the unsharded scan.
+        let (mut single, _publisher) = service(&store(), 0);
+        assert_eq!(exact.value, single.top_k(&request).unwrap().value);
         drop((publisher0, publisher1));
+    }
+
+    #[test]
+    fn non_finite_queries_are_rejected_at_the_door() {
+        let (mut q, _publisher) = service(&store(), 0);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let request = TopKRequest::new(vec![1.0, bad, 0.0], 2);
+            for request in [request.clone(), request.approx(1)] {
+                assert!(
+                    matches!(q.top_k(&request), Err(ServeError::InvalidQuery(_))),
+                    "query component {bad} must be rejected"
+                );
+            }
+        }
+    }
+
+    /// The selection `top_k` ran before the streaming selector — collect
+    /// every `(score, id)`, partially select the best `k`, sort them — kept
+    /// as the selector's oracle.
+    fn select_oracle(mut scored: Vec<(f32, u32)>, k: usize) -> Vec<(VertexId, f32)> {
+        let k = k.min(scored.len());
+        let order = |a: &(f32, u32), b: &(f32, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        if k < scored.len() {
+            scored.select_nth_unstable_by(k - 1, order);
+            scored.truncate(k);
+        }
+        scored.sort_unstable_by(order);
+        scored.into_iter().map(|(s, v)| (VertexId(v), s)).collect()
+    }
+
+    /// Score bits, so `-0.0` vs `0.0` and NaN compare exactly.
+    fn bits(ranked: &[(VertexId, f32)]) -> Vec<(VertexId, u32)> {
+        ranked.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+    }
+
+    /// `0..n` in a seeded Fisher–Yates order.
+    fn shuffled(n: u32, seed: u64) -> Vec<u32> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut ids: Vec<u32> = (0..n).collect();
+        for i in (1..ids.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ids.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        ids
+    }
+
+    /// Scores of the exact oracle: `vector::dot` per row, as `top_k`
+    /// computed them before the row-scoring kernel.
+    fn dot_scores(table: &Matrix, query: &[f32]) -> Vec<(f32, u32)> {
+        (0..table.rows())
+            .map(|v| (ripple_tensor::vector::dot(table.row(v), query), v as u32))
+            .collect()
+    }
+
+    #[test]
+    fn selector_matches_the_collect_select_sort_oracle() {
+        let n = 600;
+        // Repeated values, both zeros, infinities and NaN between random
+        // scores, so ties and total_cmp's edge cases all reach the heap.
+        let palette = [
+            1.5f32,
+            -0.0,
+            0.0,
+            -2.25,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let random = ripple_tensor::init::uniform(1, n, -3.0, 3.0, 5);
+        let scores: Vec<f32> = (0..n)
+            .map(|v| match v % 3 {
+                0 => palette[v / 3 % palette.len()],
+                _ => random.row(0)[v],
+            })
+            .collect();
+        let scored: Vec<(f32, u32)> = scores
+            .iter()
+            .enumerate()
+            .map(|(v, &s)| (s, v as u32))
+            .collect();
+        for k in [1, 10, n - 1, n, n + 5] {
+            let mut top = TopK::new(k);
+            for id in shuffled(n as u32, k as u64) {
+                top.offer(scores[id as usize], id);
+            }
+            assert_eq!(
+                bits(&top.into_sorted()),
+                bits(&select_oracle(scored.clone(), k)),
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_matches_the_oracle_across_chunk_boundaries_and_id_orders() {
+        let n = 3 * SCAN_CHUNK + 37;
+        let dim = 5;
+        // All-equal rows tie everywhere, so ids alone decide — across chunk
+        // boundaries. In the random table some rows are all-zero: against
+        // this all-negative query every product is -0.0, so they score -0.0
+        // exactly as `vector::dot` does.
+        let equal = Matrix::filled(n, dim, 0.5);
+        let mut random = ripple_tensor::init::uniform(n, dim, -1.0, 1.0, 3);
+        for v in (0..n).step_by(97) {
+            random.row_mut(v).fill(0.0);
+        }
+        let query = [-0.25f32, -1.0, -0.5, -0.125, -2.0];
+        for table in [&equal, &random] {
+            let scored = dot_scores(table, &query);
+            for k in [
+                1,
+                10,
+                SCAN_CHUNK - 1,
+                SCAN_CHUNK,
+                SCAN_CHUNK + 1,
+                n - 1,
+                n,
+                n + 5,
+            ] {
+                let want = bits(&select_oracle(scored.clone(), k));
+                let mut top = TopK::new(k);
+                scan(table, 0..n as u32, &query, &mut top).unwrap();
+                assert_eq!(bits(&top.into_sorted()), want, "ascending ids, k = {k}");
+                // Shuffled, with ids past the table's end (skipped).
+                let mut top = TopK::new(k);
+                scan(table, shuffled(n as u32 + 40, k as u64), &query, &mut top).unwrap();
+                assert_eq!(bits(&top.into_sorted()), want, "shuffled ids, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_rank_read_of_a_20k_row_table_is_fast_and_exact() {
+        let n = 20_000;
+        let model = GnnModel::new(LayerKind::GraphConv, Aggregator::Sum, &[4, 8, 3], 0).unwrap();
+        let mut base = EmbeddingStore::zeroed(&model, n);
+        *base.embeddings_mut(2) = ripple_tensor::init::uniform(n, 3, -1.0, 1.0, 11);
+        let (publisher, reader) = VersionedStore::bootstrap(&base);
+        let mut q = QueryService::new(
+            reader,
+            None,
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(ServeMetrics::new()),
+        );
+        let query = vec![0.3, -0.7, 0.2];
+        let start = Instant::now();
+        let all = q.top_k(&TopKRequest::new(query.clone(), n)).unwrap();
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "a k = |V| read took {elapsed:?}"
+        );
+        let oracle = select_oracle(dot_scores(base.embeddings(2), &query), n);
+        assert_eq!(bits(&all.value), bits(&oracle));
+        drop(publisher);
     }
 }

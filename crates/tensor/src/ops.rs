@@ -16,15 +16,26 @@
 //! zero-skip branches, so the batched and row-at-a-time paths produce
 //! **bit-identical** results — the property the engines' parity tests pin.
 //!
+//! [`score_rows_into`] is the read-side kernel: it scores a list of table
+//! rows against one query vector (the serving tier's top-k scan). It keeps
+//! the same ascending-index, mul-then-add order but seeds each score with
+//! **−0.0** rather than +0.0, because its contract is with a different
+//! reference: [`crate::vector::dot`], i.e. `f32`'s iterator `Sum`, whose
+//! identity is −0.0. The seeds differ only when every product is −0.0 (an
+//! all-zero row against a query with negative components): +0.0 would then
+//! score +0.0 where `dot` scores −0.0, and a top-k ordered by `total_cmp`
+//! tells the two apart.
+//!
 //! # SIMD dispatch
 //!
-//! [`gemm_block_into`] and [`row_matmul_into`] dispatch once per call on
-//! [`crate::simd::active_tier`] to explicit AVX2/NEON micro-kernels that
-//! reproduce the scalar tiling and per-element accumulation order exactly
-//! (see [`crate::simd`] for why the tiers stay bit-identical);
-//! [`gather_rows_into`] additionally software-prefetches upcoming source
-//! rows, whose indices are visible ahead of time. `tests/simd_parity.rs`
-//! pins every tier against the scalar reference bit for bit.
+//! [`gemm_block_into`], [`row_matmul_into`] and [`score_rows_into`] dispatch
+//! once per call on [`crate::simd::active_tier`] to explicit AVX2/NEON
+//! micro-kernels that reproduce the scalar tiling and per-element
+//! accumulation order exactly (see [`crate::simd`] for why the tiers stay
+//! bit-identical); [`gather_rows_into`] additionally software-prefetches
+//! upcoming source rows, whose indices are visible ahead of time.
+//! `tests/simd_parity.rs` pins every tier against the scalar reference bit
+//! for bit.
 
 use crate::simd::{self, SimdTier};
 use crate::{Matrix, Result, TensorError};
@@ -310,6 +321,77 @@ pub fn gather_rows_into(m: &Matrix, indices: &[usize], out: &mut Matrix) -> Resu
     Ok(())
 }
 
+/// Scores the rows `ids` of a flat row-major `table` (`dim` floats per row)
+/// against `query`: `out[i] = Σ_d table[ids[i]·dim + d] · query[d]`,
+/// **overwriting** `out`. Ids may come in any order and repeat. Performs no
+/// heap allocation.
+///
+/// Each score is bit-identical to [`crate::vector::dot`] of its row — the
+/// scalar reference: `mul` then `add` per dimension, `d` ascending, from a
+/// **−0.0** seed (the identity of `f32`'s `Sum`). The AVX2 tier scores eight
+/// rows per block, one row per lane, by transposing 8 rows × 8 dims of
+/// products in registers; dimension and id tails stay scalar. NEON runs the
+/// scalar reference.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `query.len() != dim` or
+/// `out.len() != ids.len()`, and [`TensorError::IndexOutOfBounds`] if any
+/// id names a row past the end of `table` — checked before any row is read.
+pub fn score_rows_into(
+    table: &[f32],
+    dim: usize,
+    ids: &[u32],
+    query: &[f32],
+    out: &mut [f32],
+) -> Result<()> {
+    if query.len() != dim {
+        return Err(TensorError::ShapeMismatch {
+            op: "score_rows_into",
+            left: (1, dim),
+            right: (1, query.len()),
+        });
+    }
+    if out.len() != ids.len() {
+        return Err(TensorError::ShapeMismatch {
+            op: "score_rows_into",
+            left: (ids.len(), 1),
+            right: (out.len(), 1),
+        });
+    }
+    // With `dim == 0` every row is empty and every id names one.
+    if let (Some(rows), Some(&max)) = (table.len().checked_div(dim), ids.iter().max()) {
+        if max as usize >= rows {
+            return Err(TensorError::IndexOutOfBounds {
+                index: max as usize,
+                bound: rows,
+            });
+        }
+    }
+    match simd::active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only dispatched when detected; shapes and every id
+        // were checked above.
+        SimdTier::Avx2 => unsafe { simd::x86::score_rows(table, dim, ids, query, out) },
+        _ => score_rows_scalar(table, dim, ids, query, out),
+    }
+    Ok(())
+}
+
+/// The scalar reference of [`score_rows_into`] (also the AVX2 id tail).
+pub(crate) fn score_rows_scalar(
+    table: &[f32],
+    dim: usize,
+    ids: &[u32],
+    query: &[f32],
+    out: &mut [f32],
+) {
+    for (score, &id) in out.iter_mut().zip(ids) {
+        let start = id as usize * dim;
+        *score = crate::vector::dot(&table[start..start + dim], query);
+    }
+}
+
 /// Element-wise sum of two matrices of equal shape.
 ///
 /// # Errors
@@ -518,6 +600,28 @@ mod tests {
         gather_rows_into(&m, &[], &mut out).unwrap();
         assert_eq!(out.shape(), (0, 2));
         assert!(gather_rows_into(&m, &[7], &mut out).is_err());
+    }
+
+    #[test]
+    fn score_rows_into_matches_dot_and_rejects_bad_input() {
+        let m = sample();
+        let query = [0.5f32, -1.0];
+        let ids = [2u32, 0, 2];
+        let mut out = [9.0f32; 3];
+        score_rows_into(m.as_slice(), 2, &ids, &query, &mut out).unwrap();
+        for (score, &id) in out.iter().zip(&ids) {
+            let want = crate::vector::dot(m.row(id as usize), &query);
+            assert_eq!(score.to_bits(), want.to_bits());
+        }
+        // An out-of-range id fails before anything is read or written.
+        let mut out = [9.0f32; 2];
+        assert_eq!(
+            score_rows_into(m.as_slice(), 2, &[1, 3], &query, &mut out),
+            Err(TensorError::IndexOutOfBounds { index: 3, bound: 3 })
+        );
+        assert_eq!(out, [9.0; 2]);
+        assert!(score_rows_into(m.as_slice(), 2, &[0], &[1.0], &mut [0.0]).is_err());
+        assert!(score_rows_into(m.as_slice(), 2, &[0, 1], &query, &mut [0.0]).is_err());
     }
 
     #[test]

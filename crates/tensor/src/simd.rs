@@ -10,6 +10,10 @@
 //! * The GEMM/row-matmul kernels vectorise across *output columns* — the 8
 //!   accumulator lanes of a `4 x 8` register tile are 8 independent output
 //!   elements, each still summing `A[i][p] * B[p][j]` for `p` ascending.
+//! * The row-scoring kernel behind `ops::score_rows_into` vectorises across
+//!   *rows*: each of the 8 lanes is one row's dot product with the query,
+//!   fed by an in-register transpose, so no sum is ever split across lanes
+//!   or reassociated.
 //! * Fused multiply-add (`fmadd`/`fmla`) is **deliberately not used** in any
 //!   accumulation: an FMA rounds once where `mul` + `add` round twice, which
 //!   would break bit-parity with the scalar kernels. The SIMD win here is
@@ -343,6 +347,107 @@ pub(crate) mod x86 {
             j0 += LANES;
         }
         crate::ops::gemm_row_tail(x, w, n, j0, out);
+    }
+
+    /// Scores eight rows per block, one row per lane: the products of 8 rows
+    /// × 8 dims are transposed in registers so that register `j` holds dim
+    /// `d + j` of every row, then added into the lane accumulators in `j`
+    /// order — each lane runs exactly `vector::dot`'s sequence. Dimension
+    /// tails are gathered one column at a time; the id tail (`ids.len() % 8`
+    /// rows) runs the scalar reference.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `query.len() == dim`, `out.len() == ids.len()` and
+    /// `(id + 1) * dim <= table.len()` for every id.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn score_rows(
+        table: &[f32],
+        dim: usize,
+        ids: &[u32],
+        query: &[f32],
+        out: &mut [f32],
+    ) {
+        debug_assert_eq!(query.len(), dim);
+        debug_assert_eq!(out.len(), ids.len());
+        let tp = table.as_ptr();
+        let qp = query.as_ptr();
+        let blocks = ids.len() / LANES * LANES;
+        let dim_body = dim / LANES * LANES;
+        for (block, scores) in ids[..blocks]
+            .chunks_exact(LANES)
+            .zip(out.chunks_exact_mut(LANES))
+        {
+            let mut rows = [tp; LANES];
+            for (row, &id) in rows.iter_mut().zip(block) {
+                *row = tp.add(id as usize * dim);
+            }
+            // −0.0: the identity `vector::dot`'s `Sum` starts from.
+            let mut acc = _mm256_set1_ps(-0.0);
+            let mut d = 0;
+            while d < dim_body {
+                let q = _mm256_loadu_ps(qp.add(d));
+                let mut products = [_mm256_setzero_ps(); LANES];
+                for (product, row) in products.iter_mut().zip(rows) {
+                    *product = _mm256_mul_ps(_mm256_loadu_ps(row.add(d)), q);
+                }
+                for column in transpose8(products) {
+                    acc = _mm256_add_ps(acc, column);
+                }
+                d += LANES;
+            }
+            while d < dim {
+                let column = _mm256_set_ps(
+                    *rows[7].add(d),
+                    *rows[6].add(d),
+                    *rows[5].add(d),
+                    *rows[4].add(d),
+                    *rows[3].add(d),
+                    *rows[2].add(d),
+                    *rows[1].add(d),
+                    *rows[0].add(d),
+                );
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(column, _mm256_set1_ps(*qp.add(d))));
+                d += 1;
+            }
+            _mm256_storeu_ps(scores.as_mut_ptr(), acc);
+        }
+        crate::ops::score_rows_scalar(table, dim, &ids[blocks..], query, &mut out[blocks..]);
+    }
+
+    /// 8 × 8 transpose: `r[i]` lane `j` becomes `t[j]` lane `i`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8(r: [__m256; LANES]) -> [__m256; LANES] {
+        // Interleave row pairs: lanes (0, 1, 4, 5) and (2, 3, 6, 7).
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        // Four rows per column, per 128-bit half.
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        // Join the halves: low halves hold dims 0..4, high halves 4..8.
+        [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ]
     }
 
     /// # Safety

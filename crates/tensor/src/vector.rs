@@ -13,7 +13,9 @@
 //! contraction), so every tier is bit-identical — `tests/simd_parity.rs`
 //! pins it. The *reductions* ([`dot`], [`l2_norm`]) stay scalar on every
 //! tier: a lane-parallel reduction would reassociate the sum and break
-//! bit-parity with the serial accumulation order.
+//! bit-parity with the serial accumulation order. Many dot products against
+//! one query go through [`crate::ops::score_rows_into`] instead, which keeps
+//! each row's serial order and parallelises across rows.
 
 use crate::simd::{self, SimdTier};
 

@@ -202,6 +202,44 @@ proptest! {
         });
     }
 
+    /// Row-scoring parity (`score_rows_into`, the top-k scan kernel): on
+    /// every tier the kernel equals per-row `vector::dot` — its scalar
+    /// reference — bit for bit, for unsorted and repeated ids, id counts off
+    /// the 8-row block, table slices at misaligned offsets, and all-zero
+    /// rows (every third) that an all-negative query scores -0.0.
+    #[test]
+    fn score_rows_is_bit_identical_across_tiers_and_to_dot(
+        dim_pick in 0usize..8,
+        rows in 1usize..40,
+        offset in 0usize..8,
+        ids in prop::collection::vec(0u32..1000, 1..60),
+        negative_query in 0u8..2,
+        seed in 0u64..1000,
+    ) {
+        let dim = SCORE_DIMS[dim_pick];
+        let ids: Vec<u32> = ids.into_iter().map(|i| i % rows as u32).collect();
+        let (backing, query) = scoring_inputs(rows, dim, offset, negative_query == 1, seed);
+        let table = &backing[offset..];
+        let want = dot_scores(table, dim, &ids, &query);
+        if negative_query == 1 {
+            for (&id, score) in ids.iter().zip(&want) {
+                if id % 3 == 0 {
+                    prop_assert_eq!(score.to_bits(), (-0.0f32).to_bits());
+                }
+            }
+        }
+        let mut out = vec![f32::NAN; ids.len()];
+        with_tiers(|tier| {
+            out.fill(f32::NAN);
+            ops::score_rows_into(table, dim, &ids, &query, &mut out).unwrap();
+            assert_bits_eq(
+                &want,
+                &out,
+                &format!("score_rows dim {dim}, {} ids, offset {offset} on {tier}", ids.len()),
+            );
+        });
+    }
+
     /// Aggregator accumulate + finalize parity across tiers: the prefetching
     /// SIMD `axpy` walk and the scalar walk must produce bit-identical raw
     /// aggregates and finalised embeddings for every aggregator.
@@ -242,6 +280,71 @@ proptest! {
             });
         }
     }
+}
+
+/// Row widths for the scoring kernel: below, at and past one 8-wide body,
+/// the serving tables' 40 and 47 (`dense_stream`'s width), and wide rows.
+const SCORE_DIMS: [usize; 8] = [1, 7, 8, 9, 40, 47, 64, 100];
+
+/// A `rows × dim` table staged `offset` floats into its backing buffer,
+/// with every third row all-zero, plus a query — strictly negative in every
+/// component when `negative` is set.
+fn scoring_inputs(
+    rows: usize,
+    dim: usize,
+    offset: usize,
+    negative: bool,
+    seed: u64,
+) -> (Vec<f32>, Vec<f32>) {
+    let values = init::uniform(rows, dim, -2.0, 2.0, seed);
+    let mut backing = vec![0.0f32; offset + rows * dim];
+    backing[offset..].copy_from_slice(values.as_slice());
+    for r in (0..rows).step_by(3) {
+        backing[offset + r * dim..offset + (r + 1) * dim].fill(0.0);
+    }
+    let mut query = init::uniform(1, dim, -2.0, 2.0, seed ^ 0xabcd)
+        .row(0)
+        .to_vec();
+    if negative {
+        query.iter_mut().for_each(|x| *x = -x.abs() - 0.5);
+    }
+    (backing, query)
+}
+
+/// The scalar reference: `vector::dot` of each id's row.
+fn dot_scores(table: &[f32], dim: usize, ids: &[u32], query: &[f32]) -> Vec<f32> {
+    ids.iter()
+        .map(|&id| vector::dot(&table[id as usize * dim..][..dim], query))
+        .collect()
+}
+
+/// Deterministic sweep of the scoring kernel's tails on every tier: each
+/// width in [`SCORE_DIMS`] × id counts around the 8-row block (a single id
+/// included) × every misalignment 0..8 floats.
+#[test]
+fn score_rows_covers_every_tail_on_every_tier() {
+    let rows = 29;
+    with_tiers(|tier| {
+        for dim in SCORE_DIMS {
+            for count in [1, 7, 8, 9, 16, 23] {
+                // Unsorted, and repeating past 13 ids.
+                let ids: Vec<u32> = (0..count)
+                    .map(|i| ((count - i) * 5 % 13 * 2) as u32)
+                    .collect();
+                for offset in 0..8 {
+                    let (backing, query) = scoring_inputs(rows, dim, offset, true, dim as u64);
+                    let table = &backing[offset..];
+                    let mut out = vec![f32::NAN; count];
+                    ops::score_rows_into(table, dim, &ids, &query, &mut out).unwrap();
+                    assert_bits_eq(
+                        &dot_scores(table, dim, &ids, &query),
+                        &out,
+                        &format!("score_rows dim {dim}, {count} ids, offset {offset} on {tier}"),
+                    );
+                }
+            }
+        }
+    });
 }
 
 /// Alignment audit regression: `gemm_block_into` takes raw `&[f32]` operand
