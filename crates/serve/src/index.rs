@@ -1,15 +1,20 @@
 //! Epoch-versioned IVF similarity index over final-layer embeddings.
 //!
-//! [`QueryService::top_k`](crate::QueryService::top_k) in
-//! [`ReadMode::Exact`](crate::ReadMode::Exact) scans the whole final-layer
-//! table — O(|V|·D) per read. This module provides the sublinear
-//! alternative behind [`ReadMode::Approx`](crate::ReadMode::Approx): a
-//! classic inverted-file (IVF) layout with coarse k-means centroids and one
-//! postings list per cluster. A query ranks the centroids by dot product,
-//! probes the `nprobe` best clusters and scores only their members — the
-//! scores themselves always come from the published store snapshot, so every
-//! returned `(vertex, score)` is bit-identical to what the exact scan would
-//! report for that vertex; only *recall* is approximate.
+//! A classic inverted-file (IVF) layout with coarse k-means centroids and
+//! one postings list per cluster, serving both top-k read modes:
+//!
+//! * [`ReadMode::Approx`](crate::ReadMode::Approx) ranks the clusters by a
+//!   maximum-inner-product bound, probes the `nprobe` best and scores only
+//!   their members — sublinear, with approximate *recall*;
+//! * [`ReadMode::Exact`](crate::ReadMode::Exact) visits clusters in
+//!   descending bound order and stops once the k-th best score beats every
+//!   unvisited cluster's bound (see `TopKIndex::exact_bounds` for the
+//!   rounding slack) — the same answer as a full scan, bit for bit.
+//!
+//! The per-cluster **radii** back both: `dot(x, q) ≤ dot(c, q) + radius·‖q‖`
+//! for every member `x` of cluster `c`. Scores always come from the
+//! published store snapshot, never from index state, so every returned
+//! `(vertex, score)` is bit-identical to what a full scan reports for it.
 //!
 //! # Publication
 //!
@@ -26,6 +31,13 @@
 //! the last two dirty sets, so steady-state publication is O(affected), not
 //! O(|V|). [`IndexStats`] counts repairs vs. full rebuilds to prove the
 //! incrementality.
+//!
+//! An index published at epoch `e` describes exactly the store snapshot
+//! published at epoch `e` — the pairing a pruned exact read relies on. Two
+//! publications keep it: recovery resumes the index at the store's epoch
+//! ([`IndexMaintainer::bootstrap_at`]), and the non-final windows of an
+//! admission group, which repair from a store already ahead of their
+//! snapshots, publish *unpaired* ([`IndexMaintainer::publish_unpaired`]).
 //!
 //! # Determinism
 //!
@@ -198,12 +210,14 @@ pub struct TopKIndex {
     assign: Vec<u32>,
     /// Member vertex ids per cluster, ascending.
     postings: Vec<Vec<u32>>,
-    /// Per-cluster upper bound on the L2 distance from the centroid to any
-    /// member. Monotone under repair (a member moving in can only raise it,
-    /// a member leaving never lowers it), recomputed exactly on build and
-    /// split/merge. Probe ranking uses it as a maximum-inner-product bound:
-    /// `dot(x, q) ≤ dot(c, q) + radius · ‖q‖` for every member `x` of `c` —
-    /// a loose (stale) radius costs probe order, never bound validity.
+    /// Per-cluster upper bound on the (computed) L2 distance from the
+    /// centroid to any member, folded through [`fold_radius`]. Monotone
+    /// under repair (a member moving in can only raise it, a member leaving
+    /// never lowers it), recomputed exactly on build and split. Both read
+    /// modes use it as a maximum-inner-product bound, `dot(x, q) ≤
+    /// dot(c, q) + radius · ‖q‖` for every member `x` of `c`. A loose
+    /// (stale) radius costs probe order and pruning, never bound validity;
+    /// that validity is what lets an exact read skip a cluster.
     radii: Vec<f32>,
     /// The `dim × num_clusters` transpose of `centroids`, kept so the
     /// per-query centroid scan runs as one row-times-matrix kernel with a
@@ -211,8 +225,15 @@ pub struct TopKIndex {
     /// refreshed whenever the centroid table changes shape (build, split,
     /// merge) and deliberately excluded from [`TopKIndex::contents_eq`].
     centroids_t: Matrix,
+    /// `‖c‖` per centroid, in `f64` — the exact bound's slack scales with
+    /// it. Derived state, refreshed with `centroids_t`.
+    centroid_norms: Vec<f64>,
     /// Indexed (non-tombstoned) rows.
     active: usize,
+    /// Whether this index describes exactly the store snapshot published at
+    /// the same epoch, so an exact read may prune on it. Cleared by
+    /// [`IndexMaintainer::publish_unpaired`].
+    paired: bool,
 }
 
 /// The `dim × clusters` transpose of the row-major centroid table — the
@@ -230,6 +251,32 @@ fn transpose_centroids(centroids: &[f32], dim: usize) -> Matrix {
         }
     }
     out
+}
+
+/// `‖c‖` per centroid of the row-major table, accumulated in `f64`.
+fn centroid_norms(centroids: &[f32], dim: usize) -> Vec<f64> {
+    centroids
+        .chunks_exact(dim.max(1))
+        .map(|c| {
+            c.iter()
+                .map(|&x| f64::from(x) * f64::from(x))
+                .sum::<f64>()
+                .sqrt()
+        })
+        .collect()
+}
+
+/// Folds one member's squared centroid distance into its cluster's radius.
+/// A non-finite distance — a NaN or infinite row, or an overflowing sum —
+/// makes the radius `+∞`: `f32::max` would drop a NaN and leave a bound
+/// the member's score can exceed.
+fn fold_radius(radius: &mut f32, squared_dist: f32) {
+    let dist = squared_dist.sqrt();
+    *radius = if dist.is_finite() {
+        radius.max(dist)
+    } else {
+        f32::INFINITY
+    };
 }
 
 /// The nearest centroid to `row` by squared L2 distance, ties to the lower
@@ -330,6 +377,7 @@ impl TopKIndex {
 
         // Final assignment under the frozen centroids.
         let centroids_t = transpose_centroids(&centroids, dim);
+        let norms = centroid_norms(&centroids, dim);
         let mut index = TopKIndex {
             epoch: 0,
             structure_epoch: 0,
@@ -339,14 +387,16 @@ impl TopKIndex {
             postings: vec![Vec::new(); k],
             radii: vec![0.0; k],
             centroids_t,
+            centroid_norms: norms,
             active: 0,
+            paired: true,
         };
         for &v in &members {
             let (c, dist) =
                 nearest_centroid_with_dist(&index.centroids, dim, table.row(v as usize));
             index.assign[v as usize] = c;
             index.postings[c as usize].push(v);
-            index.radii[c as usize] = index.radii[c as usize].max(dist.sqrt());
+            fold_radius(&mut index.radii[c as usize], dist);
             index.active += 1;
         }
         index
@@ -398,10 +448,31 @@ impl TopKIndex {
     }
 
     /// Per-cluster upper bounds on the centroid→member L2 distance (see the
-    /// field doc: exact after build/split/merge, monotone-loose under
-    /// repair).
+    /// field doc: exact after build/split, monotone-loose under repair, `+∞`
+    /// for a cluster holding a non-finite row).
     pub fn radii(&self) -> &[f32] {
         &self.radii
+    }
+
+    /// `dot(centroid, query)` for every cluster, in cluster order: the one
+    /// centroid scan behind both read modes' bounds.
+    fn centroid_scores(&self, query: &[f32]) -> Vec<f32> {
+        let clusters = self.postings.len();
+        if self.dim > 0 && query.len() == self.dim && self.centroids_t.cols() == clusters {
+            // Hot path: one query × centroidsᵀ kernel scores every cluster
+            // with a sequential inner loop over clusters — the accumulation
+            // order per score is the same ascending-dimension sum as the
+            // scalar dot below, so both paths score bit-identically.
+            let mut scores = vec![0.0f32; clusters];
+            row_matmul_into(query, &self.centroids_t, &mut scores)
+                .expect("transposed centroid table tracks the centroid table");
+            scores
+        } else {
+            self.centroids
+                .chunks_exact(self.dim.max(1))
+                .map(|centroid| dot(centroid, query))
+                .collect()
+        }
     }
 
     /// The member vertices of the `nprobe` clusters with the largest
@@ -417,29 +488,12 @@ impl TopKIndex {
             return Vec::new();
         }
         let query_norm = dot(query, query).sqrt();
-        let clusters = self.postings.len();
-        let mut ranked: Vec<(f32, u32)>;
-        if self.dim > 0 && query.len() == self.dim && self.centroids_t.cols() == clusters {
-            // Hot path: one query × centroidsᵀ kernel scores every cluster
-            // with a sequential inner loop over clusters — the accumulation
-            // order per score is the same ascending-dimension sum as the
-            // scalar dot below, so both paths rank bit-identically.
-            let mut scores = vec![0.0f32; clusters];
-            row_matmul_into(query, &self.centroids_t, &mut scores)
-                .expect("transposed centroid table tracks the centroid table");
-            ranked = scores
-                .iter()
-                .enumerate()
-                .map(|(c, &s)| (s + self.radii[c] * query_norm, c as u32))
-                .collect();
-        } else {
-            ranked = self
-                .centroids
-                .chunks_exact(self.dim.max(1))
-                .enumerate()
-                .map(|(c, centroid)| (dot(centroid, query) + self.radii[c] * query_norm, c as u32))
-                .collect();
-        }
+        let mut ranked: Vec<(f32, u32)> = self
+            .centroid_scores(query)
+            .iter()
+            .enumerate()
+            .map(|(c, &s)| (s + self.radii[c] * query_norm, c as u32))
+            .collect();
         let cmp = |a: &(f32, u32), b: &(f32, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
         // Partial selection: with thousands of clusters a full sort would
         // rival the candidate scoring itself. `cmp` is a total order (ids
@@ -459,6 +513,86 @@ impl TopKIndex {
             out.extend_from_slice(&self.postings[c as usize]);
         }
         out
+    }
+
+    /// Per-cluster upper bounds `(bound, cluster)` on the score an exact
+    /// read computes for any member — the pruning bounds of
+    /// [`ReadMode::Exact`](crate::ReadMode::Exact). The read pairs this
+    /// index with the store snapshot of `epoch`, whose final layer has
+    /// `rows` rows, of which the read covers `covered` (all of them, or a
+    /// shard's owned rows).
+    ///
+    /// `None` when the index cannot vouch for that snapshot, and the read
+    /// must scan every row instead: a different epoch, an unpaired
+    /// publication, a different width, an index that does not hold exactly
+    /// the covered rows, or any bound that is not finite (a `+∞` radius, or
+    /// a score that could overflow `f32`).
+    ///
+    /// # Error analysis
+    ///
+    /// The bound must cover the *computed* score `ŝ_x` of every member `x`,
+    /// not just the real `x·q`. With `d` the width, `u = 2⁻²⁴`,
+    /// `γ = (d+2)u / (1 − (d+2)u)` and `η = 2⁻¹⁴⁹` (the subnormal step, the
+    /// most an underflowing product can lose):
+    ///
+    /// * each `f32` dot product, in any summation order, is within
+    ///   `γ·‖a‖‖b‖ + d·η` of the real one — so `ŝ_x ≤ x·q + γ‖x‖‖q‖ + dη`
+    ///   and the centroid score `ŝ_c ≥ c·q − γ‖c‖‖q‖ − dη`;
+    /// * the stored radius `r` is `≥` the computed distance of every member
+    ///   (the pairing invariant), and a computed squared distance loses at
+    ///   most a factor `1 − γ` plus `d·η` of underflow, so
+    ///   `‖x − c‖ ≤ R := (r / (1 − u) + √(dη))·(1 + γ)`;
+    /// * `x·q = c·q + (x − c)·q ≤ c·q + R‖q‖` and `‖x‖ ≤ ‖c‖ + R`.
+    ///
+    /// Together: `ŝ_x ≤ ŝ_c + R‖q‖ + γ(2‖c‖ + R)‖q‖ + 2dη`. The bound adds
+    /// `2γ` instead of `γ`, which absorbs every rounding of its own `f64`
+    /// arithmetic (each at most `2⁻⁵³` relative, `2²⁹` times below `u`).
+    /// The analysis assumes no intermediate of `ŝ_x` overflows; every one
+    /// is at most `(‖c‖ + R)‖q‖(1 + γ)`, so a cluster where that reaches
+    /// `f32::MAX` has no bound and the read falls back.
+    pub(crate) fn exact_bounds(
+        &self,
+        query: &[f32],
+        epoch: u64,
+        rows: usize,
+        covered: usize,
+    ) -> Option<Vec<(f64, u32)>> {
+        let vouches = self.paired
+            && self.epoch == epoch
+            && self.dim > 0
+            && self.dim == query.len()
+            && self.assign.len() == rows
+            && self.active == covered;
+        if !vouches {
+            return None;
+        }
+        const U: f64 = f32::EPSILON as f64 / 2.0;
+        let eta = f64::from(f32::from_bits(1));
+        let d = query.len() as f64;
+        let gamma = (d + 2.0) * U / (1.0 - (d + 2.0) * U);
+        let query_norm = query
+            .iter()
+            .map(|&x| f64::from(x) * f64::from(x))
+            .sum::<f64>()
+            .sqrt();
+        let underflow = (d * eta).sqrt();
+        let mut bounds = Vec::with_capacity(self.postings.len());
+        for (c, score) in self.centroid_scores(query).into_iter().enumerate() {
+            let norm = self.centroid_norms[c];
+            let reach = (f64::from(self.radii[c]) / (1.0 - U) + underflow) * (1.0 + gamma);
+            let magnitude = (norm + reach) * query_norm * (1.0 + gamma);
+            let bound = f64::from(score)
+                + reach * query_norm
+                + 2.0 * gamma * (2.0 * norm + reach) * query_norm
+                + 2.0 * d * eta;
+            // A NaN magnitude (a NaN centroid, or `∞ · 0`) makes the bound
+            // NaN too, so the second test catches it.
+            if magnitude >= f64::from(f32::MAX) || !bound.is_finite() {
+                return None;
+            }
+            bounds.push((bound, c as u32));
+        }
+        Some(bounds)
     }
 
     /// A from-scratch reassignment of `store` under **this** index's
@@ -481,7 +615,9 @@ impl TopKIndex {
             postings: vec![Vec::new(); self.postings.len()],
             radii: vec![0.0; self.postings.len()],
             centroids_t: self.centroids_t.clone(),
+            centroid_norms: self.centroid_norms.clone(),
             active: 0,
+            paired: true,
         };
         for v in 0..n {
             if !is_owned(v) {
@@ -490,7 +626,7 @@ impl TopKIndex {
             let (c, dist) = nearest_centroid_with_dist(&out.centroids, out.dim, table.row(v));
             out.assign[v] = c;
             out.postings[c as usize].push(v as u32);
-            out.radii[c as usize] = out.radii[c as usize].max(dist.sqrt());
+            fold_radius(&mut out.radii[c as usize], dist);
             out.active += 1;
         }
         out
@@ -519,7 +655,7 @@ impl TopKIndex {
         if old == new {
             if new != TOMBSTONE {
                 // Same cluster, possibly a moved row: keep the bound valid.
-                self.radii[new as usize] = self.radii[new as usize].max(dist.sqrt());
+                fold_radius(&mut self.radii[new as usize], dist);
             }
             return false;
         }
@@ -535,7 +671,7 @@ impl TopKIndex {
             if let Err(i) = posting.binary_search(&(v as u32)) {
                 posting.insert(i, v as u32);
             }
-            self.radii[new as usize] = self.radii[new as usize].max(dist.sqrt());
+            fold_radius(&mut self.radii[new as usize], dist);
             self.active += 1;
         }
         self.assign[v] = new;
@@ -618,11 +754,29 @@ impl IndexMaintainer {
         owned: Option<Vec<bool>>,
         params: IndexParams,
     ) -> (IndexMaintainer, IndexReader) {
+        IndexMaintainer::bootstrap_at(store, owned, params, 0)
+    }
+
+    /// [`IndexMaintainer::bootstrap`] at an explicit epoch — the recovery
+    /// continuation, mirroring
+    /// [`VersionedStore::bootstrap_at`](crate::VersionedStore::bootstrap_at).
+    /// A recovered session resumes its store at the checkpoint epoch; the
+    /// index built from that store must carry the same number, or a pinned
+    /// snapshot and a newer index could share an epoch over different
+    /// states.
+    pub fn bootstrap_at(
+        store: &EmbeddingStore,
+        owned: Option<Vec<bool>>,
+        params: IndexParams,
+        epoch: u64,
+    ) -> (IndexMaintainer, IndexReader) {
         let stats = Arc::new(SharedIndexStats::default());
-        let initial = Arc::new(TopKIndex::build(store, owned.as_deref(), &params));
+        let mut built = TopKIndex::build(store, owned.as_deref(), &params);
+        built.epoch = epoch;
+        let initial = Arc::new(built);
         SharedIndexStats::bump(&stats.builds, 1);
         let shared = Arc::new(VersionedIndex {
-            epoch: AtomicU64::new(0),
+            epoch: AtomicU64::new(epoch),
             current: Mutex::new(Arc::clone(&initial)),
         });
         let maintainer = IndexMaintainer {
@@ -682,6 +836,25 @@ impl IndexMaintainer {
     /// store publication of the same flush so the published index is never
     /// older than the store readers pair it with.
     pub fn publish(&mut self, store: &EmbeddingStore, dirty: Option<&[VertexId]>) -> u64 {
+        self.publish_epoch(store, dirty, true)
+    }
+
+    /// [`IndexMaintainer::publish`] for an epoch whose store snapshot will
+    /// *not* equal `store`: a non-final window of an admission group, which
+    /// repairs from the post-group store while its snapshot holds only the
+    /// rows committed so far. A split or merge there would size radii from
+    /// rows that snapshot does not hold yet, so exact reads never prune on
+    /// an unpaired epoch; approximate reads use it as usual.
+    pub fn publish_unpaired(&mut self, store: &EmbeddingStore, dirty: Option<&[VertexId]>) -> u64 {
+        self.publish_epoch(store, dirty, false)
+    }
+
+    fn publish_epoch(
+        &mut self,
+        store: &EmbeddingStore,
+        dirty: Option<&[VertexId]>,
+        paired: bool,
+    ) -> u64 {
         let epoch = self.shared.epoch.load(Ordering::Relaxed) + 1;
         let mut index = match self.retired.take().map(Arc::try_unwrap) {
             Some(Ok(reusable))
@@ -734,6 +907,7 @@ impl IndexMaintainer {
         self.rebalance(&mut index, store);
 
         index.epoch = epoch;
+        index.paired = paired;
         // Remember this publication's dirty set for the next reclaim.
         match (dirty, &mut self.prev_dirty) {
             (Some(d), Some(buf)) => {
@@ -845,9 +1019,9 @@ impl IndexMaintainer {
                     if new_dist < cur_dist {
                         index.assign[v] = new;
                         moved += 1;
-                        radii[new as usize] = radii[new as usize].max(new_dist.sqrt());
+                        fold_radius(&mut radii[new as usize], new_dist);
                     } else {
-                        radii[cur as usize] = radii[cur as usize].max(cur_dist.sqrt());
+                        fold_radius(&mut radii[cur as usize], cur_dist);
                     }
                 }
                 index.radii = radii;
@@ -900,7 +1074,7 @@ impl IndexMaintainer {
                     if let Err(i) = posting.binary_search(&v) {
                         posting.insert(i, v);
                     }
-                    index.radii[c as usize] = index.radii[c as usize].max(dist.sqrt());
+                    fold_radius(&mut index.radii[c as usize], dist);
                 }
                 index.structure_epoch += 1;
                 self.structure_epoch = index.structure_epoch;
@@ -909,10 +1083,12 @@ impl IndexMaintainer {
             }
         }
 
-        // The transposed scan table is derived from the centroid table, so
-        // one refresh after any structural change keeps them in lockstep.
+        // The transposed scan table and the norms are derived from the
+        // centroid table, so one refresh after any structural change keeps
+        // them in lockstep.
         if index.structure_epoch != entry_structure {
             index.centroids_t = transpose_centroids(&index.centroids, index.dim);
+            index.centroid_norms = centroid_norms(&index.centroids, index.dim);
         }
     }
 }
@@ -1112,6 +1288,163 @@ mod tests {
         assert!(maintainer.stats().clone_fallbacks >= 1);
         // A fresh reader starts at the current epoch.
         assert_eq!(maintainer.reader().cached().epoch(), 5);
+    }
+
+    #[test]
+    fn non_finite_distances_fold_into_an_infinite_radius() {
+        let mut r = 2.0f32;
+        fold_radius(&mut r, 9.0);
+        assert_eq!(r, 3.0);
+        fold_radius(&mut r, 1.0);
+        assert_eq!(r, 3.0, "a closer member never lowers the radius");
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut r = 2.0f32;
+            fold_radius(&mut r, bad);
+            assert_eq!(r, f32::INFINITY, "distance {bad}");
+            fold_radius(&mut r, 1.0);
+            assert_eq!(r, f32::INFINITY, "an infinite radius stays infinite");
+        }
+    }
+
+    #[test]
+    fn bootstrap_at_resumes_the_epoch_and_unpaired_publications_refuse_exact_bounds() {
+        let s = store(30, |v| [(v % 6) as f32, (v / 6) as f32]);
+        let query = [1.0, -0.5];
+        let (mut maintainer, mut reader) = IndexMaintainer::bootstrap_at(&s, None, params(3), 7);
+        assert_eq!(maintainer.epoch(), 7);
+        let index = reader.index();
+        assert_eq!(index.epoch(), 7);
+        assert!(index.paired);
+        let bounds = index
+            .exact_bounds(&query, 7, 30, 30)
+            .expect("paired, same epoch");
+        assert_eq!(bounds.len(), index.num_clusters());
+        // Every member's computed score sits under its cluster's bound.
+        let table = s.embeddings(s.num_layers());
+        for (v, &c) in index.assignments().iter().enumerate() {
+            let score = ripple_tensor::vector::dot(table.row(v), &query);
+            assert!(f64::from(score) <= bounds[c as usize].0);
+        }
+        // A different epoch, width or coverage: no vouching.
+        assert!(index.exact_bounds(&query, 6, 30, 30).is_none());
+        assert!(index.exact_bounds(&[1.0, 0.0, 0.0], 7, 30, 30).is_none());
+        assert!(index.exact_bounds(&query, 7, 31, 30).is_none());
+        assert!(index.exact_bounds(&query, 7, 30, 29).is_none());
+        // Scores that could overflow f32 have no bound.
+        assert!(index.exact_bounds(&[1e38, 1e38], 7, 30, 30).is_none());
+
+        assert_eq!(maintainer.publish_unpaired(&s, Some(&[])), 8);
+        let index = reader.index();
+        assert!(!index.paired);
+        assert!(index.exact_bounds(&query, 8, 30, 30).is_none());
+        assert_eq!(maintainer.publish(&s, Some(&[])), 9);
+        assert!(reader.index().exact_bounds(&query, 9, 30, 30).is_some());
+    }
+
+    /// Stores where the slack terms of [`TopKIndex::exact_bounds`] matter:
+    /// near-duplicate rows whose products cancel (rounding dominates the
+    /// radius term), and clusters spread so finely that squared distances
+    /// underflow to a zero radius. Every row's *computed* score must sit
+    /// under its cluster's bound, for every query that gets bounds at all.
+    #[test]
+    fn exact_bounds_cover_every_computed_member_score() {
+        let cases: [(usize, f32, f32, f32); 4] = [
+            // (width, centre scale, spread, query scale)
+            (3, 1e4, 1e-3, 1.0),
+            (8, 1e4, 1e-3, 1.0),
+            (4, 1e-20, 1e-23, 1e25),
+            (8, 1.0, 1e-7, 1.0),
+        ];
+        for (case, &(dim, centre, spread, query_scale)) in cases.iter().enumerate() {
+            let n = 96;
+            let model =
+                GnnModel::new(LayerKind::GraphConv, Aggregator::Sum, &[3, 4, dim], 0).unwrap();
+            let mut s = EmbeddingStore::zeroed(&model, n);
+            let centres = ripple_tensor::init::uniform(4, dim, -centre, centre, case as u64);
+            let jitter = ripple_tensor::init::uniform(n, dim, -spread, spread, 9 + case as u64);
+            for v in 0..n {
+                let row: Vec<f32> = centres
+                    .row(v % 4)
+                    .iter()
+                    .zip(jitter.row(v))
+                    .map(|(c, j)| c + j)
+                    .collect();
+                s.set_embedding(2, VertexId(v as u32), &row).unwrap();
+            }
+            let (_m, reader) = IndexMaintainer::bootstrap(&s, None, params(4));
+            let index = reader.cached();
+            let table = s.embeddings(2);
+            let ids: Vec<u32> = (0..n as u32).collect();
+            let mut scores = vec![0.0f32; n];
+            for trial in 0..64u64 {
+                let mut query = ripple_tensor::init::uniform(1, dim, -1.0, 1.0, 100 + trial)
+                    .row(0)
+                    .to_vec();
+                // Every other query is orthogonal to one centre, so its
+                // members' scores are all cancellation.
+                if trial % 2 == 1 {
+                    let c = centres.row(trial as usize % 4);
+                    let wide = |a: &[f32], b: &[f32]| -> f64 {
+                        a.iter()
+                            .zip(b)
+                            .map(|(x, y)| f64::from(*x) * f64::from(*y))
+                            .sum()
+                    };
+                    let along = wide(&query, c) / wide(c, c);
+                    for (q, x) in query.iter_mut().zip(c) {
+                        *q = (f64::from(*q) - along * f64::from(*x)) as f32;
+                    }
+                }
+                query.iter_mut().for_each(|q| *q *= query_scale);
+                let bounds = index
+                    .exact_bounds(&query, 0, n, n)
+                    .unwrap_or_else(|| panic!("case {case}: finite inputs have bounds"));
+                ripple_tensor::ops::score_rows_into(
+                    table.as_slice(),
+                    dim,
+                    &ids,
+                    &query,
+                    &mut scores,
+                )
+                .unwrap();
+                for (v, &score) in scores.iter().enumerate() {
+                    let (bound, c) = bounds[index.assignments()[v] as usize];
+                    assert_eq!(c, index.assignments()[v]);
+                    assert!(
+                        f64::from(score) <= bound,
+                        "case {case}, trial {trial}: row {v} scores {score} over its bound {bound}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_split_over_a_nan_row_leaves_its_cluster_without_a_finite_bound() {
+        // 35 rows left of the origin, 5 right of it: the first publication
+        // splits the left blob, recomputing every radius from scratch.
+        let mut s = store(40, |v| {
+            let (x, y) = ((v % 5) as f32 * 0.1, (v / 5) as f32 * 0.1);
+            if v < 35 {
+                [-10.0 - x, y]
+            } else {
+                [10.0 + x, y]
+            }
+        });
+        let p = IndexParams {
+            clusters: 2,
+            split_factor: 1.5,
+            ..IndexParams::default()
+        };
+        let (mut maintainer, mut reader) = IndexMaintainer::bootstrap(&s, None, p);
+        s.set_embedding(2, VertexId(3), &[f32::NAN, f32::NAN])
+            .unwrap();
+        maintainer.publish(&s, Some(&[VertexId(3)]));
+        assert!(maintainer.stats().splits >= 1);
+        let index = reader.index();
+        let c = index.assignments()[3] as usize;
+        assert_eq!(index.radii()[c], f32::INFINITY);
+        assert!(index.exact_bounds(&[1.0, 0.0], 1, 40, 40).is_none());
     }
 
     #[test]

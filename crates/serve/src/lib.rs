@@ -20,7 +20,8 @@
 //!   batched top-k by embedding dot product, each stamped with the epoch and
 //!   staleness (updates enqueued but not yet visible) it was served at.
 //!   Top-k goes through a validated [`TopKRequest`]: [`ReadMode::Exact`]
-//!   scans every row, [`ReadMode::Approx`] probes the session's IVF index.
+//!   returns the true top-k, pruning clusters by the IVF index's bounds,
+//!   and [`ReadMode::Approx`] probes a fixed number of clusters.
 //! * An **epoch-repaired IVF index** ([`index`]) — k-means coarse centroids
 //!   over final-layer embeddings with per-cluster postings lists, published
 //!   behind the same `Arc`-swap discipline as the store. Each flush repairs

@@ -27,6 +27,9 @@ pub struct ServeMetrics {
     lag_count: AtomicU64,
     reads: AtomicU64,
     read_nanos_sum: AtomicU64,
+    exact_pruned_reads: AtomicU64,
+    exact_full_scans: AtomicU64,
+    exact_rows_scored: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -93,6 +96,19 @@ impl ServeMetrics {
         self.read_nanos_sum.fetch_add(nanos, Ordering::Relaxed);
     }
 
+    /// Records one exact top-k read: whether every shard it read pruned by
+    /// its index, and how many rows it scored in total.
+    pub(crate) fn record_exact_read(&self, pruned: bool, rows_scored: u64) {
+        let path = if pruned {
+            &self.exact_pruned_reads
+        } else {
+            &self.exact_full_scans
+        };
+        path.fetch_add(1, Ordering::Relaxed);
+        self.exact_rows_scored
+            .fetch_add(rows_scored, Ordering::Relaxed);
+    }
+
     /// Raw updates accepted into the queue so far.
     pub fn enqueued(&self) -> u64 {
         self.enqueued.load(Ordering::Relaxed)
@@ -157,6 +173,24 @@ impl ServeMetrics {
         self.reads.load(Ordering::Relaxed)
     }
 
+    /// Exact top-k reads that pruned clusters by their index bounds on every
+    /// shard they read.
+    pub fn exact_pruned_reads(&self) -> u64 {
+        self.exact_pruned_reads.load(Ordering::Relaxed)
+    }
+
+    /// Exact top-k reads that scanned every row of at least one shard,
+    /// because no index could vouch for its snapshot.
+    pub fn exact_full_scans(&self) -> u64 {
+        self.exact_full_scans.load(Ordering::Relaxed)
+    }
+
+    /// Rows scored by exact top-k reads, pruned and full alike. Divided by
+    /// the exact reads times `|V|`, this is the exact scan fraction.
+    pub fn exact_rows_scored(&self) -> u64 {
+        self.exact_rows_scored.load(Ordering::Relaxed)
+    }
+
     /// A consistent-enough point-in-time copy of every counter.
     pub fn report(&self) -> MetricsReport {
         let lag_count = self.lag_count.load(Ordering::Relaxed);
@@ -180,6 +214,9 @@ impl ServeMetrics {
                 lag_count,
             ),
             max_visibility_lag: Duration::from_nanos(self.lag_nanos_max.load(Ordering::Relaxed)),
+            exact_pruned_reads: self.exact_pruned_reads(),
+            exact_full_scans: self.exact_full_scans(),
+            exact_rows_scored: self.exact_rows_scored(),
         }
     }
 }
@@ -223,6 +260,12 @@ pub struct MetricsReport {
     pub mean_visibility_lag: Duration,
     /// Worst enqueue→published-epoch lag.
     pub max_visibility_lag: Duration,
+    /// Exact top-k reads that pruned by index bounds on every shard.
+    pub exact_pruned_reads: u64,
+    /// Exact top-k reads that fully scanned at least one shard.
+    pub exact_full_scans: u64,
+    /// Rows scored by exact top-k reads.
+    pub exact_rows_scored: u64,
 }
 
 impl std::fmt::Display for MetricsReport {
@@ -231,7 +274,8 @@ impl std::fmt::Display for MetricsReport {
             f,
             "enqueued={} shed={} coalesced={} applied={} batches={} epochs={} errors={} \
              admitted_concurrent={} conflicts={} merged={} serialized={} \
-             reads={} mean_read={:.3}ms mean_lag={:.3}ms max_lag={:.3}ms",
+             reads={} mean_read={:.3}ms mean_lag={:.3}ms max_lag={:.3}ms \
+             exact_pruned={} exact_full={} exact_rows={}",
             self.enqueued,
             self.shed,
             self.coalesced,
@@ -247,6 +291,9 @@ impl std::fmt::Display for MetricsReport {
             self.mean_read_latency.as_secs_f64() * 1e3,
             self.mean_visibility_lag.as_secs_f64() * 1e3,
             self.max_visibility_lag.as_secs_f64() * 1e3,
+            self.exact_pruned_reads,
+            self.exact_full_scans,
+            self.exact_rows_scored,
         )
     }
 }
@@ -271,6 +318,9 @@ mod tests {
         m.record_visibility_lag(Duration::from_millis(2));
         m.record_visibility_lag(Duration::from_millis(4));
         m.record_read(Duration::from_micros(10));
+        m.record_exact_read(true, 40);
+        m.record_exact_read(false, 100);
+        m.record_exact_read(true, 2);
 
         let r = m.report();
         assert_eq!(r.enqueued, 2);
@@ -294,6 +344,10 @@ mod tests {
         let line = r.to_string();
         assert!(line.contains("epochs=2"));
         assert!(line.contains("mean_lag"));
+        assert_eq!(r.exact_pruned_reads, 2);
+        assert_eq!(r.exact_full_scans, 1);
+        assert_eq!(r.exact_rows_scored, 142);
+        assert!(line.contains("exact_pruned=2 exact_full=1 exact_rows=142"));
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!
 //! Similarity lookups go through one validated entry point:
 //! [`QueryService::top_k`] executes a [`TopKRequest`], which names the
-//! query vector, `k`, a [`ReadMode`] — [`ReadMode::Exact`] scans every row,
-//! [`ReadMode::Approx`] probes the session's epoch-repaired IVF index
-//! (see [`crate::index`]) — and an optional epoch floor. Malformed requests
+//! query vector, `k`, a [`ReadMode`] — [`ReadMode::Exact`] returns the true
+//! top-k, visiting the session's IVF clusters (see [`crate::index`]) in
+//! bound order and stopping once no unvisited row can enter;
+//! [`ReadMode::Approx`] probes a fixed number of clusters — and an
+//! optional epoch floor. Malformed requests
 //! (`k == 0`, zero probes, a non-finite query component, a query of the
 //! wrong width, an approximate read against a session serving without an
 //! index) fail up front with
@@ -38,7 +40,7 @@
 //! owners, and the duplicate (secondary) deliveries pending at their shards
 //! are subtracted so one not-yet-visible update counts once.
 
-use crate::index::IndexReader;
+use crate::index::{IndexReader, TopKIndex};
 use crate::metrics::ServeMetrics;
 use crate::scheduler::ServeError;
 use crate::versioned::{EpochSnapshot, SnapshotReader};
@@ -120,7 +122,14 @@ fn stamp<T>(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ReadMode {
-    /// Score every row of the snapshot — exact, `O(|V|)` per query.
+    /// The true top-k of the snapshot, identical bit for bit to scoring
+    /// every row. Clusters of the session's IVF index are visited in
+    /// descending order of an upper bound on their members' scores, and
+    /// the read stops once its k-th best score beats the next bound — so
+    /// it scores a fraction of `|V|` when the bounds separate, and every
+    /// row when they do not. Without an index that describes the
+    /// snapshot's own epoch (no index, an epoch skew, a non-finite bound)
+    /// it scans every row, `O(|V|)`.
     Exact,
     /// Probe the `nprobe` clusters of the session's IVF index whose
     /// centroids best match the query, scoring only their postings —
@@ -186,7 +195,7 @@ impl TopKRequest {
         self
     }
 
-    /// Switches (back) to the exact full-scan path.
+    /// Switches (back) to the exact path.
     pub fn exact(mut self) -> TopKRequest {
         self.mode = ReadMode::Exact;
         self
@@ -337,6 +346,19 @@ impl QueryService {
         }
     }
 
+    /// The per-shard epochs of the session's IVF index (refreshing first),
+    /// shaped like [`QueryService::epoch_vector`]; `None` for a session
+    /// serving without an index. An exact read prunes on a shard only when
+    /// its index epoch equals its snapshot epoch.
+    pub fn index_epochs(&mut self) -> Option<Vec<u64>> {
+        match &mut self.topology {
+            ServeTopology::Single { index, .. } => index.as_mut().map(|i| vec![i.epoch()]),
+            ServeTopology::Sharded { indexes, .. } => indexes
+                .as_mut()
+                .map(|list| list.iter_mut().map(IndexReader::epoch).collect()),
+        }
+    }
+
     /// The final-layer embedding of `v`.
     ///
     /// # Errors
@@ -379,20 +401,25 @@ impl QueryService {
 
     /// Executes a validated top-k similarity request (see [`TopKRequest`]).
     ///
-    /// [`ReadMode::Exact`] scans every row of the snapshot;
-    /// [`ReadMode::Approx`] probes the session's IVF index and scores only
-    /// the matched postings, from the same snapshot — so every returned
-    /// score is bit-identical to the exact scan's. Ties break towards the
-    /// smaller vertex id, so results are deterministic. Against a sharded
-    /// session every vertex is scored from its owning shard's snapshot, and
-    /// the stamp carries the per-shard epoch vector ([`Stamped::epochs`])
-    /// with [`Stamped::epoch`] set to its minimum.
+    /// [`ReadMode::Exact`] returns what scoring every row of the snapshot
+    /// would, visiting index clusters best bound first and stopping once no
+    /// unvisited row can enter; [`ReadMode::Approx`] probes the session's
+    /// IVF index and scores only the matched postings, from the same
+    /// snapshot — so every returned score is bit-identical to the exact
+    /// read's. Ties break towards the smaller vertex id, so results are
+    /// deterministic. Against a sharded session every vertex is scored from
+    /// its owning shard's snapshot (an exact read prunes per shard into one
+    /// shared selector), and the stamp carries the per-shard epoch vector
+    /// ([`Stamped::epochs`]) with [`Stamped::epoch`] set to its minimum.
     ///
     /// Every mode scores its rows through one scan: the lane-parallel
     /// [`ripple_tensor::ops::score_rows_into`] kernel over stack-buffered id
     /// chunks, feeding a streaming selector that keeps the best `k` in a
     /// heap — `O(rows · dim)` scoring plus `O(rows · log k)` selection, with
-    /// no per-row allocation.
+    /// no per-row allocation. Exact reads count into
+    /// [`ServeMetrics::exact_pruned_reads`] or
+    /// [`ServeMetrics::exact_full_scans`], and their rows into
+    /// [`ServeMetrics::exact_rows_scored`].
     ///
     /// # Errors
     ///
@@ -452,6 +479,8 @@ impl QueryService {
                 "query width {got} does not match embedding width {want}"
             ))
         };
+        // Exact reads only: whether every shard pruned, and rows scored.
+        let mut exact = None;
         let (top, stamped_parts) = match &mut self.topology {
             ServeTopology::Single {
                 reader,
@@ -467,7 +496,19 @@ impl QueryService {
                 }
                 let mut top = TopK::new(k.min(table.rows()));
                 match mode {
-                    ReadMode::Exact => scan(table, 0..table.rows() as u32, query, &mut top)?,
+                    ReadMode::Exact => {
+                        let index = index.as_mut().map(|i| &**i.index());
+                        let rows = table.rows();
+                        exact = Some(scan_exact(
+                            table,
+                            snapshot.epoch(),
+                            index,
+                            0..rows as u32,
+                            rows,
+                            query,
+                            &mut top,
+                        )?);
+                    }
                     ReadMode::Approx { nprobe } => {
                         let index = index.as_mut().ok_or_else(no_index)?;
                         // Cluster-grouped order as returned: the selector's
@@ -506,12 +547,28 @@ impl QueryService {
                 let mut top = TopK::new(k.min(partitioning.assignment().len()));
                 match mode {
                     // Score each vertex against its owning shard's snapshot
-                    // — only the owner's rows are authoritative.
+                    // — only the owner's rows are authoritative. Each shard
+                    // prunes by its own index into the one shared selector:
+                    // a kept row from any shard is a valid floor for all.
                     ReadMode::Exact => {
-                        for (snapshot, ids) in snapshots.iter().zip(owned.iter()) {
+                        let (mut pruned, mut scored) = (true, 0);
+                        for (p, (snapshot, ids)) in snapshots.iter().zip(owned.iter()).enumerate() {
                             let table = snapshot.store().embeddings(num_layers);
-                            scan(table, ids.iter().copied(), query, &mut top)?;
+                            let index = indexes.as_mut().map(|list| &**list[p].index());
+                            let covered = ids.partition_point(|&v| (v as usize) < table.rows());
+                            let (shard_pruned, rows) = scan_exact(
+                                table,
+                                snapshot.epoch(),
+                                index,
+                                ids.iter().copied(),
+                                covered,
+                                query,
+                                &mut top,
+                            )?;
+                            pruned &= shard_pruned;
+                            scored += rows;
                         }
+                        exact = Some((pruned, scored));
                     }
                     ReadMode::Approx { nprobe } => {
                         let indexes = indexes.as_mut().ok_or_else(no_index)?;
@@ -567,6 +624,9 @@ impl QueryService {
             epochs,
         };
         self.metrics.record_read(start.elapsed());
+        if let Some((pruned, rows)) = exact {
+            self.metrics.record_exact_read(pruned, rows);
+        }
         Ok(stamped)
     }
 }
@@ -576,38 +636,194 @@ impl QueryService {
 /// shape and bounds checks.
 const SCAN_CHUNK: usize = 256;
 
+/// Ids per block of the row-scoring kernel's widest tier (AVX2: 8 lanes);
+/// a call on a multiple of it runs no scalar id tail.
+const KERNEL_BLOCK: usize = 8;
+
 /// Scores the rows `ids` of `table` against `query` and offers each to
-/// `top`, feeding the kernel in [`SCAN_CHUNK`]-id stack chunks. Ids past the
-/// table's end are skipped: the index is published before the store, so it
-/// may know rows the snapshot does not yet hold, which costs recall only.
+/// `top`; returns how many rows it scored. Ids past the table's end are
+/// skipped: the index is published before the store, so it may know rows
+/// the snapshot does not yet hold, which costs recall only.
 fn scan(
     table: &Matrix,
     ids: impl IntoIterator<Item = u32>,
     query: &[f32],
     top: &mut TopK,
-) -> crate::Result<()> {
+) -> crate::Result<u64> {
     let rows = table.rows();
-    let mut chunk = [0u32; SCAN_CHUNK];
-    let mut scores = [0.0f32; SCAN_CHUNK];
-    let mut score_chunk = |ids: &[u32]| -> crate::Result<()> {
-        let scores = &mut scores[..ids.len()];
-        score_rows_into(table.as_slice(), table.cols(), ids, query, scores)
-            .map_err(|e| ServeError::InvalidQuery(e.to_string()))?;
-        for (&score, &id) in scores.iter().zip(ids) {
-            top.offer(score, id);
+    let mut scanner = Scanner::new(table, query, top);
+    let mut ids = ids.into_iter().filter(|&v| (v as usize) < rows);
+    loop {
+        // `zip` polls the free slots first, so no id is drawn and dropped.
+        let free = &mut scanner.ids[scanner.len..];
+        let filled = free
+            .iter_mut()
+            .zip(&mut ids)
+            .map(|(slot, id)| *slot = id)
+            .count();
+        scanner.len += filled;
+        if scanner.len < SCAN_CHUNK {
+            return scanner.finish();
         }
-        Ok(())
+        scanner.flush()?;
+    }
+}
+
+/// One snapshot's share of an exact read: returns whether it pruned and how
+/// many rows it scored. When `index` vouches for the snapshot (see
+/// [`TopKIndex::exact_bounds`]; `covered` is the number of `ids` inside the
+/// table), clusters are visited best bound first and the visit stops as
+/// soon as `top` holds `k` rows whose worst score is *strictly* above the
+/// next bound: every unvisited row scores at most that bound, so none of
+/// them could enter, and an equal score could still win its tie by id.
+/// Otherwise every id in `ids` is scanned.
+fn scan_exact(
+    table: &Matrix,
+    epoch: u64,
+    index: Option<&TopKIndex>,
+    ids: impl IntoIterator<Item = u32>,
+    covered: usize,
+    query: &[f32],
+    top: &mut TopK,
+) -> crate::Result<(bool, u64)> {
+    let plan = index.and_then(|index| {
+        let bounds = index.exact_bounds(query, epoch, table.rows(), covered)?;
+        Some((index, bounds))
+    });
+    let Some((index, bounds)) = plan else {
+        return Ok((false, scan(table, ids, query, top)?));
     };
-    let mut len = 0;
-    for id in ids.into_iter().filter(|&v| (v as usize) < rows) {
-        chunk[len] = id;
-        len += 1;
-        if len == SCAN_CHUNK {
-            score_chunk(&chunk)?;
-            len = 0;
+    // A max-heap pops clusters best bound first; reads that stop early pay
+    // for the pops they make, not for a full sort.
+    let mut order: BinaryHeap<Visit> = bounds
+        .into_iter()
+        .map(|(bound, cluster)| Visit { bound, cluster })
+        .collect();
+    let mut scanner = Scanner::new(table, query, top);
+    while let Some(Visit { bound, cluster }) = order.pop() {
+        // Score the queued whole kernel blocks first, so the floor lags by
+        // fewer than KERNEL_BLOCK rows; offering those can only raise it,
+        // so stopping on the lagging floor is safe.
+        scanner.flush_blocks()?;
+        if scanner
+            .top
+            .floor()
+            .is_some_and(|worst| f64::from(worst) > bound)
+        {
+            break;
+        }
+        scanner.extend(&index.postings()[cluster as usize])?;
+    }
+    Ok((true, scanner.finish()?))
+}
+
+/// One cluster on the pruned exact path; the max-heap order pops the
+/// highest bound first, ties to the lower cluster index.
+struct Visit {
+    bound: f64,
+    cluster: u32,
+}
+
+impl Ord for Visit {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.bound
+            .total_cmp(&other.bound)
+            .then(other.cluster.cmp(&self.cluster))
+    }
+}
+
+impl PartialOrd for Visit {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Visit {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Visit {}
+
+/// Feeds row ids to the scoring kernel in [`SCAN_CHUNK`]-id stack chunks
+/// and offers every score to a [`TopK`], counting the rows scored.
+struct Scanner<'a> {
+    table: &'a Matrix,
+    query: &'a [f32],
+    top: &'a mut TopK,
+    ids: [u32; SCAN_CHUNK],
+    scores: [f32; SCAN_CHUNK],
+    len: usize,
+    scored: u64,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(table: &'a Matrix, query: &'a [f32], top: &'a mut TopK) -> Scanner<'a> {
+        Scanner {
+            table,
+            query,
+            top,
+            ids: [0; SCAN_CHUNK],
+            scores: [0.0; SCAN_CHUNK],
+            len: 0,
+            scored: 0,
         }
     }
-    score_chunk(&chunk[..len])
+
+    /// Queues a run of ids, copied into the chunk in bulk.
+    fn extend(&mut self, mut ids: &[u32]) -> crate::Result<()> {
+        while !ids.is_empty() {
+            let take = (SCAN_CHUNK - self.len).min(ids.len());
+            self.ids[self.len..self.len + take].copy_from_slice(&ids[..take]);
+            self.len += take;
+            ids = &ids[take..];
+            if self.len == SCAN_CHUNK {
+                self.flush()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> crate::Result<()> {
+        self.score_queued(self.len)
+    }
+
+    /// Scores the queued ids in whole [`KERNEL_BLOCK`]s — no scalar tail —
+    /// and keeps the rest queued.
+    fn flush_blocks(&mut self) -> crate::Result<()> {
+        self.score_queued(self.len - self.len % KERNEL_BLOCK)
+    }
+
+    /// Scores the first `n` queued ids and shifts the rest to the front.
+    fn score_queued(&mut self, n: usize) -> crate::Result<()> {
+        if n == 0 {
+            return Ok(());
+        }
+        let ids = &self.ids[..n];
+        let scores = &mut self.scores[..n];
+        score_rows_into(
+            self.table.as_slice(),
+            self.table.cols(),
+            ids,
+            self.query,
+            scores,
+        )
+        .map_err(|e| ServeError::InvalidQuery(e.to_string()))?;
+        for (&score, &id) in scores.iter().zip(ids) {
+            self.top.offer(score, id);
+        }
+        self.ids.copy_within(n..self.len, 0);
+        self.scored += n as u64;
+        self.len -= n;
+        Ok(())
+    }
+
+    /// Scores what is still queued; returns the rows scored in total.
+    fn finish(mut self) -> crate::Result<u64> {
+        self.flush()?;
+        Ok(self.scored)
+    }
 }
 
 /// One scored row under the read order: a *smaller* `Ranked` is a better
@@ -670,6 +886,15 @@ impl TopK {
                 *worst = row;
             }
         }
+    }
+
+    /// The worst kept score, once `k` rows are kept: a row scoring strictly
+    /// below it can no longer enter.
+    fn floor(&self) -> Option<f32> {
+        if self.heap.len() < self.k {
+            return None;
+        }
+        self.heap.peek().map(|worst| worst.score)
     }
 
     /// The kept rows, best first.
@@ -1093,6 +1318,119 @@ mod tests {
                 assert_eq!(bits(&top.into_sorted()), want, "shuffled ids, k = {k}");
             }
         }
+    }
+
+    #[test]
+    fn exact_reads_prune_only_on_an_index_of_the_snapshot_epoch() {
+        let base = store();
+        let (publisher, reader) = VersionedStore::bootstrap(&base);
+        let (_maintainer, index) = IndexMaintainer::bootstrap(&base, None, IndexParams::default());
+        let metrics = Arc::new(ServeMetrics::new());
+        let counter = Arc::new(AtomicU64::new(0));
+        let mut q = QueryService::new(
+            reader.clone(),
+            Some(index),
+            Arc::clone(&counter),
+            Arc::clone(&metrics),
+        );
+        let request = TopKRequest::new(vec![1.0, 0.0, 0.0], 2);
+        let paired = q.top_k(&request).unwrap();
+        assert_eq!(
+            (metrics.exact_pruned_reads(), metrics.exact_full_scans()),
+            (1, 0)
+        );
+        assert!(metrics.exact_rows_scored() <= 4);
+
+        // An index-less session always scans every row.
+        let mut bare = QueryService::new(reader, None, counter, Arc::clone(&metrics));
+        assert_eq!(bare.top_k(&request).unwrap().value, paired.value);
+        assert_eq!(
+            (metrics.exact_pruned_reads(), metrics.exact_full_scans()),
+            (1, 1)
+        );
+        assert_eq!(bare.index_epochs(), None);
+
+        // The store moves to epoch 1 while the index stays at 0.
+        let mut publisher = publisher;
+        publisher.publish(&base, 0, 0);
+        assert_eq!(q.epoch_vector(), vec![1]);
+        assert_eq!(q.index_epochs(), Some(vec![0]));
+        assert_eq!(q.top_k(&request).unwrap().value, paired.value);
+        assert_eq!(
+            (metrics.exact_pruned_reads(), metrics.exact_full_scans()),
+            (1, 2)
+        );
+        assert!(metrics.exact_rows_scored() >= 8, "two full scans of 4 rows");
+        // Approximate reads count into neither.
+        q.top_k(&request.clone().approx(1)).unwrap();
+        assert_eq!(
+            metrics.report().exact_pruned_reads + metrics.report().exact_full_scans,
+            3
+        );
+    }
+
+    #[test]
+    fn a_nan_row_in_a_low_bound_cluster_reads_the_same_pruned_and_full() {
+        // Final-layer rows 3 wide: a 35-row blob left of the origin, 5 rows
+        // right of it. Vertex 3 turns NaN, and the publication that indexes
+        // it also splits the left blob, recomputing every radius.
+        let n = 40;
+        let model = GnnModel::new(LayerKind::GraphConv, Aggregator::Sum, &[4, 8, 3], 0).unwrap();
+        let mut base = EmbeddingStore::zeroed(&model, n);
+        for v in 0..n {
+            let (x, y) = ((v % 5) as f32 * 0.1, (v / 5) as f32 * 0.1);
+            let row = if v < 35 {
+                [-10.0 - x, y, 0.5]
+            } else {
+                [10.0 + x, y, 0.5]
+            };
+            base.set_embedding(2, VertexId(v as u32), &row).unwrap();
+        }
+        let params = IndexParams {
+            clusters: 2,
+            split_factor: 1.5,
+            ..IndexParams::default()
+        };
+        let (mut publisher, reader) = VersionedStore::bootstrap(&base);
+        let (mut maintainer, index) = IndexMaintainer::bootstrap(&base, None, params);
+        let mut poisoned = base.clone();
+        poisoned
+            .set_embedding(2, VertexId(3), &[f32::NAN; 3])
+            .unwrap();
+        maintainer.publish(&poisoned, Some(&[VertexId(3)]));
+        publisher.publish(&poisoned, 1, 0);
+        assert!(maintainer.stats().splits >= 1);
+
+        let metrics = Arc::new(ServeMetrics::new());
+        let counter = Arc::new(AtomicU64::new(0));
+        let mut pruned = QueryService::new(
+            reader.clone(),
+            Some(index),
+            Arc::clone(&counter),
+            Arc::clone(&metrics),
+        );
+        let mut full = QueryService::new(reader, None, counter, Arc::new(ServeMetrics::new()));
+        // Whichever side holds the NaN row, one of these queries makes its
+        // cluster the low-bound one a pruned read would skip.
+        for query in [
+            [1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, -1.0, 0.0],
+        ] {
+            for k in [1, 3, n] {
+                let request = TopKRequest::new(query.to_vec(), k);
+                let want = full.top_k(&request).unwrap().value;
+                assert_eq!(want[0].0, VertexId(3), "a NaN score ranks first");
+                let got = pruned.top_k(&request).unwrap().value;
+                assert_eq!(bits(&got), bits(&want), "query {query:?}, k = {k}");
+            }
+        }
+        assert_eq!(
+            metrics.exact_pruned_reads(),
+            0,
+            "a +inf radius has no bound"
+        );
     }
 
     #[test]

@@ -750,9 +750,9 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
             engine.topology_epoch(),
         );
         let flush_log = config.record_batches.then(FlushLog::new);
-        let index = config
-            .index
-            .map(|params| IndexMaintainer::bootstrap(engine.current_store(), None, params).0);
+        let index = config.index.map(|params| {
+            IndexMaintainer::bootstrap_at(engine.current_store(), None, params, epoch).0
+        });
         // Concurrent admission needs the model (to footprint windows) and
         // per-batch dirty rows (to partition the merged pass's dirty set
         // back per window); an engine without either serves serially.
@@ -1068,7 +1068,8 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
         let last_seq = group.last().map(StagedWindow::seq).unwrap_or(0);
         let mut scratch: Vec<VertexId> = Vec::new();
         let mut epoch = self.publisher.epoch();
-        for (window, batch) in group.iter_mut().zip(batches) {
+        let windows = group.len();
+        for (i, (window, batch)) in group.iter_mut().zip(batches).enumerate() {
             let ran_engine = !batch.is_empty();
             self.applied_seq = window.payload.applied_seq;
             // This window's share of the merged dirty set. Rows outside it
@@ -1080,8 +1081,16 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
                 .footprint()
                 .intersect_sorted_into(&merged_dirty, &mut scratch);
             let dirty: &[VertexId] = if ran_engine { &scratch } else { &[] };
+            // Every window repairs from the post-group store, which only
+            // the last window's snapshot equals: earlier epochs publish
+            // unpaired, so exact reads never prune on them.
             if let Some(index) = &mut self.index {
-                index.publish(self.engine.current_store(), Some(dirty));
+                let store = self.engine.current_store();
+                if i + 1 == windows {
+                    index.publish(store, Some(dirty));
+                } else {
+                    index.publish_unpaired(store, Some(dirty));
+                }
             }
             epoch = self.publisher.publish_rows(
                 self.engine.current_store(),

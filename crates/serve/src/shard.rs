@@ -1100,7 +1100,7 @@ pub fn spawn_sharded(
                 .map(|owner| *owner == part)
                 .collect();
             let (maintainer, index_reader) =
-                IndexMaintainer::bootstrap(engine.store(), Some(owned), params);
+                IndexMaintainer::bootstrap_at(engine.store(), Some(owned), params, epoch);
             if let Some(list) = &mut index_readers {
                 list.push(index_reader);
             }

@@ -602,3 +602,112 @@ fn checkpointed_recovery_replays_only_the_tail() {
     assert_bit_identical(&recovered, &reference, "checkpointed recovery");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The full scan, by definition: every final-layer row scored by the row
+/// kernel, ranked by score (`total_cmp`, descending) then id; ids and score
+/// bits.
+fn full_scan(store: &EmbeddingStore, query: &[f32], k: usize) -> Vec<(u32, u32)> {
+    let table = store.embeddings(store.num_layers());
+    let ids: Vec<u32> = (0..table.rows() as u32).collect();
+    let mut scores = vec![0.0f32; ids.len()];
+    ripple::tensor::ops::score_rows_into(table.as_slice(), table.cols(), &ids, query, &mut scores)
+        .unwrap();
+    let mut ranked: Vec<(f32, u32)> = scores.into_iter().zip(ids).collect();
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    ranked.truncate(k);
+    ranked.into_iter().map(|(s, v)| (v, s.to_bits())).collect()
+}
+
+/// Exact answers, each with its query and `k`.
+type Answers = Vec<(Vec<f32>, usize, Vec<(u32, u32)>)>;
+
+/// After recovery, reads the session's index and snapshot epochs (which
+/// must agree shard by shard) and answers a few exact reads; every one
+/// must take the pruned path.
+fn exact_reads_after_recovery<F: ServeFrontend>(handle: &F, resumed: Vec<u64>) -> Answers {
+    handle.quiesce().unwrap();
+    let mut reads = handle.query_service();
+    assert!(
+        resumed.iter().all(|&e| e > 0),
+        "recovery resumed past epoch 0"
+    );
+    assert_eq!(reads.epoch_vector(), resumed);
+    assert_eq!(reads.index_epochs(), Some(resumed));
+    let mut answers = Vec::new();
+    for query in [[1.0, -0.5, 0.25, 0.0], [-0.3, 0.2, 1.0, 0.7]] {
+        for k in [1, 10] {
+            let got = reads.top_k(&TopKRequest::new(query.to_vec(), k)).unwrap();
+            let got = got.value.iter().map(|&(v, s)| (v.0, s.to_bits())).collect();
+            answers.push((query.to_vec(), k, got));
+        }
+    }
+    let metrics = handle.metrics();
+    assert_eq!(metrics.exact_pruned_reads(), answers.len() as u64);
+    assert_eq!(metrics.exact_full_scans(), 0);
+    answers
+}
+
+/// A recovered session resumes its store at the checkpoint/WAL epoch; its
+/// index must resume at the same epoch, so exact reads prune right away —
+/// and still answer exactly like a full scan. Single engine and two shards.
+#[test]
+fn recovered_index_resumes_the_snapshot_epoch_and_prunes_exactly() {
+    let (graph, model, store, updates) = bootstrap(23);
+    let fail = FailPoints::new();
+
+    let dir = scratch_dir("recovered-index");
+    let config = durable_config(&dir, 3, &fail);
+    let handle = spawn_serve(engine(&graph, &model, &store), config.clone()).unwrap();
+    let client = handle.client();
+    for chunk in updates.chunks(6) {
+        for update in chunk {
+            client.submit(update.clone());
+        }
+        handle.flush().unwrap();
+    }
+    handle.shutdown().unwrap();
+    let handle = spawn_serve(engine(&graph, &model, &store), config).unwrap();
+    let resumed = handle.recovery_report().unwrap().resumed_epoch;
+    let answers = exact_reads_after_recovery(&handle, vec![resumed]);
+    let recovered = handle.shutdown().unwrap();
+    for (query, k, got) in answers {
+        assert_eq!(
+            got,
+            full_scan(recovered.store(), &query, k),
+            "{query:?}, k = {k}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = scratch_dir("recovered-index-sharded");
+    let config = durable_config(&dir, 3, &fail);
+    let handle = spawn_sharded(
+        &graph,
+        &model,
+        &store,
+        RippleConfig::default(),
+        config.clone(),
+        2,
+    )
+    .unwrap();
+    let router = handle.client();
+    for chunk in updates.chunks(6) {
+        for update in chunk {
+            router.submit(update.clone());
+        }
+        handle.flush().expect("healthy tier");
+    }
+    handle.shutdown().unwrap();
+    let handle = spawn_sharded(&graph, &model, &store, RippleConfig::default(), config, 2).unwrap();
+    let resumed = handle
+        .recovery_reports()
+        .iter()
+        .map(|r| r.resumed_epoch)
+        .collect();
+    let answers = exact_reads_after_recovery(&handle, resumed);
+    let recovered = handle.shutdown().unwrap().gather_store();
+    for (query, k, got) in answers {
+        assert_eq!(got, full_scan(&recovered, &query, k), "{query:?}, k = {k}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

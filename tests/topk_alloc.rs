@@ -2,17 +2,17 @@
 //! proportional to the table it scans: rows are scored in stack-buffered
 //! chunks and streamed through a `k`-entry selector, so a `k = 10` read of
 //! a 50k-row session allocates a few hundred bytes, where collecting every
-//! `(score, id)` pair first would cost 400 KB.
+//! `(score, id)` pair first would cost 400 KB. With an index, the pruned
+//! read adds only per-cluster bounds (`O(√|V|)`).
 //!
 //! The allocator is process-global; it counts only on the thread that armed
-//! it, so the session's idle scheduler thread cannot leak into the count.
-//! This file holds exactly one test.
+//! it, into that thread's own counter, so neither the session's scheduler
+//! thread nor a test running alongside can leak into the count.
 
 use ripple::prelude::*;
-use ripple::serve::ServeConfig;
+use ripple::serve::{MetricsReport, ServeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Wraps the system allocator, counting every byte allocated by an armed
 /// thread.
@@ -20,17 +20,21 @@ struct ByteCountingAllocator;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
-static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 fn armed() -> bool {
     ARMED.try_with(Cell::get).unwrap_or(false)
 }
 
+fn count(bytes: usize) {
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes));
+}
+
 unsafe impl GlobalAlloc for ByteCountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if armed() {
-            BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+            count(layout.size());
         }
         System.alloc(layout)
     }
@@ -41,7 +45,7 @@ unsafe impl GlobalAlloc for ByteCountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if armed() {
-            BYTES.fetch_add(new_size, Ordering::Relaxed);
+            count(new_size);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -53,15 +57,16 @@ static ALLOCATOR: ByteCountingAllocator = ByteCountingAllocator;
 /// Runs `f` with this thread's byte counter armed and returns how much it
 /// allocated.
 fn count_bytes<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    BYTES.store(0, Ordering::SeqCst);
+    BYTES.with(|b| b.set(0));
     ARMED.with(|a| a.set(true));
     let value = f();
     ARMED.with(|a| a.set(false));
-    (BYTES.load(Ordering::SeqCst), value)
+    (BYTES.with(Cell::get), value)
 }
 
-#[test]
-fn exact_top_k_allocates_no_table_scale_memory() {
+/// Spawns a 50k-vertex session under `config`, then returns the bytes one
+/// warm exact `k = 10` read allocates and the metrics it left behind.
+fn exact_read_bytes(config: ServeConfig) -> (usize, MetricsReport) {
     let num_vertices = 50_000;
     let graph = DatasetSpec::custom(num_vertices, 2.0, 8, 8)
         .generate(3)
@@ -69,8 +74,7 @@ fn exact_top_k_allocates_no_table_scale_memory() {
     let model = Workload::GcS.build_model(8, 8, 8, 1, 4).unwrap();
     let store = full_inference(&graph, &model).unwrap();
     let engine = RippleEngine::new(graph, model, store, RippleConfig::default()).unwrap();
-    let handle =
-        ripple::serve::spawn(engine, ServeConfig::builder().no_index().build().unwrap()).unwrap();
+    let handle = ripple::serve::spawn(engine, config).unwrap();
     let mut queries = handle.query_service();
     let request = TopKRequest::new(vec![0.5, -0.25, 1.0, 0.0, -1.0, 0.75, 0.125, -0.5], 10);
 
@@ -80,9 +84,34 @@ fn exact_top_k_allocates_no_table_scale_memory() {
     let top = top.unwrap();
     assert_eq!(top.value, warm.value);
     assert_eq!(top.value.len(), 10);
+    let report = handle.metrics().report();
+    handle.shutdown().unwrap();
+    (allocated, report)
+}
+
+#[test]
+fn exact_top_k_allocates_no_table_scale_memory() {
+    let (allocated, report) = exact_read_bytes(ServeConfig::builder().no_index().build().unwrap());
+    assert_eq!(report.exact_full_scans, 2);
     assert!(
         allocated < 64 * 1024,
-        "an exact k = 10 read of {num_vertices} rows allocated {allocated} bytes"
+        "an exact k = 10 full scan of 50k rows allocated {allocated} bytes"
     );
-    handle.shutdown().unwrap();
+}
+
+#[test]
+fn pruned_exact_top_k_allocates_no_table_scale_memory() {
+    // One Lloyd pass keeps the 50k-row index bootstrap short in debug
+    // builds; the read path does not depend on centroid quality.
+    let params = IndexParams {
+        kmeans_iters: 1,
+        ..IndexParams::default()
+    };
+    let (allocated, report) =
+        exact_read_bytes(ServeConfig::builder().index(params).build().unwrap());
+    assert_eq!(report.exact_pruned_reads, 2);
+    assert!(
+        allocated < 64 * 1024,
+        "a pruned exact k = 10 read of 50k rows allocated {allocated} bytes"
+    );
 }
