@@ -16,7 +16,7 @@
 //!   only divided by the in-degree when the layer is evaluated, so degree
 //!   changes caused by edge updates re-normalise for free.
 //!
-//! The hop loop (inject → drain → apply → evaluate → commit) is written once,
+//! The hop loop (inject → sort → apply → evaluate → commit) is written once,
 //! generic over a `Route` that decides where each mailbox deposit goes:
 //! every deposit stays local in a [`RippleEngine`], while a
 //! [`crate::ShardEngine`] sends deposits for foreign sinks to its outbox.
@@ -29,7 +29,7 @@
 //! writes and next-hop deposits replay in exactly the 1-thread order and the
 //! results are **bit-identical for any thread count**.
 
-use crate::mailbox::{MailArena, MailboxSet};
+use crate::mailbox::MailboxSet;
 use crate::message::DeltaMessage;
 use crate::{Result, RippleError};
 use ripple_gnn::layer_wise::reevaluate_slice_into;
@@ -37,7 +37,7 @@ use ripple_gnn::recompute::BatchStats;
 use ripple_gnn::{EmbeddingStore, GnnModel};
 use ripple_graph::{CsrSnapshot, DynamicGraph, GraphUpdate, GraphView, UpdateBatch, VertexId};
 use ripple_tensor::{Scratch, WorkerPool};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -132,16 +132,15 @@ struct EdgeChange {
     coeff: f32,
 }
 
-/// Output of the hop-0 `update` operator: the state propagation starts from.
+/// Output of the hop-0 `update` operator (besides the hop-1 deltas it left
+/// in the engine's mailboxes): the state propagation starts from.
 struct UpdatePhase {
-    /// Per-hop mailboxes, with the hop-1 deltas already deposited.
-    mailboxes: MailboxSet,
     /// Pre-batch embeddings (layers 1..L-1) of every edge-update source.
     source_snapshots: HashMap<VertexId, Vec<Vec<f32>>>,
     /// Topology changes of the batch, for per-hop contribution injection.
     edge_changes: Vec<EdgeChange>,
-    /// Vertices whose hop-0 embedding (feature vector) changed.
-    changed_prev: HashSet<VertexId>,
+    /// Vertices whose hop-0 embedding (feature vector) changed, ascending.
+    changed_prev: Vec<VertexId>,
 }
 
 /// Validates that a graph, model and bootstrap store fit together.
@@ -190,41 +189,34 @@ fn snapshot_source(
 }
 
 /// The hop-`hop` affected frontier in ascending vertex order: every vertex
-/// with pending mail (already sorted by the arena drain), plus — when the
-/// layer reads its own previous-layer embedding — every vertex that changed
-/// at the previous hop.
+/// with pending mail, plus — when the layer reads its own previous-layer
+/// embedding — every vertex that changed at the previous hop. Both inputs
+/// are ascending and duplicate-free, so this is one linear merge.
 ///
-/// Sorting pins the per-hop processing (and therefore float accumulation)
-/// order, which makes runs reproducible across processes and gives the
-/// worker pool a canonical order to split and commit against.
+/// The ascending order pins the per-hop processing (and therefore float
+/// accumulation) order, which makes runs reproducible across processes and
+/// gives the worker pool a canonical order to split and commit against.
 fn sorted_affected(
     mail_ids: &[VertexId],
-    changed_prev: &HashSet<VertexId>,
+    changed_prev: &[VertexId],
     depends_on_self: bool,
 ) -> Vec<VertexId> {
-    let mut affected: Vec<VertexId> = mail_ids.to_vec();
-    if depends_on_self {
-        affected.extend(changed_prev.iter().copied());
-        affected.sort_unstable();
-        affected.dedup();
+    if !depends_on_self {
+        return mail_ids.to_vec();
     }
+    let mut affected = Vec::with_capacity(mail_ids.len() + changed_prev.len());
+    let (mut a, mut b) = (mail_ids.iter().peekable(), changed_prev.iter().peekable());
+    while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+        affected.push(x.min(y));
+        if x <= y {
+            a.next();
+        }
+        if y <= x {
+            b.next();
+        }
+    }
+    affected.extend(a.chain(b));
     affected
-}
-
-/// The reference apply phase over a drained `HashMap`: folds every pending
-/// hop-`hop` mail delta into the stored raw aggregate. The engine walks the
-/// flat sorted [`MailArena`] instead; each delta targets its own store row,
-/// so the two are bit-identical for any order (`tests/mailbox_parity.rs`).
-pub fn apply_mail_map(
-    store: &mut EmbeddingStore,
-    hop: usize,
-    mail: &HashMap<VertexId, Vec<f32>>,
-    stats: &mut BatchStats,
-) {
-    for (&v, delta) in mail {
-        ripple_tensor::add_assign(store.aggregate_mut(hop, v), delta);
-        stats.aggregate_ops += 1;
-    }
 }
 
 /// Frontiers smaller than this are evaluated inline: the per-hop spawn cost
@@ -304,11 +296,12 @@ pub struct RippleEngine {
     /// its steady-state size, the compute phase of every hop runs without
     /// heap allocation.
     scratches: Vec<Scratch>,
-    /// Persistent flat arena the per-hop mailboxes drain into: the apply
-    /// phase walks sorted contiguous rows instead of a hash map.
-    mail: MailArena,
-    /// Reusable buffer for the per-vertex output delta of the commit phase.
-    commit_delta: Vec<f32>,
+    /// The per-hop mailboxes, kept for the engine's life and cleared at the
+    /// start of every batch: steady-state deposits neither hash nor allocate.
+    mailboxes: MailboxSet,
+    /// Reusable buffer for the per-vertex delta of a feature update or a
+    /// commit.
+    delta: Vec<f32>,
     /// Vertices whose store rows (any layer: features, aggregates or
     /// embeddings) changed during the last processed batch, sorted and
     /// deduplicated. The serving layer threads this into dirty-row epoch
@@ -334,6 +327,7 @@ impl RippleEngine {
     ) -> Result<Self> {
         validate_parts(&graph, &model, &store)?;
         let topo = CsrSnapshot::from_dynamic(&graph);
+        let mailboxes = MailboxSet::new(model.num_layers());
         Ok(RippleEngine {
             graph,
             model,
@@ -342,8 +336,8 @@ impl RippleEngine {
             topo,
             pool: WorkerPool::default(),
             scratches: vec![Scratch::new()],
-            mail: MailArena::new(),
-            commit_delta: Vec::new(),
+            mailboxes,
+            delta: Vec::new(),
             dirty: Vec::new(),
         })
     }
@@ -438,10 +432,10 @@ impl RippleEngine {
 
     /// Memory overhead of the additional state Ripple keeps relative to the
     /// recompute baseline (the aggregate tables, the scratch arenas, the
-    /// mail arena and the CSR topology snapshot), in bytes.
+    /// mailboxes and the CSR topology snapshot), in bytes.
     pub fn incremental_state_bytes(&self) -> usize {
         self.store.aggregate_memory_bytes()
-            + self.mail.memory_bytes()
+            + self.mailboxes.memory_bytes()
             + self.topo.heap_bytes()
             + self
                 .scratches
@@ -509,7 +503,9 @@ impl RippleEngine {
     ///
     /// Each hop's mailbox receives its deposits in a fixed order — update
     /// operator, halos, the previous hop's commit, this hop's edge-change
-    /// injection — which pins float accumulation order.
+    /// injection — which pins float accumulation order. The mailboxes are
+    /// cleared first, so mail left by a batch that failed midway never
+    /// leaks into this one.
     pub(crate) fn run_batch<R: Route>(
         &mut self,
         batch: &UpdateBatch,
@@ -523,9 +519,10 @@ impl RippleEngine {
 
         let update_start = Instant::now();
         self.dirty.clear();
+        self.mailboxes.clear();
         let mut phase = self.run_update_operator(batch, route, &mut stats)?;
         for message in halos {
-            phase.mailboxes.deposit_message(message);
+            self.mailboxes.deposit_message(message);
             stats.aggregate_ops += 1;
         }
         stats.update_time = update_start.elapsed();
@@ -538,15 +535,15 @@ impl RippleEngine {
             topo,
             pool,
             scratches,
-            mail,
-            commit_delta,
+            mailboxes,
+            delta,
             dirty,
             ..
         } = self;
         let num_layers = model.num_layers();
         let aggregator = model.aggregator();
         // Feature-updated vertices rewrote their layer-0 rows.
-        dirty.extend(phase.changed_prev.iter().copied());
+        dirty.extend_from_slice(&phase.changed_prev);
         for hop in 1..=num_layers {
             // Inject the hop's contribution of every topology change (hop 1
             // was deposited by the update operator). A new (deleted) edge
@@ -556,15 +553,15 @@ impl RippleEngine {
                 for change in &phase.edge_changes {
                     let pre_batch = &phase.source_snapshots[&change.source][hop - 2];
                     let coeff = change.sign * change.coeff;
-                    route.deposit(&mut phase.mailboxes, hop, change.sink, coeff, pre_batch);
+                    route.deposit(mailboxes, hop, change.sink, coeff, pre_batch);
                     stats.aggregate_ops += 1;
                 }
             }
 
             let layer = model.layer(hop)?;
-            phase.mailboxes.drain_hop_sorted_into(hop, mail);
+            let mail = mailboxes.sorted_hop(hop);
             let affected =
-                sorted_affected(mail.ids(), &phase.changed_prev, layer.depends_on_self());
+                sorted_affected(mail.targets(), &phase.changed_prev, layer.depends_on_self());
             stats.affected_per_hop.push(affected.len());
             stats.propagation_tree_size += affected.len();
             if hop == num_layers {
@@ -572,8 +569,8 @@ impl RippleEngine {
             }
             dirty.extend_from_slice(&affected);
 
-            // Apply: fold the mail into the stored raw aggregates in place,
-            // walking the flat sorted arena.
+            // Apply: fold each target's accumulated row straight into its
+            // stored raw aggregate, in ascending target order.
             for (v, delta) in mail.iter() {
                 ripple_tensor::add_assign(store.aggregate_mut(hop, v), delta);
                 stats.aggregate_ops += 1;
@@ -587,31 +584,30 @@ impl RippleEngine {
             // Commit block after block in frontier order: write the new
             // embeddings back and forward each vertex's delta to the next
             // hop, exactly as one thread would.
-            let mut changed_now = HashSet::with_capacity(affected.len());
+            // The commit walks the frontier in ascending order, so the
+            // changed set comes out sorted.
+            let mut changed_now = Vec::with_capacity(affected.len());
             let evaluated = scratches
                 .iter()
                 .zip(ranges)
                 .flat_map(|(scratch, range)| affected[range].iter().zip(scratch.out.iter_rows()));
             for (&v, new_embedding) in evaluated {
                 let old = store.embedding(hop, v);
-                commit_delta.clear();
-                commit_delta.extend(new_embedding.iter().zip(old).map(|(n, o)| n - o));
+                delta.clear();
+                delta.extend(new_embedding.iter().zip(old).map(|(n, o)| n - o));
                 store.set_embedding(hop, v, new_embedding)?;
 
-                if config.skip_unchanged
-                    && commit_delta
-                        .iter()
-                        .all(|d| d.abs() <= config.prune_tolerance)
+                if config.skip_unchanged && delta.iter().all(|d| d.abs() <= config.prune_tolerance)
                 {
                     continue;
                 }
-                changed_now.insert(v);
+                changed_now.push(v);
 
                 if hop < num_layers {
                     let (sinks, weights) = GraphView::out_adjacency(topo, v);
                     for (&w, &weight) in sinks.iter().zip(weights) {
                         let coeff = aggregator.edge_coefficient(weight);
-                        route.deposit(&mut phase.mailboxes, hop + 1, w, coeff, commit_delta);
+                        route.deposit(mailboxes, hop + 1, w, coeff, delta);
                         stats.aggregate_ops += 1;
                     }
                 }
@@ -649,14 +645,15 @@ impl RippleEngine {
             model,
             store,
             topo,
+            mailboxes,
+            delta,
             ..
         } = self;
         let aggregator = model.aggregator();
         let mut phase = UpdatePhase {
-            mailboxes: MailboxSet::new(model.num_layers()),
             source_snapshots: HashMap::new(),
             edge_changes: Vec::new(),
-            changed_prev: HashSet::new(),
+            changed_prev: Vec::new(),
         };
 
         for update in batch {
@@ -667,22 +664,24 @@ impl RippleEngine {
                             "feature update for unknown vertex {vertex}"
                         )));
                     }
-                    let delta: Vec<f32> = features
-                        .iter()
-                        .zip(store.embedding(0, *vertex))
-                        .map(|(n, o)| n - o)
-                        .collect();
+                    delta.clear();
+                    delta.extend(
+                        features
+                            .iter()
+                            .zip(store.embedding(0, *vertex))
+                            .map(|(n, o)| n - o),
+                    );
                     // Deltas flow to the *current* out-neighbourhood, which
                     // reflects every earlier update in this batch.
                     let (sinks, weights) = GraphView::out_adjacency(topo, *vertex);
                     for (&w, &weight) in sinks.iter().zip(weights) {
                         let coeff = aggregator.edge_coefficient(weight);
-                        route.deposit(&mut phase.mailboxes, 1, w, coeff, &delta);
+                        route.deposit(mailboxes, 1, w, coeff, delta);
                         stats.aggregate_ops += 1;
                     }
                     graph.set_feature(*vertex, features)?;
                     store.set_embedding(0, *vertex, features)?;
-                    phase.changed_prev.insert(*vertex);
+                    phase.changed_prev.push(*vertex);
                     continue;
                 }
                 GraphUpdate::AddEdge { src, dst, weight } => {
@@ -704,13 +703,7 @@ impl RippleEngine {
             if route.owns(src) {
                 snapshot_source(store, model, &mut phase.source_snapshots, src);
                 let coeff = aggregator.edge_coefficient(weight);
-                route.deposit(
-                    &mut phase.mailboxes,
-                    1,
-                    dst,
-                    sign * coeff,
-                    store.embedding(0, src),
-                );
+                route.deposit(mailboxes, 1, dst, sign * coeff, store.embedding(0, src));
                 stats.aggregate_ops += 1;
                 phase.edge_changes.push(EdgeChange {
                     source: src,
@@ -720,6 +713,8 @@ impl RippleEngine {
                 });
             }
         }
+        phase.changed_prev.sort_unstable();
+        phase.changed_prev.dedup();
         Ok(phase)
     }
 }
@@ -968,6 +963,43 @@ mod tests {
                 "{threads} threads: deleting absent edge {src} -> {dst} must fail"
             );
         }
+    }
+
+    /// A batch that fails after depositing mail leaves that mail in the
+    /// engine's mailboxes; the next batch must not apply it. The engine
+    /// after the failure must continue exactly like a fresh engine built
+    /// from the same graph and store.
+    #[test]
+    fn failed_batch_leaks_no_mail_into_the_next() {
+        let (mut engine, snapshot, model, batches) = bootstrap(Workload::GcS, 2, 53);
+        let n = snapshot.num_vertices() as u32;
+        let u = (0..n)
+            .map(VertexId)
+            .find(|&v| snapshot.out_degree(v) > 0)
+            .unwrap();
+        let (src, dst) = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (VertexId(s), VertexId(d))))
+            .find(|&(s, d)| s != d && !snapshot.has_edge(s, d))
+            .unwrap();
+        let failing = UpdateBatch::from_updates(vec![
+            GraphUpdate::update_feature(u, vec![0.5; 6]),
+            GraphUpdate::delete_edge(src, dst),
+        ]);
+        assert!(engine.process_batch(&failing).is_err());
+
+        let mut fresh = RippleEngine::new(
+            engine.graph().clone(),
+            model,
+            engine.store().clone(),
+            RippleConfig::default(),
+        )
+        .unwrap();
+        engine.process_batch(&batches[0]).unwrap();
+        fresh.process_batch(&batches[0]).unwrap();
+        assert!(
+            engine.store() == fresh.store(),
+            "stale mail from the failed batch changed the next one"
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use batch::{StreamRunner, StreamingEngine};
 pub use engine::{evaluate_frontier_into, RippleConfig, RippleEngine};
 pub use error::RippleError;
 pub use footprint::Footprint;
-pub use mailbox::{MailArena, MailboxSet};
+pub use mailbox::{HopMail, MailboxSet};
 pub use message::{DeltaMessage, HaloStubs};
 pub use metrics::StreamSummary;
 /// Re-export of the worker pool, which now lives at the bottom of the

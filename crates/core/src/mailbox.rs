@@ -6,138 +6,156 @@
 //! the apply phase then needs exactly one vector addition per affected vertex
 //! regardless of how many in-neighbours changed.
 //!
-//! The concrete layout is one `HashMap<VertexId, Vec<f32>>` per hop — dense
-//! per-vertex storage would waste memory on the (vast) majority of vertices
-//! that are untouched by a batch.
+//! Each hop's mailbox is dense and slot-indexed. A slot table maps a vertex
+//! id to the row holding its pending delta (`u32::MAX` while it has none),
+//! and the rows sit back to back in one flat buffer, in first-deposit order.
+//! A deposit is one slot lookup plus one `axpy` into that row: no hashing,
+//! and once the buffers have reached their steady-state size, no heap
+//! allocation. The price is the slot table, 4 B per vertex per hop, grown on
+//! demand up to the largest target id seen; a reset touches only the slots
+//! that received mail.
 
 use crate::message::DeltaMessage;
 use ripple_graph::VertexId;
 use ripple_tensor::axpy;
-use std::collections::HashMap;
 
-/// A flat, sorted `(vertex, delta-row)` arena holding one hop's drained mail.
-///
-/// [`MailboxSet::drain_hop_sorted_into`] leaves the per-hop deltas here in
-/// ascending vertex order as one contiguous row-major buffer, so the apply
-/// phase becomes a branch-free walk over two flat arrays (vectorisable adds,
-/// no hash lookups) and — once the buffers have reached their steady-state
-/// capacity — performs **zero heap allocations**.
+/// Slot-table marker of a vertex with no pending mail.
+const EMPTY: u32 = u32::MAX;
+
+/// One hop's mailbox: a dense slot table over vertex ids plus the pending
+/// delta rows of the vertices that received mail.
 #[derive(Debug, Clone, Default)]
-pub struct MailArena {
-    /// Target vertices in ascending order, one per row of `rows`.
-    ids: Vec<VertexId>,
-    /// Row-major delta rows, `width` floats per entry of `ids`.
+struct HopBox {
+    /// `slot[v]` is the row index of `v`'s pending delta, or [`EMPTY`].
+    slot: Vec<u32>,
+    /// The vertices holding mail, in first-deposit order until
+    /// [`MailboxSet::sorted_hop`] sorts them. Sorting never moves a row, so
+    /// rows are always found through `slot`.
+    targets: Vec<VertexId>,
+    /// Row-major delta rows, `width` floats each, in first-deposit order.
     rows: Vec<f32>,
-    /// Width of every delta row (0 while the arena is empty).
+    /// Width of every row, fixed by the first deposit after a reset.
     width: usize,
 }
 
-impl MailArena {
-    /// A fresh, empty arena.
-    pub fn new() -> Self {
-        MailArena::default()
+impl HopBox {
+    fn deposit(&mut self, hop: usize, target: VertexId, coeff: f32, delta: &[f32]) {
+        if self.targets.is_empty() {
+            self.width = delta.len();
+        } else {
+            assert_eq!(
+                delta.len(),
+                self.width,
+                "hop {hop} mail is {}-wide, got a {}-wide delta for {target}",
+                self.width,
+                delta.len()
+            );
+        }
+        let v = target.index();
+        if v >= self.slot.len() {
+            self.slot.resize(v + 1, EMPTY);
+        }
+        let start = match self.slot[v] {
+            EMPTY => {
+                let row = u32::try_from(self.targets.len()).expect("fewer rows than vertex ids");
+                self.slot[v] = row;
+                self.targets.push(target);
+                let start = self.rows.len();
+                // The first deposit starts from zero, like a fresh slot.
+                self.rows.resize(start + self.width, 0.0);
+                start
+            }
+            row => row as usize * self.width,
+        };
+        axpy(&mut self.rows[start..start + self.width], coeff, delta);
     }
 
-    /// Number of `(vertex, delta)` entries currently held.
-    pub fn len(&self) -> usize {
-        self.ids.len()
+    fn get(&self, v: VertexId) -> Option<&[f32]> {
+        match self.slot.get(v.index()) {
+            Some(&row) if row != EMPTY => {
+                let start = row as usize * self.width;
+                Some(&self.rows[start..start + self.width])
+            }
+            _ => None,
+        }
     }
 
-    /// Returns `true` if the arena holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Width of every delta row (0 while the arena is empty).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The target vertices in ascending order.
-    pub fn ids(&self) -> &[VertexId] {
-        &self.ids
-    }
-
-    /// The `i`-th delta row (paired with `ids()[i]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn row(&self, i: usize) -> &[f32] {
-        &self.rows[i * self.width..(i + 1) * self.width]
-    }
-
-    /// Iterator over `(vertex, delta-row)` pairs in ascending vertex order.
-    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[f32])> + '_ {
-        self.ids
-            .iter()
-            .copied()
-            .zip(self.rows.chunks_exact(self.width.max(1)))
-    }
-
-    /// Empties the arena, retaining both buffers' capacity.
-    pub fn clear(&mut self) {
-        self.ids.clear();
+    fn clear(&mut self) {
+        for v in &self.targets {
+            self.slot[v.index()] = EMPTY;
+        }
+        self.targets.clear();
         self.rows.clear();
         self.width = 0;
     }
 
-    /// Heap memory retained by the arena (buffer capacities), in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<VertexId>()
+    fn memory_bytes(&self) -> usize {
+        self.slot.capacity() * std::mem::size_of::<u32>()
+            + self.targets.capacity() * std::mem::size_of::<VertexId>()
             + self.rows.capacity() * std::mem::size_of::<f32>()
     }
 }
 
-/// The set of per-hop mailboxes used while processing one batch.
-#[derive(Debug, Clone, Default)]
-pub struct MailboxSet {
-    /// `boxes[l-1]` maps a vertex to the accumulated delta for its hop-`l`
-    /// aggregate.
-    boxes: Vec<HashMap<VertexId, Vec<f32>>>,
-    /// Drained-but-kept maps recycled into [`MailboxSet::take_hop`]
-    /// replacements, so repeated take/refill cycles reuse the grown table
-    /// allocation instead of rebuilding from a capacity-less `HashMap::new()`.
-    spare: Vec<HashMap<VertexId, Vec<f32>>>,
+/// A read view of one hop's pending mail.
+#[derive(Debug, Clone, Copy)]
+pub struct HopMail<'a> {
+    hop: &'a HopBox,
 }
 
-impl PartialEq for MailboxSet {
-    fn eq(&self, other: &Self) -> bool {
-        // The spare pool is an allocation cache, not observable state.
-        self.boxes == other.boxes
+impl<'a> HopMail<'a> {
+    /// The vertices holding mail: ascending when the view came from
+    /// [`MailboxSet::sorted_hop`], first-deposit order otherwise.
+    pub fn targets(&self) -> &'a [VertexId] {
+        &self.hop.targets
     }
+
+    /// The accumulated delta of `v`, if it holds mail.
+    pub fn get(&self, v: VertexId) -> Option<&'a [f32]> {
+        self.hop.get(v)
+    }
+
+    /// `(vertex, delta)` pairs in [`HopMail::targets`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (VertexId, &'a [f32])> + 'a {
+        let hop = self.hop;
+        hop.targets
+            .iter()
+            .map(move |&v| (v, hop.get(v).expect("every target holds a row")))
+    }
+}
+
+/// The per-hop mailboxes of one engine. An engine keeps one set for its
+/// whole life and [`MailboxSet::clear`]s it at the start of every batch, so
+/// the slot tables and row buffers are allocated once and then reused.
+#[derive(Debug, Clone, Default)]
+pub struct MailboxSet {
+    /// `hops[l-1]` holds the pending deltas for hop-`l` aggregates.
+    hops: Vec<HopBox>,
 }
 
 impl MailboxSet {
     /// Creates mailboxes for an `L`-layer model.
     pub fn new(num_hops: usize) -> Self {
         MailboxSet {
-            boxes: vec![HashMap::new(); num_hops],
-            spare: Vec::new(),
+            hops: vec![HopBox::default(); num_hops],
         }
     }
 
     /// Number of hops covered.
     pub fn num_hops(&self) -> usize {
-        self.boxes.len()
+        self.hops.len()
     }
 
-    /// Deposits `coeff * delta` into the hop-`hop` mailbox of `target`,
-    /// creating the slot (zero-initialised at the width of `delta`) if absent.
+    /// Deposits `coeff * delta` into the hop-`hop` mailbox of `target`. The
+    /// first deposit for a target since the last reset starts its row from
+    /// zero at the hop's width.
     ///
     /// # Panics
     ///
-    /// Panics if `hop` is 0 or greater than [`Self::num_hops`], or if a
-    /// previous deposit for the same slot used a different width.
+    /// Panics if `hop` is 0 or greater than [`Self::num_hops`], or if the
+    /// hop already holds mail of a different width.
     pub fn deposit(&mut self, hop: usize, target: VertexId, coeff: f32, delta: &[f32]) {
-        assert!(
-            hop >= 1 && hop <= self.boxes.len(),
-            "hop {hop} out of range"
-        );
-        let slot = self.boxes[hop - 1]
-            .entry(target)
-            .or_insert_with(|| vec![0.0; delta.len()]);
-        axpy(slot, coeff, delta);
+        assert!(hop >= 1 && hop <= self.hops.len(), "hop {hop} out of range");
+        self.hops[hop - 1].deposit(hop, target, coeff, delta);
     }
 
     /// Deposits a pre-built [`DeltaMessage`] (used when receiving remote halo
@@ -146,89 +164,59 @@ impl MailboxSet {
         self.deposit(message.hop, message.target, 1.0, &message.delta);
     }
 
-    /// Targets currently holding mail for hop `hop`.
+    /// A view of the hop-`hop` mail, targets in the order they stand.
     ///
     /// # Panics
     ///
     /// Panics if `hop` is out of range.
-    pub fn targets(&self, hop: usize) -> impl Iterator<Item = VertexId> + '_ {
-        self.boxes[hop - 1].keys().copied()
+    pub fn hop(&self, hop: usize) -> HopMail<'_> {
+        HopMail {
+            hop: &self.hops[hop - 1],
+        }
+    }
+
+    /// Sorts the hop-`hop` targets ascending and returns a view of the mail:
+    /// the canonical order the apply phase walks. Sorting moves no row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hop` is out of range.
+    pub fn sorted_hop(&mut self, hop: usize) -> HopMail<'_> {
+        let hop_box = &mut self.hops[hop - 1];
+        hop_box.targets.sort_unstable();
+        HopMail { hop: hop_box }
     }
 
     /// Number of vertices with pending mail at hop `hop`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hop` is out of range.
     pub fn len(&self, hop: usize) -> usize {
-        self.boxes[hop - 1].len()
+        self.hops[hop - 1].targets.len()
     }
 
     /// Returns `true` if no mailbox at any hop holds mail.
     pub fn is_empty(&self) -> bool {
-        self.boxes.iter().all(HashMap::is_empty)
-    }
-
-    /// Drains and returns the hop-`hop` mailbox contents, leaving it empty.
-    ///
-    /// The replacement map comes from the [`MailboxSet::recycle`] pool when
-    /// one is available, so callers that hand drained maps back keep the
-    /// grown table allocation across take/refill cycles instead of regrowing
-    /// a capacity-less `HashMap::new()` every batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hop` is out of range.
-    pub fn take_hop(&mut self, hop: usize) -> HashMap<VertexId, Vec<f32>> {
-        let replacement = self.spare.pop().unwrap_or_default();
-        std::mem::replace(&mut self.boxes[hop - 1], replacement)
-    }
-
-    /// Returns a map obtained from [`MailboxSet::take_hop`] to the recycle
-    /// pool. The map is cleared (retaining its capacity) and handed back out
-    /// by the next `take_hop` call.
-    pub fn recycle(&mut self, mut map: HashMap<VertexId, Vec<f32>>) {
-        map.clear();
-        self.spare.push(map);
-    }
-
-    /// Drains the hop-`hop` mailbox into `arena` as a flat, **ascending-
-    /// vertex-order** `(vertex, delta-row)` block, leaving the mailbox empty
-    /// while retaining its table capacity for the next batch.
-    ///
-    /// The per-slot accumulated values are moved verbatim, so applying the
-    /// arena rows is bit-identical to walking the hash map (each delta
-    /// targets its own store row; only the iteration order changes, and the
-    /// sorted order is exactly the canonical order the engines commit in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hop` is out of range, or if the slots of this hop disagree
-    /// on their delta width (the deposit API already enforces agreement).
-    pub fn drain_hop_sorted_into(&mut self, hop: usize, arena: &mut MailArena) {
-        let map = &mut self.boxes[hop - 1];
-        arena.clear();
-        arena.ids.extend(map.keys().copied());
-        arena.ids.sort_unstable();
-        if let Some(first) = arena.ids.first() {
-            arena.width = map[first].len();
-        }
-        arena.rows.reserve(arena.ids.len() * arena.width);
-        for v in &arena.ids {
-            let delta = &map[v];
-            assert_eq!(delta.len(), arena.width, "ragged mailbox rows at hop {hop}");
-            arena.rows.extend_from_slice(delta);
-        }
-        // `clear` (not `take`) keeps the grown table capacity for refills.
-        map.clear();
-    }
-
-    /// Clears every mailbox.
-    pub fn clear(&mut self) {
-        for b in &mut self.boxes {
-            b.clear();
-        }
+        self.hops.iter().all(|h| h.targets.is_empty())
     }
 
     /// Total number of pending (vertex, hop) slots across all hops.
     pub fn total_pending(&self) -> usize {
-        self.boxes.iter().map(HashMap::len).sum()
+        self.hops.iter().map(|h| h.targets.len()).sum()
+    }
+
+    /// Empties every mailbox, resetting only the slots that held mail and
+    /// keeping every buffer's capacity.
+    pub fn clear(&mut self) {
+        for hop in &mut self.hops {
+            hop.clear();
+        }
+    }
+
+    /// Heap memory retained by the slot tables and row buffers, in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.hops.iter().map(HopBox::memory_bytes).sum()
     }
 }
 
@@ -236,13 +224,19 @@ impl MailboxSet {
 mod tests {
     use super::*;
 
+    fn row(m: &MailboxSet, hop: usize, v: u32) -> Vec<f32> {
+        m.hop(hop).get(VertexId(v)).expect("pending mail").to_vec()
+    }
+
     #[test]
     fn deposits_accumulate() {
         let mut m = MailboxSet::new(2);
         m.deposit(1, VertexId(3), 1.0, &[1.0, 2.0]);
         m.deposit(1, VertexId(3), 0.5, &[4.0, 4.0]);
-        let taken = m.take_hop(1);
-        assert_eq!(taken[&VertexId(3)], vec![3.0, 4.0]);
+        assert_eq!(row(&m, 1, 3), vec![3.0, 4.0]);
+        assert_eq!(m.hop(1).get(VertexId(2)), None);
+        assert_eq!(m.hop(1).get(VertexId(900)), None, "past the slot table");
+        m.clear();
         assert!(m.is_empty());
     }
 
@@ -261,21 +255,23 @@ mod tests {
         for (c, d) in deltas.iter().rev() {
             backward.deposit(1, VertexId(0), *c, d);
         }
-        assert_eq!(forward.take_hop(1), backward.take_hop(1));
+        assert_eq!(row(&forward, 1, 0), row(&backward, 1, 0));
     }
 
     #[test]
     fn hops_are_independent() {
         let mut m = MailboxSet::new(3);
         m.deposit(1, VertexId(0), 1.0, &[1.0]);
-        m.deposit(3, VertexId(0), 1.0, &[2.0]);
+        m.deposit(3, VertexId(0), 1.0, &[2.0, 2.0]);
         assert_eq!(m.len(1), 1);
         assert_eq!(m.len(2), 0);
         assert_eq!(m.len(3), 1);
         assert_eq!(m.total_pending(), 2);
-        assert_eq!(m.targets(1).collect::<Vec<_>>(), vec![VertexId(0)]);
+        assert_eq!(m.hop(1).targets(), &[VertexId(0)]);
+        assert_eq!(row(&m, 3, 0), vec![2.0, 2.0]);
         m.clear();
         assert!(m.is_empty());
+        assert_eq!(m.hops[2].width, 0);
     }
 
     #[test]
@@ -283,8 +279,8 @@ mod tests {
         let mut m = MailboxSet::new(2);
         m.deposit_message(&DeltaMessage::new(VertexId(7), 2, vec![1.0, 1.0]));
         m.deposit_message(&DeltaMessage::new(VertexId(7), 2, vec![0.5, -1.0]));
-        let taken = m.take_hop(2);
-        assert_eq!(taken[&VertexId(7)], vec![1.5, 0.0]);
+        assert_eq!(row(&m, 2, 7), vec![1.5, 0.0]);
+        assert_eq!(m.len(1), 0);
     }
 
     #[test]
@@ -293,108 +289,74 @@ mod tests {
     }
 
     #[test]
-    fn drain_sorted_moves_accumulated_values_in_vertex_order() {
+    fn sorted_hop_orders_targets_without_moving_rows() {
         let mut m = MailboxSet::new(2);
         m.deposit(1, VertexId(9), 1.0, &[1.0, 0.0]);
         m.deposit(1, VertexId(2), 1.0, &[2.0, 2.0]);
         m.deposit(1, VertexId(9), 0.5, &[2.0, 2.0]);
-        let mut arena = MailArena::new();
-        m.drain_hop_sorted_into(1, &mut arena);
-        assert!(m.is_empty());
-        assert_eq!(arena.len(), 2);
-        assert_eq!(arena.width(), 2);
-        assert_eq!(arena.ids(), &[VertexId(2), VertexId(9)]);
-        assert_eq!(arena.row(0), &[2.0, 2.0]);
-        assert_eq!(arena.row(1), &[2.0, 1.0]);
-        let pairs: Vec<(VertexId, Vec<f32>)> = arena.iter().map(|(v, d)| (v, d.to_vec())).collect();
-        assert_eq!(pairs[0], (VertexId(2), vec![2.0, 2.0]));
-        assert!(arena.memory_bytes() > 0);
-    }
-
-    /// Bit-parity of the two apply paths: folding the sorted arena rows into
-    /// per-vertex accumulators yields exactly the values the `HashMap` walk
-    /// produced — each delta targets its own slot, so only the (irrelevant)
-    /// iteration order differs.
-    #[test]
-    fn drained_arena_is_bit_identical_to_taken_map() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(71);
-        let mut a = MailboxSet::new(1);
-        let mut b = MailboxSet::new(1);
-        for _ in 0..200 {
-            let v = VertexId(rng.gen_range(0u32..40));
-            let coeff = rng.gen_range(-2.0f32..2.0);
-            let delta: Vec<f32> = (0..3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            a.deposit(1, v, coeff, &delta);
-            b.deposit(1, v, coeff, &delta);
-        }
-        let map = a.take_hop(1);
-        let mut arena = MailArena::new();
-        b.drain_hop_sorted_into(1, &mut arena);
-        assert_eq!(arena.len(), map.len());
-        for (v, row) in arena.iter() {
-            assert_eq!(row, map[&v].as_slice(), "vertex {v}");
-        }
-    }
-
-    #[test]
-    fn drain_empty_hop_leaves_empty_arena() {
-        let mut m = MailboxSet::new(1);
-        let mut arena = MailArena::new();
-        // Pre-fill the arena to verify it is cleared.
-        m.deposit(1, VertexId(0), 1.0, &[1.0]);
-        m.drain_hop_sorted_into(1, &mut arena);
-        m.drain_hop_sorted_into(1, &mut arena);
-        assert!(arena.is_empty());
-        assert_eq!(arena.width(), 0);
-        assert_eq!(arena.iter().count(), 0);
-    }
-
-    #[test]
-    fn drain_retains_map_capacity_across_cycles() {
-        let mut m = MailboxSet::new(1);
-        let mut arena = MailArena::new();
-        for v in 0..64u32 {
-            m.deposit(1, VertexId(v), 1.0, &[1.0]);
-        }
-        m.drain_hop_sorted_into(1, &mut arena);
-        let capacity_after_drain = m.boxes[0].capacity();
-        assert!(
-            capacity_after_drain >= 64,
-            "drain must keep the grown table, got capacity {capacity_after_drain}"
+        assert_eq!(m.hop(1).targets(), &[VertexId(9), VertexId(2)]);
+        let mail = m.sorted_hop(1);
+        assert_eq!(mail.targets(), &[VertexId(2), VertexId(9)]);
+        let pairs: Vec<(VertexId, Vec<f32>)> = mail.iter().map(|(v, d)| (v, d.to_vec())).collect();
+        assert_eq!(
+            pairs,
+            vec![(VertexId(2), vec![2.0, 2.0]), (VertexId(9), vec![2.0, 1.0])]
         );
-        // Refill: no rehash growth needed for the same population.
-        for v in 0..64u32 {
-            m.deposit(1, VertexId(v), 1.0, &[1.0]);
-        }
-        assert_eq!(m.boxes[0].capacity(), capacity_after_drain);
+        assert!(m.memory_bytes() > 0);
     }
 
     #[test]
-    fn recycled_map_allocation_is_reused_by_take_hop() {
+    fn empty_hop_yields_an_empty_view() {
+        let mut m = MailboxSet::new(2);
+        m.deposit(1, VertexId(0), 1.0, &[1.0]);
+        let mail = m.sorted_hop(2);
+        assert!(mail.targets().is_empty());
+        assert_eq!(mail.iter().count(), 0);
+        assert_eq!(mail.get(VertexId(0)), None);
+    }
+
+    #[test]
+    fn clear_resets_touched_slots_only_and_keeps_capacity() {
         let mut m = MailboxSet::new(1);
-        for v in 0..64u32 {
-            m.deposit(1, VertexId(v), 1.0, &[1.0]);
+        for v in (0..64u32).rev() {
+            m.deposit(1, VertexId(v), 1.0, &[1.0, 2.0]);
         }
-        let taken = m.take_hop(1);
-        let grown_capacity = taken.capacity();
-        assert!(grown_capacity >= 64);
-        m.recycle(taken);
-        // The next take hands the recycled (cleared, still-grown) map back
-        // out as the replacement slot.
-        let empty = m.take_hop(1);
-        assert!(empty.is_empty());
-        assert_eq!(m.boxes[0].capacity(), grown_capacity);
+        let (slots, rows, targets) = {
+            let h = &m.hops[0];
+            (h.slot.capacity(), h.rows.capacity(), h.targets.capacity())
+        };
+        assert!(slots >= 64 && rows >= 128 && targets >= 64);
+        m.clear();
+        assert!(m.hops[0].slot.iter().all(|&s| s == EMPTY));
+        // Refill the same population: no buffer grows, no stale row leaks.
+        for v in 0..64u32 {
+            m.deposit(1, VertexId(v), 0.5, &[2.0, 2.0]);
+        }
+        let h = &m.hops[0];
+        assert_eq!(h.slot.capacity(), slots);
+        assert_eq!(h.rows.capacity(), rows);
+        assert_eq!(h.targets.capacity(), targets);
+        assert_eq!(row(&m, 1, 0), vec![1.0, 1.0]);
+        assert_eq!(row(&m, 1, 63), vec![1.0, 1.0]);
     }
 
     #[test]
-    fn equality_ignores_the_spare_pool() {
-        let mut a = MailboxSet::new(1);
-        let b = MailboxSet::new(1);
-        a.deposit(1, VertexId(0), 1.0, &[1.0]);
-        let map = a.take_hop(1);
-        a.recycle(map);
-        assert_eq!(a, b, "spare maps are a cache, not observable state");
+    fn slot_table_grows_on_demand() {
+        let mut m = MailboxSet::new(1);
+        m.deposit(1, VertexId(3), 1.0, &[1.0]);
+        assert_eq!(m.hops[0].slot.len(), 4);
+        m.deposit(1, VertexId(1000), 1.0, &[2.0]);
+        assert!(m.hops[0].slot.len() > 1000);
+        assert_eq!(row(&m, 1, 3), vec![1.0]);
+        assert_eq!(row(&m, 1, 1000), vec![2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wide")]
+    fn width_mismatch_panics() {
+        let mut m = MailboxSet::new(1);
+        m.deposit(1, VertexId(0), 1.0, &[1.0, 2.0]);
+        m.deposit(1, VertexId(1), 1.0, &[1.0]);
     }
 
     #[test]

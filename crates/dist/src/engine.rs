@@ -48,7 +48,8 @@ struct EdgeChange {
 /// run — is reproducible.
 struct MessageRouter<'a> {
     partitioning: &'a Partitioning,
-    mailboxes: MailboxSet,
+    /// The engine's per-hop mailboxes, cleared for this batch.
+    mailboxes: &'a mut MailboxSet,
     /// Outgoing halo stubs, one slot per **sending** worker (the shared
     /// [`HaloStubs`] pool also backs the threaded serving tier, where slots
     /// index the receiver instead).
@@ -56,10 +57,11 @@ struct MessageRouter<'a> {
 }
 
 impl<'a> MessageRouter<'a> {
-    fn new(partitioning: &'a Partitioning, num_hops: usize) -> Self {
+    fn new(partitioning: &'a Partitioning, mailboxes: &'a mut MailboxSet) -> Self {
+        mailboxes.clear();
         MessageRouter {
             partitioning,
-            mailboxes: MailboxSet::new(num_hops),
+            mailboxes,
             stubs: HaloStubs::new(partitioning.num_parts()),
         }
     }
@@ -98,17 +100,6 @@ impl<'a> MessageRouter<'a> {
         }
         superstep_bytes
     }
-
-    /// Drains and returns the hop-`hop` mailbox contents.
-    fn take_hop(&mut self, hop: usize) -> HashMap<VertexId, Vec<f32>> {
-        self.mailboxes.take_hop(hop)
-    }
-
-    /// Returns a drained map so its grown table allocation is reused by the
-    /// next superstep's `take_hop` instead of regrowing from empty.
-    fn recycle(&mut self, map: HashMap<VertexId, Vec<f32>>) {
-        self.mailboxes.recycle(map);
-    }
 }
 
 /// The distributed incremental (Ripple) engine.
@@ -136,6 +127,10 @@ pub struct DistRippleEngine {
     /// simulated workers' compute phases (they run one after another in this
     /// simulation); steady-state frontier evaluation is allocation-free.
     scratches: Vec<Scratch>,
+    /// The per-hop mailboxes of every worker (a target's mail only ever
+    /// lands in its owner's), kept for the engine's life and cleared at the
+    /// start of every batch.
+    mailboxes: MailboxSet,
     /// Reusable buffer for the per-vertex output delta of the commit phase.
     commit_delta: Vec<f32>,
 }
@@ -161,14 +156,15 @@ impl DistRippleEngine {
         let stores = vec![store.clone(); partitioning.num_parts()];
         Ok(DistRippleEngine {
             graph: graph.clone(),
-            model,
             partitioning,
             network,
             stores,
             pool: WorkerPool::default(),
             topo: CsrSnapshot::from_dynamic(graph),
             scratches: vec![Scratch::new()],
+            mailboxes: MailboxSet::new(model.num_layers()),
             commit_delta: Vec::new(),
+            model,
         })
     }
 
@@ -247,13 +243,14 @@ impl DistRippleEngine {
             pool,
             topo,
             scratches,
+            mailboxes,
             commit_delta,
         } = self;
         let num_layers = model.num_layers();
         let num_parts = partitioning.num_parts();
         let aggregator = model.aggregator();
 
-        let mut router = MessageRouter::new(partitioning, num_layers);
+        let mut router = MessageRouter::new(partitioning, mailboxes);
         let mut stats = DistBatchStats {
             batch_size: batch.len(),
             ..DistBatchStats::default()
@@ -366,16 +363,31 @@ impl DistRippleEngine {
             // concurrently in a real deployment, so the phase costs as much
             // as its slowest worker.
             let layer = model.layer(hop)?;
-            let mail = router.take_hop(hop);
-            let mut affected: HashSet<VertexId> = mail.keys().copied().collect();
+            let mail = router.mailboxes.hop(hop);
+            let mut affected: HashSet<VertexId> = mail.targets().iter().copied().collect();
             if layer.depends_on_self() {
                 affected.extend(changed_prev.iter().copied());
             }
             if hop == num_layers {
                 stats.affected_final = affected.len();
             }
-
             let by_part = group_by_part(affected, partitioning);
+
+            // Apply phase: every worker folds the deltas addressed to its
+            // vertices into its store in place. All parts apply before any
+            // commits: each target row gets exactly one add either way, and
+            // the commits below deposit into the next hop only.
+            let mut apply_time = vec![Duration::ZERO; num_parts];
+            for ((part, vertices), time) in by_part.iter().enumerate().zip(&mut apply_time) {
+                let apply_start = Instant::now();
+                for &v in vertices {
+                    if let Some(delta) = mail.get(v) {
+                        ripple_tensor::add_assign(stores[part].aggregate_mut(hop, v), delta);
+                    }
+                }
+                *time = apply_start.elapsed();
+            }
+
             let mut changed_now: HashSet<VertexId> = HashSet::new();
             let mut slowest_worker = Duration::ZERO;
             for (part, vertices) in by_part.iter().enumerate() {
@@ -384,17 +396,10 @@ impl DistRippleEngine {
                 }
                 let worker_start = Instant::now();
 
-                // Apply phase: fold the deltas addressed to this part's
-                // vertices into its store in place, then the compute phase
-                // runs intra-worker parallel — pool workers re-evaluate
-                // disjoint contiguous shards of the frontier into their own
-                // scratch arenas (allocation-free once warm) without
-                // writing the store.
-                for &v in vertices {
-                    if let Some(delta) = mail.get(&v) {
-                        ripple_tensor::add_assign(stores[part].aggregate_mut(hop, v), delta);
-                    }
-                }
+                // The compute phase runs intra-worker parallel: pool workers
+                // re-evaluate disjoint contiguous shards of the frontier into
+                // their own scratch arenas (allocation-free once warm)
+                // without writing the store.
                 let ranges = evaluate_frontier_into(
                     pool,
                     &*topo,
@@ -436,9 +441,8 @@ impl DistRippleEngine {
                         }
                     }
                 }
-                slowest_worker = slowest_worker.max(worker_start.elapsed());
+                slowest_worker = slowest_worker.max(apply_time[part] + worker_start.elapsed());
             }
-            router.recycle(mail);
             stats.compute_time += slowest_worker;
             changed_prev = changed_now;
         }

@@ -332,9 +332,10 @@ pub enum ServeError {
     /// validation; the message names the offending knob.
     InvalidConfig(String),
     /// A read request failed validation before touching any snapshot: zero
-    /// `k`, zero `nprobe`, a query vector whose width does not match the
-    /// embedding width, or an approximate read against a session without an
-    /// index. The message names the offending parameter.
+    /// `k`, zero `nprobe`, a query vector with a non-finite component (NaN
+    /// or ±∞), a query vector whose width does not match the embedding
+    /// width, or an approximate read against a session without an index.
+    /// The message names the offending parameter.
     InvalidQuery(String),
     /// A point read named a vertex outside the served id space.
     UnknownVertex(VertexId),

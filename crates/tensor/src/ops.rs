@@ -171,8 +171,8 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
 }
 
 /// Scalar column tail of one GEMM output row: columns `j0..n`. Shared by the
-/// scalar kernels and the SIMD tiers (whose sub-8-column tails stay scalar,
-/// exactly like the scalar kernel's own tail loop).
+/// scalar kernels and the NEON tier; the AVX2 tier runs the same per-column
+/// sequence in a masked 8-lane tile instead.
 #[inline]
 pub(crate) fn gemm_row_tail(
     a_row: &[f32],

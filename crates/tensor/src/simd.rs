@@ -9,7 +9,10 @@
 //!
 //! * The GEMM/row-matmul kernels vectorise across *output columns* — the 8
 //!   accumulator lanes of a `4 x 8` register tile are 8 independent output
-//!   elements, each still summing `A[i][p] * B[p][j]` for `p` ascending.
+//!   elements, each still summing `A[i][p] * B[p][j]` for `p` ascending. On
+//!   AVX2 the `n % 8` column tail is one more tile with the lanes past `n`
+//!   masked off (`maskload`/`maskstore`); NEON keeps the scalar tail loop
+//!   (it has no masked load, and no NEON host has run this code).
 //! * The row-scoring kernel behind `ops::score_rows_into` vectorises across
 //!   *rows*: each of the 8 lanes is one row's dot product with the query,
 //!   fed by an in-register transpose, so no sum is ever split across lanes
@@ -309,22 +312,47 @@ pub(crate) mod x86 {
                 j0 += LANES;
             }
             if j0 < n {
-                for di in 0..4 {
-                    let i = i0 + di;
-                    crate::ops::gemm_row_tail(
-                        &a[i * k..(i + 1) * k],
-                        b,
-                        n,
-                        j0,
-                        &mut out[i * n..(i + 1) * n],
-                    );
+                // The `n % 8` column tail: one more 4 x 8 tile whose lanes
+                // past `n` are masked off on every load and store.
+                let mask = tail_mask(n - j0);
+                let mut acc0 = _mm256_setzero_ps();
+                let mut acc1 = _mm256_setzero_ps();
+                let mut acc2 = _mm256_setzero_ps();
+                let mut acc3 = _mm256_setzero_ps();
+                for p in 0..k {
+                    let bt = _mm256_maskload_ps(bp.add(p * n + j0), mask);
+                    let a0 = _mm256_set1_ps(*ap.add(i0 * k + p));
+                    let a1 = _mm256_set1_ps(*ap.add((i0 + 1) * k + p));
+                    let a2 = _mm256_set1_ps(*ap.add((i0 + 2) * k + p));
+                    let a3 = _mm256_set1_ps(*ap.add((i0 + 3) * k + p));
+                    acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(a0, bt));
+                    acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(a1, bt));
+                    acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(a2, bt));
+                    acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(a3, bt));
                 }
+                _mm256_maskstore_ps(op.add(i0 * n + j0), mask, acc0);
+                _mm256_maskstore_ps(op.add((i0 + 1) * n + j0), mask, acc1);
+                _mm256_maskstore_ps(op.add((i0 + 2) * n + j0), mask, acc2);
+                _mm256_maskstore_ps(op.add((i0 + 3) * n + j0), mask, acc3);
             }
             i0 += 4;
         }
         for i in i0..m {
             row_matmul(&a[i * k..(i + 1) * k], b, n, &mut out[i * n..(i + 1) * n]);
         }
+    }
+
+    /// Lane mask of a partial column tile: lane `j` is active iff
+    /// `j < cols`. Masked-off lanes are never read or written, so a tail
+    /// tile may sit at the very end of its slice. Each active lane runs the
+    /// scalar tail's sequence — from 0.0, ascending `k`, mul then add — so
+    /// the tail stays bit-identical to `ops::gemm_row_tail`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tail_mask(cols: usize) -> __m256i {
+        debug_assert!(cols > 0 && cols < LANES);
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(cols as i32), lanes)
     }
 
     /// # Safety
@@ -346,7 +374,15 @@ pub(crate) mod x86 {
             _mm256_storeu_ps(op.add(j0), acc);
             j0 += LANES;
         }
-        crate::ops::gemm_row_tail(x, w, n, j0, out);
+        if j0 < n {
+            let mask = tail_mask(n - j0);
+            let mut acc = _mm256_setzero_ps();
+            for (p, &xp) in x.iter().enumerate() {
+                let wt = _mm256_maskload_ps(wp.add(p * n + j0), mask);
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(xp), wt));
+            }
+            _mm256_maskstore_ps(op.add(j0), mask, acc);
+        }
     }
 
     /// Scores eight rows per block, one row per lane: the products of 8 rows

@@ -444,3 +444,64 @@ fn forced_scalar_and_auto_engine_runs_are_bit_identical() {
         );
     }
 }
+
+/// The GEMM contract written out: every output element sums
+/// `a[i][p] * b[p][j]` from 0.0 for `p` ascending, mul then add.
+fn naive_gemm(a: &[f32], m: usize, k: usize, b: &Matrix) -> Vec<f32> {
+    let n = b.cols();
+    let b = b.as_slice();
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += a[i * k + p] * b[p * n + j];
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// Deterministic sweep of the GEMM column tails on every tier: widths
+/// 1..=17 plus 47 (`dense_stream`'s output layer) and 129, every row count
+/// 1..=9 (the 4-row tile and its remainders) and depths 1, 7 and 128. Both
+/// kernels write into the prefix of a NaN-filled buffer, so a masked store
+/// that strays past `m·n` is caught as well as a wrong value.
+#[test]
+fn gemm_column_tails_match_the_scalar_sequence_on_every_tier() {
+    const SENTINEL_PAD: usize = 16;
+    let widths = (1..=17).chain([47, 129]);
+    with_tiers(|tier| {
+        for n in widths.clone() {
+            for k in [1, 7, 128] {
+                let b = init::uniform(k, n, -2.0, 2.0, (n * 131 + k) as u64);
+                for m in 1..=9 {
+                    let a = init::uniform(m, k, -2.0, 2.0, (m * 17 + n) as u64);
+                    let want = naive_gemm(a.as_slice(), m, k, &b);
+                    let context = format!("{m}x{k}x{n} on {tier}");
+
+                    let mut buf = vec![f32::NAN; m * n + SENTINEL_PAD];
+                    ops::gemm_block_into(a.as_slice(), m, &b, &mut buf[..m * n]).unwrap();
+                    assert_bits_eq(&want, &buf[..m * n], &format!("gemm_block {context}"));
+                    assert!(
+                        buf[m * n..].iter().all(|x| x.is_nan()),
+                        "gemm_block {context} wrote past its output"
+                    );
+
+                    let mut row = vec![f32::NAN; n + SENTINEL_PAD];
+                    ops::row_matmul_into(a.row(m - 1), &b, &mut row[..n]).unwrap();
+                    assert_bits_eq(
+                        &want[(m - 1) * n..],
+                        &row[..n],
+                        &format!("row_matmul {context}"),
+                    );
+                    assert!(
+                        row[n..].iter().all(|x| x.is_nan()),
+                        "row_matmul {context} wrote past its output"
+                    );
+                }
+            }
+        }
+    });
+}

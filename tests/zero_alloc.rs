@@ -136,3 +136,56 @@ fn warm_into_kernels_perform_zero_allocations() {
     });
     assert_eq!(allocs, 0, "aggregation _into kernels allocated");
 }
+
+/// A 64-update window rewriting the features of 64 distinct vertices.
+fn feature_window(num_vertices: u32, dim: usize, round: u32) -> UpdateBatch {
+    UpdateBatch::from_updates(
+        (0..64u32)
+            .map(|i| {
+                let v = VertexId((i * 37 + round * 11) % num_vertices);
+                let features = (0..dim)
+                    .map(|d| ((i + d as u32 + round) % 13) as f32 * 0.125 - 0.75)
+                    .collect();
+                GraphUpdate::update_feature(v, features)
+            })
+            .collect(),
+    )
+}
+
+/// The mailbox contract: a warm engine's batch allocates a fixed handful of
+/// times (per-hop frontier and bookkeeping vectors), however many mailbox
+/// deposits it makes. On a dense graph every window's cone is the whole
+/// graph, so each hop deposits into hundreds of (hop, target) slots; none
+/// of them may cost an allocation.
+#[test]
+fn warm_engine_batch_allocations_do_not_grow_with_deposits() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    let (num_vertices, dim) = (400u32, 16);
+    let graph = DatasetSpec::custom(num_vertices as usize, 20.0, dim, 4)
+        .generate(3)
+        .unwrap();
+    let model = GnnModel::new(LayerKind::GraphConv, Aggregator::Sum, &[dim, 32, 32, 4], 5).unwrap();
+    let store = full_inference(&graph, &model).unwrap();
+    let mut engine = RippleEngine::new(graph, model, store, RippleConfig::default()).unwrap();
+    for round in 0..3 {
+        engine
+            .process_batch(&feature_window(num_vertices, dim, round))
+            .unwrap();
+    }
+    for round in 3..6 {
+        let window = feature_window(num_vertices, dim, round);
+        let (allocs, stats) = count_allocations(|| engine.process_batch(&window));
+        let stats = stats.unwrap();
+        let slots: usize = stats.affected_per_hop.iter().sum();
+        assert!(
+            stats.aggregate_ops > 10_000 && slots > 1_000,
+            "the window must be dense: {} deposits into {slots} slots",
+            stats.aggregate_ops
+        );
+        assert!(
+            allocs <= 40,
+            "warm batch allocated {allocs} times for {} deposits",
+            stats.aggregate_ops
+        );
+    }
+}
