@@ -1,13 +1,15 @@
 //! Bit-level golden digests of the propagation engines.
 //!
 //! Every workload at 1 and 3 layers streams the same fixed-seed update plan
-//! through a 1-thread [`RippleEngine`], a 4-thread one, and a pair of
+//! through a 1-thread [`RippleEngine`], a 4-thread one, a pair of
 //! [`ShardEngine`]s fed on the sharded tier's schedule (each window carries
 //! a batch share plus the halos received since the last one) and pumped to
-//! quiescence after the last batch. Each run is
-//! reduced to one FNV-1a-64 digest over the `to_bits()` of every embedding
-//! and aggregate row plus the summed [`BatchStats`] counters, and compared
-//! against the committed constants below.
+//! quiescence after the last batch, and a [`DistRippleEngine`] on three LDG
+//! partitions. Each run is reduced to one FNV-1a-64 digest over the
+//! `to_bits()` of every embedding and aggregate row plus the summed
+//! counters ([`BatchStats`] for the local and shard engines; the
+//! communication ledger, supersteps and final-hop coverage for the BSP
+//! engine), and compared against the committed constants below.
 //!
 //! The constants pin float accumulation order: a refactor of the hop loop
 //! that reorders mailbox deposits, or a change to which vertices a hop
@@ -32,6 +34,21 @@ const GOLDEN: [(Workload, usize, u64, u64); 10] = [
     (Workload::GiS, 3, 0x1949508183d26915, 0x08193655cafa3a3e),
     (Workload::GcW, 1, 0x38286d56c536af96, 0x9c7acd94c3a3e13d),
     (Workload::GcW, 3, 0x93252003d23cf273, 0x30f4afde25f3d0c2),
+];
+
+/// `(workload, layers, three-worker BSP digest)`, for every workload at 1
+/// and 3 layers.
+const BSP_GOLDEN: [(Workload, usize, u64); 10] = [
+    (Workload::GcS, 1, 0x5c1bfa3da6bcc884),
+    (Workload::GcS, 3, 0x7e74be6d8235872e),
+    (Workload::GsS, 1, 0x172a9f382acd7639),
+    (Workload::GsS, 3, 0xc48f24cf4bdd2a69),
+    (Workload::GcM, 1, 0xa6a30a29b3b6a8b7),
+    (Workload::GcM, 3, 0x59b48c44cd982769),
+    (Workload::GiS, 1, 0xffb4c80e9d56f91f),
+    (Workload::GiS, 3, 0xacb21b5334272ed8),
+    (Workload::GcW, 1, 0xedb4f4e49f02abba),
+    (Workload::GcW, 3, 0xa7690501c8671ecd),
 ];
 
 const SEED: u64 = 0x5eed;
@@ -85,6 +102,17 @@ impl Counters {
 }
 
 fn digest(store: &EmbeddingStore, counters: &Counters) -> u64 {
+    let mut h = store_hash(store);
+    for &n in &counters.affected_per_hop {
+        h.word(n as u64);
+    }
+    h.word(counters.propagation_tree_size as u64);
+    h.word(counters.aggregate_ops as u64);
+    h.0
+}
+
+/// FNV-1a-64 over every embedding and aggregate row of `store`.
+fn store_hash(store: &EmbeddingStore) -> Fnv {
     let mut h = Fnv::new();
     for v in 0..store.num_vertices() as u32 {
         let v = VertexId(v);
@@ -95,12 +123,7 @@ fn digest(store: &EmbeddingStore, counters: &Counters) -> u64 {
             h.floats(store.aggregate(l, v));
         }
     }
-    for &n in &counters.affected_per_hop {
-        h.word(n as u64);
-    }
-    h.word(counters.propagation_tree_size as u64);
-    h.word(counters.aggregate_ops as u64);
-    h.0
+    h
 }
 
 fn bootstrap(
@@ -217,6 +240,33 @@ fn shard_digest(workload: Workload, layers: usize) -> u64 {
     digest(&gathered, &counters)
 }
 
+/// Streams the plan through a BSP engine on three LDG partitions and
+/// digests the gathered store plus the summed communication ledger,
+/// supersteps and final-hop coverage.
+fn dist_digest(workload: Workload, layers: usize, threads: usize) -> u64 {
+    let (graph, model, store, batches) = bootstrap(workload, layers);
+    let partitioning = LdgPartitioner::new().partition(&graph, 3).unwrap();
+    let mut engine =
+        DistRippleEngine::new(&graph, model, &store, partitioning, NetworkModel::ten_gbe())
+            .unwrap()
+            .with_threads(threads);
+    let (mut messages, mut bytes, mut halo_bytes) = (0, 0, 0);
+    let (mut supersteps, mut affected_final) = (0, 0);
+    for batch in &batches {
+        let stats = engine.process_batch(batch).unwrap();
+        messages += stats.comm.messages;
+        bytes += stats.comm.bytes;
+        halo_bytes += stats.comm.halo_bytes;
+        supersteps += stats.supersteps;
+        affected_final += stats.affected_final;
+    }
+    let mut h = store_hash(&engine.gather_store());
+    for n in [messages, bytes, halo_bytes, supersteps, affected_final] {
+        h.word(n as u64);
+    }
+    h.0
+}
+
 #[test]
 fn ripple_engine_digests_are_pinned() {
     for (workload, layers, expected, _) in GOLDEN {
@@ -237,6 +287,22 @@ fn four_threads_reproduce_the_one_thread_digests() {
 fn shard_engine_digests_are_pinned() {
     for (workload, layers, _, expected) in GOLDEN {
         let got = shard_digest(workload, layers);
+        assert_eq!(got, expected, "{workload} at {layers} layers: {got:#018x}");
+    }
+}
+
+#[test]
+fn dist_engine_digests_are_pinned() {
+    for (workload, layers, expected) in BSP_GOLDEN {
+        let got = dist_digest(workload, layers, 1);
+        assert_eq!(got, expected, "{workload} at {layers} layers: {got:#018x}");
+    }
+}
+
+#[test]
+fn four_thread_dist_engine_reproduces_the_one_thread_digests() {
+    for (workload, layers, expected) in BSP_GOLDEN {
+        let got = dist_digest(workload, layers, 4);
         assert_eq!(got, expected, "{workload} at {layers} layers: {got:#018x}");
     }
 }
