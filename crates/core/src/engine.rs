@@ -20,6 +20,12 @@
 //! generic over a `Route` that decides where each mailbox deposit goes:
 //! every deposit stays local in a [`RippleEngine`], while a
 //! [`crate::ShardEngine`] sends deposits for foreign sinks to its outbox.
+//! The loop's phases (begin, then inject and compute per hop, then finish)
+//! are run in three ways: [`RippleEngine::process_batch`] runs them back to
+//! back, [`crate::ShardEngine::process_window`] does the same for one shard,
+//! and [`crate::ShardEngine::process_lockstep`] runs every shard of a
+//! partitioning through each hop together, exchanging outboxes between the
+//! inject and compute phases (the distributed BSP engine).
 //!
 //! Within a hop, every affected vertex re-evaluates against state that no
 //! other vertex of the same hop touches. [`RippleEngine::with_threads`]
@@ -143,6 +149,15 @@ struct UpdatePhase {
     changed_prev: Vec<VertexId>,
 }
 
+/// A batch between the phases of [`RippleEngine::run_batch`]: the state
+/// the update operator left for propagation plus the statistics so far.
+pub(crate) struct BatchRun {
+    phase: UpdatePhase,
+    stats: BatchStats,
+    /// When the batch started.
+    start: Instant,
+}
+
 /// Validates that a graph, model and bootstrap store fit together.
 fn validate_parts(graph: &DynamicGraph, model: &GnnModel, store: &EmbeddingStore) -> Result<()> {
     if store.num_vertices() != graph.num_vertices() {
@@ -233,8 +248,10 @@ const MIN_PARALLEL_FRONTIER: usize = 64;
 /// uniform at a given hop, so static ranges stay load-balanced.
 ///
 /// Once every arena has reached steady-state capacity, the per-worker
-/// evaluation kernels perform **zero heap allocations**. Shared by
-/// [`RippleEngine`] and the distributed engine's intra-worker parallelism.
+/// evaluation kernels perform **zero heap allocations**. Its one caller is
+/// [`RippleEngine::compute_hop`], which every engine mode runs: the local
+/// engine, each [`crate::ShardEngine`] of the serving tier and each worker
+/// of the distributed (BSP) engine.
 ///
 /// # Errors
 ///
@@ -243,7 +260,7 @@ const MIN_PARALLEL_FRONTIER: usize = 64;
 /// # Panics
 ///
 /// Panics if `scratches` is empty.
-pub fn evaluate_frontier_into<G: GraphView + Sync + ?Sized>(
+pub(crate) fn evaluate_frontier_into<G: GraphView + Sync + ?Sized>(
     pool: &WorkerPool,
     graph: &G,
     model: &GnnModel,
@@ -497,37 +514,93 @@ impl RippleEngine {
         Ok(self.dirty.clone())
     }
 
-    /// Runs one batch end to end: the `update` operator, then the halo
-    /// deltas received from peer shards, then the `propagate` operator hop by
-    /// hop, with every deposit sent where `route` says.
+    /// Runs one batch end to end: [`RippleEngine::begin_batch`], then
+    /// [`RippleEngine::inject_hop`] and [`RippleEngine::compute_hop`] for
+    /// every hop, then [`RippleEngine::finish_batch`], with every deposit
+    /// sent where `route` says.
     ///
     /// Each hop's mailbox receives its deposits in a fixed order — update
     /// operator, halos, the previous hop's commit, this hop's edge-change
-    /// injection — which pins float accumulation order. The mailboxes are
-    /// cleared first, so mail left by a batch that failed midway never
-    /// leaks into this one.
+    /// injection — which pins float accumulation order. The phases are
+    /// separate so that [`crate::ShardEngine::process_lockstep`] can run
+    /// several engines through each hop together.
     pub(crate) fn run_batch<R: Route>(
         &mut self,
         batch: &UpdateBatch,
         halos: &[DeltaMessage],
         route: &mut R,
     ) -> Result<BatchStats> {
+        let mut run = self.begin_batch(batch, halos, route)?;
+        for hop in 1..=self.model.num_layers() {
+            self.inject_hop(&mut run, hop, route);
+            self.compute_hop(&mut run, hop, route)?;
+        }
+        Ok(self.finish_batch(run))
+    }
+
+    /// Starts a batch: clears the mailboxes and the dirty set, runs the
+    /// `update` operator, then deposits the halo deltas received from peer
+    /// shards. The mailboxes are cleared first, so mail left by a batch
+    /// that failed midway never leaks into this one.
+    pub(crate) fn begin_batch<R: Route>(
+        &mut self,
+        batch: &UpdateBatch,
+        halos: &[DeltaMessage],
+        route: &mut R,
+    ) -> Result<BatchRun> {
         let mut stats = BatchStats {
             batch_size: batch.len(),
             ..BatchStats::default()
         };
-
-        let update_start = Instant::now();
+        let start = Instant::now();
         self.dirty.clear();
         self.mailboxes.clear();
-        let mut phase = self.run_update_operator(batch, route, &mut stats)?;
+        let phase = self.run_update_operator(batch, route, &mut stats)?;
+        let mut run = BatchRun {
+            phase,
+            stats,
+            start,
+        };
         for message in halos {
-            self.mailboxes.deposit_message(message);
-            stats.aggregate_ops += 1;
+            self.deposit_halo(&mut run, message);
         }
-        stats.update_time = update_start.elapsed();
+        run.stats.update_time = start.elapsed();
+        // Feature-updated vertices rewrote their layer-0 rows.
+        self.dirty.extend_from_slice(&run.phase.changed_prev);
+        Ok(run)
+    }
 
-        let propagate_start = Instant::now();
+    /// Deposits one halo delta received from a peer shard.
+    pub(crate) fn deposit_halo(&mut self, run: &mut BatchRun, message: &DeltaMessage) {
+        self.mailboxes.deposit_message(message);
+        run.stats.aggregate_ops += 1;
+    }
+
+    /// Injects the hop's contribution of every topology change (hop 1 was
+    /// deposited by the update operator). A new (deleted) edge adds
+    /// (removes) the source's *pre-batch* embedding; the source's in-batch
+    /// change arrives separately via its own delta.
+    pub(crate) fn inject_hop<R: Route>(&mut self, run: &mut BatchRun, hop: usize, route: &mut R) {
+        if hop < 2 {
+            return;
+        }
+        for change in &run.phase.edge_changes {
+            let pre_batch = &run.phase.source_snapshots[&change.source][hop - 2];
+            let coeff = change.sign * change.coeff;
+            route.deposit(&mut self.mailboxes, hop, change.sink, coeff, pre_batch);
+            run.stats.aggregate_ops += 1;
+        }
+    }
+
+    /// Propagates one hop: sorts the hop's mail, applies it, re-evaluates
+    /// the affected frontier and commits the new embeddings, forwarding each
+    /// vertex's delta to the next hop.
+    pub(crate) fn compute_hop<R: Route>(
+        &mut self,
+        run: &mut BatchRun,
+        hop: usize,
+        route: &mut R,
+    ) -> Result<()> {
         let RippleEngine {
             model,
             store,
@@ -540,89 +613,76 @@ impl RippleEngine {
             dirty,
             ..
         } = self;
+        let BatchRun { phase, stats, .. } = run;
         let num_layers = model.num_layers();
         let aggregator = model.aggregator();
-        // Feature-updated vertices rewrote their layer-0 rows.
-        dirty.extend_from_slice(&phase.changed_prev);
-        for hop in 1..=num_layers {
-            // Inject the hop's contribution of every topology change (hop 1
-            // was deposited by the update operator). A new (deleted) edge
-            // adds (removes) the source's *pre-batch* embedding; the source's
-            // in-batch change arrives separately via its own delta.
-            if hop >= 2 {
-                for change in &phase.edge_changes {
-                    let pre_batch = &phase.source_snapshots[&change.source][hop - 2];
-                    let coeff = change.sign * change.coeff;
-                    route.deposit(mailboxes, hop, change.sink, coeff, pre_batch);
+        let layer = model.layer(hop)?;
+        let mail = mailboxes.sorted_hop(hop);
+        let affected =
+            sorted_affected(mail.targets(), &phase.changed_prev, layer.depends_on_self());
+        stats.affected_per_hop.push(affected.len());
+        stats.propagation_tree_size += affected.len();
+        if hop == num_layers {
+            stats.affected_final = affected.len();
+        }
+        dirty.extend_from_slice(&affected);
+
+        // Apply: fold each target's accumulated row straight into its
+        // stored raw aggregate, in ascending target order.
+        for (v, delta) in mail.iter() {
+            ripple_tensor::add_assign(store.aggregate_mut(hop, v), delta);
+            stats.aggregate_ops += 1;
+        }
+
+        // Evaluate: workers re-evaluate contiguous ranges of the frontier
+        // into their own scratch arenas, streaming the snapshot's rows.
+        let ranges = evaluate_frontier_into(pool, topo, model, store, hop, &affected, scratches)?;
+
+        // Commit block after block in frontier order: write the new
+        // embeddings back and forward each vertex's delta to the next
+        // hop, exactly as one thread would.
+        // The commit walks the frontier in ascending order, so the
+        // changed set comes out sorted.
+        let mut changed_now = Vec::with_capacity(affected.len());
+        let evaluated = scratches
+            .iter()
+            .zip(ranges)
+            .flat_map(|(scratch, range)| affected[range].iter().zip(scratch.out.iter_rows()));
+        for (&v, new_embedding) in evaluated {
+            let old = store.embedding(hop, v);
+            delta.clear();
+            delta.extend(new_embedding.iter().zip(old).map(|(n, o)| n - o));
+            store.set_embedding(hop, v, new_embedding)?;
+
+            if config.skip_unchanged && delta.iter().all(|d| d.abs() <= config.prune_tolerance) {
+                continue;
+            }
+            changed_now.push(v);
+
+            if hop < num_layers {
+                let (sinks, weights) = GraphView::out_adjacency(topo, v);
+                for (&w, &weight) in sinks.iter().zip(weights) {
+                    let coeff = aggregator.edge_coefficient(weight);
+                    route.deposit(mailboxes, hop + 1, w, coeff, delta);
                     stats.aggregate_ops += 1;
                 }
             }
-
-            let layer = model.layer(hop)?;
-            let mail = mailboxes.sorted_hop(hop);
-            let affected =
-                sorted_affected(mail.targets(), &phase.changed_prev, layer.depends_on_self());
-            stats.affected_per_hop.push(affected.len());
-            stats.propagation_tree_size += affected.len();
-            if hop == num_layers {
-                stats.affected_final = affected.len();
-            }
-            dirty.extend_from_slice(&affected);
-
-            // Apply: fold each target's accumulated row straight into its
-            // stored raw aggregate, in ascending target order.
-            for (v, delta) in mail.iter() {
-                ripple_tensor::add_assign(store.aggregate_mut(hop, v), delta);
-                stats.aggregate_ops += 1;
-            }
-
-            // Evaluate: workers re-evaluate contiguous ranges of the frontier
-            // into their own scratch arenas, streaming the snapshot's rows.
-            let ranges =
-                evaluate_frontier_into(pool, topo, model, store, hop, &affected, scratches)?;
-
-            // Commit block after block in frontier order: write the new
-            // embeddings back and forward each vertex's delta to the next
-            // hop, exactly as one thread would.
-            // The commit walks the frontier in ascending order, so the
-            // changed set comes out sorted.
-            let mut changed_now = Vec::with_capacity(affected.len());
-            let evaluated = scratches
-                .iter()
-                .zip(ranges)
-                .flat_map(|(scratch, range)| affected[range].iter().zip(scratch.out.iter_rows()));
-            for (&v, new_embedding) in evaluated {
-                let old = store.embedding(hop, v);
-                delta.clear();
-                delta.extend(new_embedding.iter().zip(old).map(|(n, o)| n - o));
-                store.set_embedding(hop, v, new_embedding)?;
-
-                if config.skip_unchanged && delta.iter().all(|d| d.abs() <= config.prune_tolerance)
-                {
-                    continue;
-                }
-                changed_now.push(v);
-
-                if hop < num_layers {
-                    let (sinks, weights) = GraphView::out_adjacency(topo, v);
-                    for (&w, &weight) in sinks.iter().zip(weights) {
-                        let coeff = aggregator.edge_coefficient(weight);
-                        route.deposit(mailboxes, hop + 1, w, coeff, delta);
-                        stats.aggregate_ops += 1;
-                    }
-                }
-            }
-            phase.changed_prev = changed_now;
         }
-        dirty.sort_unstable();
-        dirty.dedup();
-        stats.propagate_time = propagate_start.elapsed();
+        phase.changed_prev = changed_now;
+        Ok(())
+    }
 
-        // Batch absorbed: bump the topology epoch and let the snapshot fold
-        // its overlay back once enough churn has accumulated.
-        topo.advance_epoch();
-        topo.maybe_compact();
-        Ok(stats)
+    /// Ends a batch: sorts and deduplicates the dirty set, bumps the
+    /// topology epoch and lets the snapshot fold its overlay back once
+    /// enough churn has accumulated.
+    pub(crate) fn finish_batch(&mut self, run: BatchRun) -> BatchStats {
+        let mut stats = run.stats;
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        stats.propagate_time = run.start.elapsed().saturating_sub(stats.update_time);
+        self.topo.advance_epoch();
+        self.topo.maybe_compact();
+        stats
     }
 
     /// The `update` operator (hop 0), **sequential** over the batch so that
@@ -662,6 +722,13 @@ impl RippleEngine {
                     if !graph.contains_vertex(*vertex) {
                         return Err(RippleError::InvalidUpdate(format!(
                             "feature update for unknown vertex {vertex}"
+                        )));
+                    }
+                    if features.len() != graph.feature_dim() {
+                        return Err(RippleError::InvalidUpdate(format!(
+                            "feature update for {vertex} is {}-wide, features are {}-wide",
+                            features.len(),
+                            graph.feature_dim()
                         )));
                     }
                     delta.clear();
@@ -961,6 +1028,24 @@ mod tests {
                     Err(RippleError::InvalidUpdate(_))
                 ),
                 "{threads} threads: deleting absent edge {src} -> {dst} must fail"
+            );
+
+            // A valid rewrite leaves 6-wide hop-1 mail; a 3-wide one after
+            // it must be rejected before it reaches a mailbox.
+            let u = (0..n)
+                .map(VertexId)
+                .find(|&v| snapshot.out_degree(v) > 0)
+                .unwrap();
+            let narrow = UpdateBatch::from_updates(vec![
+                GraphUpdate::update_feature(u, vec![0.5; 6]),
+                GraphUpdate::update_feature(u, vec![0.5; 3]),
+            ]);
+            assert!(
+                matches!(
+                    engine.process_batch(&narrow),
+                    Err(RippleError::InvalidUpdate(_))
+                ),
+                "{threads} threads: a 3-wide feature update must fail"
             );
         }
     }

@@ -58,7 +58,7 @@ mod parallel;
 pub mod shard;
 
 pub use batch::{StreamRunner, StreamingEngine};
-pub use engine::{evaluate_frontier_into, RippleConfig, RippleEngine};
+pub use engine::{RippleConfig, RippleEngine};
 pub use error::RippleError;
 pub use footprint::Footprint;
 pub use mailbox::{HopMail, MailboxSet};

@@ -77,24 +77,23 @@ impl DeltaMessage {
     }
 }
 
-/// Pre-accumulated outgoing halo deltas, grouped per partition.
+/// Pre-accumulated outgoing halo deltas of one shard, grouped per
+/// receiving partition.
 ///
-/// The unit of cross-partition communication shared by the simulated
-/// distributed runtime (`ripple-dist`) and the threaded sharded serving
-/// tier (`ripple-serve`): a deposit whose target lives on the depositing
-/// worker goes straight into its own [`crate::MailboxSet`]; anything else
-/// accumulates here — one slot per (partition, hop, target) — until a
-/// superstep or flush-window boundary drains the slots as one
-/// [`DeltaMessage`] each. Accumulation is a scaled add (`slot += coeff *
-/// delta`), which is lossless for every linear aggregator, and slots are
-/// kept in `BTreeMap` order so drains (and therefore downstream float
-/// accumulation) are deterministic.
+/// The unit of cross-partition communication of every [`crate::ShardEngine`]
+/// — the threaded sharded serving tier (`ripple-serve`) and the simulated
+/// BSP runtime (`ripple-dist`) alike: a deposit whose target the shard owns
+/// goes straight into its own [`crate::MailboxSet`]; anything else
+/// accumulates here — one slot per (receiver, hop, target) — until a flush
+/// window or superstep boundary drains the slots as one [`DeltaMessage`]
+/// each. Accumulation is a scaled add (`slot += coeff * delta`), which is
+/// lossless for every linear aggregator, and slots are kept in `BTreeMap`
+/// order so drains (and therefore downstream float accumulation) are
+/// deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct HaloStubs {
-    /// `parts[p]` holds the pending stubs of partition slot `p`, keyed by
-    /// (hop, target). Callers choose whether the slot indexes the *sender*
-    /// (dist: per-worker outgoing stubs, shipped to wherever each target
-    /// lives) or the *receiver* (serve: per-destination-shard outboxes).
+    /// `parts[p]` holds the pending stubs for receiving partition `p`,
+    /// keyed by (hop, target).
     parts: Vec<BTreeMap<(usize, VertexId), Vec<f32>>>,
 }
 
@@ -141,23 +140,16 @@ impl HaloStubs {
         self.parts.iter().all(|p| p.is_empty())
     }
 
-    /// Drains partition `part`'s pending stubs as messages in (hop, target)
-    /// order.
-    pub fn drain_part(&mut self, part: PartitionId) -> Vec<DeltaMessage> {
-        std::mem::take(&mut self.parts[part.index()])
-            .into_iter()
-            .map(|((hop, target), delta)| DeltaMessage { target, hop, delta })
-            .collect()
-    }
-
     /// Drains every pending stub, partition-major then (hop, target) order.
     pub fn drain(&mut self) -> Vec<(PartitionId, DeltaMessage)> {
-        let mut out = Vec::new();
-        for p in 0..self.parts.len() {
+        let mut out = Vec::with_capacity(self.pending());
+        for (p, stubs) in self.parts.iter_mut().enumerate() {
             let part = PartitionId(p as u32);
-            for message in self.drain_part(part) {
-                out.push((part, message));
-            }
+            out.extend(
+                std::mem::take(stubs)
+                    .into_iter()
+                    .map(|((hop, target), delta)| (part, DeltaMessage { target, hop, delta })),
+            );
         }
         out
     }
@@ -193,18 +185,6 @@ mod tests {
             drained[2].1,
             DeltaMessage::new(VertexId(9), 2, vec![1.0, -2.0])
         );
-    }
-
-    #[test]
-    fn halo_stubs_drain_part_leaves_other_parts_pending() {
-        let mut stubs = HaloStubs::new(3);
-        stubs.deposit(PartitionId(0), 1, VertexId(1), 1.0, &[1.0]);
-        stubs.deposit(PartitionId(2), 1, VertexId(2), 1.0, &[1.0]);
-        let part0 = stubs.drain_part(PartitionId(0));
-        assert_eq!(part0.len(), 1);
-        assert_eq!(stubs.pending(), 1);
-        assert!(!stubs.is_empty());
-        assert!(stubs.drain_part(PartitionId(0)).is_empty());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The per-shard incremental engine of the sharded serving tier.
+//! The per-shard incremental engine of the sharded serving tier and of the
+//! distributed BSP engine.
 //!
 //! A [`ShardEngine`] is a [`crate::RippleEngine`] that owns one partition of
 //! the vertex space: it runs the same update operator and hop loop, and adds
@@ -9,8 +10,7 @@
 //! fanout reaches every sink), while edges entirely between foreign vertices
 //! are absent — their propagation happens on the shards that own them.
 //!
-//! Cross-shard effects travel as [`DeltaMessage`]s, exactly like the halo
-//! stubs of the simulated distributed engine (`ripple-dist`):
+//! Cross-shard effects travel as [`DeltaMessage`]s:
 //!
 //! * a deposit whose sink is foreign accumulates in a [`HaloStubs`] outbox
 //!   slot instead of a local mailbox, and [`ShardEngine::process_window`]
@@ -20,6 +20,11 @@
 //!   after the update operator;
 //! * both endpoint owners apply an edge update's topology change, but only
 //!   the source's owner emits its value deltas.
+//!
+//! [`ShardEngine::process_lockstep`] is the synchronous alternative to that
+//! window schedule: it runs every shard through each hop of one batch
+//! together and exchanges the outboxes at every hop boundary, which is how
+//! the distributed BSP engine (`ripple-dist`) runs its workers.
 //!
 //! A single engine is thus one shard with no halos. Linearity of the
 //! aggregators makes sharding exact at quiescence: deltas sum in any window
@@ -38,6 +43,7 @@ use ripple_gnn::{EmbeddingStore, GnnModel};
 use ripple_graph::partition::Partitioning;
 use ripple_graph::{DynamicGraph, GraphUpdate, PartitionId, UpdateBatch, VertexId};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The shard route: deposits for owned sinks go into the shard's own
 /// mailboxes, deposits for foreign sinks into the outbox slot of their
@@ -134,6 +140,19 @@ impl ShardEngine {
             owned: partitioning.vertices_in(part),
             partitioning,
         })
+    }
+
+    /// Splits each hop's frontier across `threads` pool workers (clamped to
+    /// at least 1). Results are bit-identical for any thread count.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.engine = self.engine.with_threads(threads);
+        self
+    }
+
+    /// Number of worker threads used per hop.
+    pub fn threads(&self) -> usize {
+        self.engine.threads()
     }
 
     /// Replaces the shard's halo-restricted graph and store with restored
@@ -235,13 +254,114 @@ impl ShardEngine {
         halos: &[DeltaMessage],
     ) -> Result<(BatchStats, Vec<(PartitionId, DeltaMessage)>)> {
         self.check_routing(batch, halos)?;
-        let mut route = ToOwner {
-            partitioning: &self.partitioning,
-            part: self.part,
-            outbox: &mut self.outbox,
-        };
-        let stats = self.engine.run_batch(batch, halos, &mut route)?;
+        let (engine, mut route) = self.split();
+        let stats = engine.run_batch(batch, halos, &mut route)?;
         Ok((stats, self.outbox.drain()))
+    }
+
+    /// Runs one BSP batch across every shard of a partitioning: shard `i`
+    /// (which must own partition `i`) applies `windows[i]`, and all shards
+    /// go through each hop together. Within a hop every shard first
+    /// injects its edge-change contributions; then, sender by sender in
+    /// ascending order, each outbox is drained into the receivers'
+    /// mailboxes, passing every message to `on_halo(hop, &message)`; then
+    /// every shard applies, evaluates and commits. A mailbox thus receives
+    /// its owner's own deposits first and one pre-accumulated message per
+    /// sender after them, in sender order, so results do not depend on
+    /// how the shards are scheduled.
+    ///
+    /// Returns each shard's statistics and the batch's critical-path
+    /// compute time: the slowest shard's update phase plus, for every hop,
+    /// the slowest shard's inject and compute time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RippleError::Mismatch`] if the shards and windows do not
+    /// line up with the partitions, and routing violations (see
+    /// [`ShardEngine::process_window`]) of any window, with every shard
+    /// untouched; propagates graph and tensor errors, after which the shards
+    /// should be considered poisoned.
+    pub fn process_lockstep(
+        shards: &mut [ShardEngine],
+        windows: &[UpdateBatch],
+        mut on_halo: impl FnMut(usize, &DeltaMessage),
+    ) -> Result<(Vec<BatchStats>, Duration)> {
+        let aligned = windows.len() == shards.len()
+            && shards.iter().enumerate().all(|(i, shard)| {
+                shard.part.index() == i
+                    && shard.partitioning == shards[0].partitioning
+                    && shard.partitioning.num_parts() == shards.len()
+            });
+        if !aligned {
+            return Err(RippleError::Mismatch(format!(
+                "lockstep needs one shard per partition in partition order and one window \
+                 per shard, got {} shards and {} windows",
+                shards.len(),
+                windows.len()
+            )));
+        }
+        for (shard, window) in shards.iter().zip(windows) {
+            shard.check_routing(window, &[])?;
+        }
+
+        let mut runs = Vec::with_capacity(shards.len());
+        let mut elapsed = vec![Duration::ZERO; shards.len()];
+        for ((shard, window), time) in shards.iter_mut().zip(windows).zip(&mut elapsed) {
+            let start = Instant::now();
+            let (engine, mut route) = shard.split();
+            runs.push(engine.begin_batch(window, &[], &mut route)?);
+            *time = start.elapsed();
+        }
+        let mut critical_path = elapsed.iter().copied().max().unwrap_or_default();
+
+        let num_layers = shards.first().map_or(0, |s| s.model().num_layers());
+        for hop in 1..=num_layers {
+            for ((shard, run), time) in shards.iter_mut().zip(&mut runs).zip(&mut elapsed) {
+                let start = Instant::now();
+                let (engine, mut route) = shard.split();
+                engine.inject_hop(run, hop, &mut route);
+                *time = start.elapsed();
+            }
+            for sender in 0..shards.len() {
+                for (receiver, message) in shards[sender].outbox.drain() {
+                    debug_assert_eq!(message.hop, hop, "an outbox only spans one hop");
+                    on_halo(hop, &message);
+                    let r = receiver.index();
+                    shards[r].engine.deposit_halo(&mut runs[r], &message);
+                }
+            }
+            for ((shard, run), time) in shards.iter_mut().zip(&mut runs).zip(&mut elapsed) {
+                let start = Instant::now();
+                let (engine, mut route) = shard.split();
+                engine.compute_hop(run, hop, &mut route)?;
+                *time += start.elapsed();
+            }
+            critical_path += elapsed.iter().copied().max().unwrap_or_default();
+        }
+
+        let stats = shards
+            .iter_mut()
+            .zip(runs)
+            .map(|(shard, run)| shard.engine.finish_batch(run))
+            .collect();
+        Ok((stats, critical_path))
+    }
+
+    /// Splits the shard into its engine and the route its deposits take.
+    fn split(&mut self) -> (&mut RippleEngine, ToOwner<'_>) {
+        let ShardEngine {
+            part,
+            partitioning,
+            engine,
+            outbox,
+            ..
+        } = self;
+        let route = ToOwner {
+            partitioning,
+            part: *part,
+            outbox,
+        };
+        (engine, route)
     }
 
     /// Checks a window and its halos against the routing contract of
@@ -347,23 +467,13 @@ mod tests {
     }
 
     /// Splits a batch into per-shard sub-batches following the router's
-    /// rules: feature updates to the owner, edge updates to both endpoint
-    /// owners (deduplicated).
+    /// rule, [`Partitioning::update_owners`].
     fn split_batch(batch: &UpdateBatch, partitioning: &Partitioning) -> Vec<Vec<GraphUpdate>> {
         let mut per_shard = vec![Vec::new(); partitioning.num_parts()];
         for update in batch {
-            match update {
-                GraphUpdate::UpdateFeature { vertex, .. } => {
-                    per_shard[partitioning.part_of(*vertex).index()].push(update.clone());
-                }
-                GraphUpdate::AddEdge { src, dst, .. } | GraphUpdate::DeleteEdge { src, dst } => {
-                    let a = partitioning.part_of(*src);
-                    let b = partitioning.part_of(*dst);
-                    per_shard[a.index()].push(update.clone());
-                    if b != a {
-                        per_shard[b.index()].push(update.clone());
-                    }
-                }
+            let (first, second) = partitioning.update_owners(update);
+            for part in std::iter::once(first).chain(second) {
+                per_shard[part.index()].push(update.clone());
             }
         }
         per_shard
@@ -507,6 +617,51 @@ mod tests {
         assert!(shard.store() == &store_before, "store mutated");
         assert!(shard.graph() == &graph_before, "graph mutated");
         assert_eq!(shard.topology_epoch(), epoch_before);
+    }
+
+    #[test]
+    fn lockstep_rejects_misaligned_or_misrouted_input_before_anything_changes() {
+        let (graph, model, store, batches) = bootstrap(23, 2);
+        let mut shards = make_shards(&graph, &model, &store, 2);
+        let partitioning = Arc::clone(shards[0].partitioning());
+        let windows: Vec<UpdateBatch> = split_batch(&batches[0], &partitioning)
+            .into_iter()
+            .map(UpdateBatch::from_updates)
+            .collect();
+        let before: Vec<EmbeddingStore> = shards.iter().map(|s| s.store().clone()).collect();
+        let lockstep = |shards: &mut [ShardEngine], windows: &[UpdateBatch]| {
+            ShardEngine::process_lockstep(shards, windows, |_, _| {}).map(|_| ())
+        };
+        assert!(matches!(
+            lockstep(&mut shards, &windows[..1]),
+            Err(RippleError::Mismatch(_))
+        ));
+        shards.swap(0, 1);
+        assert!(matches!(
+            lockstep(&mut shards, &windows),
+            Err(RippleError::Mismatch(_))
+        ));
+        shards.swap(0, 1);
+        // Shard 0's window holds updates shard 1 owns no endpoint of.
+        let misrouted = [windows[0].clone(), windows[0].clone()];
+        assert!(matches!(
+            lockstep(&mut shards, &misrouted),
+            Err(RippleError::InvalidUpdate(_))
+        ));
+        assert!(
+            shards
+                .iter()
+                .zip(&before)
+                .all(|(s, b)| s.store() == b && s.topology_epoch() == 0),
+            "a rejected batch mutated a shard"
+        );
+
+        let mut halos = 0;
+        let (stats, _) =
+            ShardEngine::process_lockstep(&mut shards, &windows, |_, _| halos += 1).unwrap();
+        assert_eq!(stats.len(), 2);
+        assert!(halos > 0, "a hash-split batch crosses shards");
+        assert!(shards.iter().all(|s| s.topology_epoch() == 1));
     }
 
     #[test]

@@ -1,138 +1,40 @@
 //! The distributed (BSP) incremental engine.
 //!
-//! One superstep per GNN hop. During a compute phase each worker processes
-//! the affected vertices *it owns*: it applies its mailboxes, re-evaluates
-//! the layer, and produces delta messages for the out-neighbours of every
-//! changed vertex. Messages to locally owned sinks go straight into the next
-//! hop's mailbox; messages to remote sinks are pre-accumulated in per-target
-//! **halo stubs** (the outgoing-halo machinery of
-//! [`ripple_graph::partition::halo`]) and shipped at the next superstep
-//! boundary as one [`ripple_core::DeltaMessage`] per (worker, target) pair. Linearity of
+//! Each worker is a [`ShardEngine`]: it owns one partition, keeps the
+//! halo-restricted topology (every edge with at least one owned endpoint)
+//! and runs the single-machine engine's update operator and hop loop. One
+//! BSP superstep per GNN hop runs all workers in lockstep through
+//! [`ShardEngine::process_lockstep`]: every worker injects and commits into
+//! its own mailboxes for locally owned sinks and pre-accumulates deltas for
+//! remote sinks in per-target **halo stubs** (its [`ripple_core::HaloStubs`]
+//! outbox), which the superstep boundary ships as one
+//! [`ripple_core::DeltaMessage`] per (worker, target) pair. Linearity of
 //! the aggregators makes stub pre-accumulation lossless, which is why the
-//! distributed result matches the single-machine engine.
+//! distributed result matches the single-machine engine. This module only
+//! splits batches by owner, charges the wire and gathers the workers'
+//! stores.
 
-use crate::network::{CommStats, NetworkModel};
+use crate::network::NetworkModel;
 use crate::stats::DistBatchStats;
-use crate::worker::{gather_store, group_by_part, validate_shapes};
-use crate::{DistError, Result};
-use ripple_core::{evaluate_frontier_into, HaloStubs, MailboxSet, Scratch, WorkerPool};
+use crate::worker::validate_shapes;
+use crate::Result;
+use ripple_core::{RippleConfig, ShardEngine};
 use ripple_gnn::{EmbeddingStore, GnnModel};
 use ripple_graph::partition::Partitioning;
-use ripple_graph::{
-    CsrSnapshot, DynamicGraph, GraphUpdate, GraphView, PartitionId, UpdateBatch, VertexId,
-};
-use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
-
-/// One topology change of the current batch, recorded so its per-hop
-/// aggregate contributions can be injected during propagation (see the
-/// single-machine engine for the exactness argument).
-#[derive(Debug, Clone)]
-struct EdgeChange {
-    source: VertexId,
-    sink: VertexId,
-    /// +1 for addition, -1 for deletion.
-    sign: f32,
-    /// Aggregator edge coefficient of the changed edge.
-    coeff: f32,
-}
-
-/// Routes delta messages between workers during one batch.
-///
-/// Owns the per-hop mailboxes plus the outgoing halo stubs of every worker:
-/// a deposit whose target lives on the sending worker goes straight into the
-/// mailbox, anything else is pre-accumulated in the sender's per-target stub
-/// until the next superstep boundary ships it as one [`ripple_core::DeltaMessage`] per
-/// (worker, target) pair. Stubs are kept ordered and workers process their
-/// vertices in sorted order, so float accumulation — and therefore a whole
-/// run — is reproducible.
-struct MessageRouter<'a> {
-    partitioning: &'a Partitioning,
-    /// The engine's per-hop mailboxes, cleared for this batch.
-    mailboxes: &'a mut MailboxSet,
-    /// Outgoing halo stubs, one slot per **sending** worker (the shared
-    /// [`HaloStubs`] pool also backs the threaded serving tier, where slots
-    /// index the receiver instead).
-    stubs: HaloStubs,
-}
-
-impl<'a> MessageRouter<'a> {
-    fn new(partitioning: &'a Partitioning, mailboxes: &'a mut MailboxSet) -> Self {
-        mailboxes.clear();
-        MessageRouter {
-            partitioning,
-            mailboxes,
-            stubs: HaloStubs::new(partitioning.num_parts()),
-        }
-    }
-
-    /// Deposits `coeff * delta` for `target`'s hop-`hop` mailbox on behalf of
-    /// worker `source_part`.
-    fn deposit(
-        &mut self,
-        hop: usize,
-        source_part: usize,
-        target: VertexId,
-        coeff: f32,
-        delta: &[f32],
-    ) {
-        if self.partitioning.part_of(target).index() == source_part {
-            self.mailboxes.deposit(hop, target, coeff, delta);
-        } else {
-            self.stubs
-                .deposit(PartitionId(source_part as u32), hop, target, coeff, delta);
-        }
-    }
-
-    /// Superstep boundary: ships every pending halo stub as a
-    /// [`ripple_core::DeltaMessage`] for `hop`, depositing it into the receiving workers'
-    /// mailboxes and charging the ledger. Returns the bytes put on the wire.
-    fn flush(&mut self, hop: usize, comm: &mut CommStats) -> usize {
-        let mut superstep_bytes = 0usize;
-        for part in 0..self.stubs.num_parts() {
-            for message in self.stubs.drain_part(PartitionId(part as u32)) {
-                debug_assert_eq!(message.hop, hop, "stubs only span one superstep");
-                let wire = message.wire_bytes();
-                comm.record_halo_message(wire);
-                superstep_bytes += wire;
-                self.mailboxes.deposit_message(&message);
-            }
-        }
-        superstep_bytes
-    }
-}
+use ripple_graph::{DynamicGraph, PartitionId, UpdateBatch};
+use std::sync::Arc;
 
 /// The distributed incremental (Ripple) engine.
 ///
-/// Workers execute in one process against per-worker embedding stores; the
-/// topology is replicated (DistDGL-style halo replication makes every
-/// worker's local topology complete, so one shared copy simulates all
-/// replicas) and everything crossing a partition boundary is charged to the
-/// [`NetworkModel`].
+/// Workers execute in one process, each a [`ShardEngine`] with its own
+/// halo-restricted graph, CSR snapshot and embedding store (authoritative
+/// only for the rows of the vertices it owns); everything crossing a
+/// partition boundary is charged to the [`NetworkModel`].
 #[derive(Debug, Clone)]
 pub struct DistRippleEngine {
-    graph: DynamicGraph,
-    model: GnnModel,
-    partitioning: Partitioning,
+    workers: Vec<ShardEngine>,
+    partitioning: Arc<Partitioning>,
     network: NetworkModel,
-    stores: Vec<EmbeddingStore>,
-    pool: WorkerPool,
-    /// Persistent epoch-versioned CSR snapshot of the replicated topology
-    /// (DistDGL-style halo replication makes every worker's local topology
-    /// complete, so one snapshot simulates all replicas). The update
-    /// operator keeps it in lockstep with `graph`; every worker's compute
-    /// phase and message fanout stream its contiguous rows.
-    topo: CsrSnapshot,
-    /// One persistent scratch arena per pool worker, shared across the
-    /// simulated workers' compute phases (they run one after another in this
-    /// simulation); steady-state frontier evaluation is allocation-free.
-    scratches: Vec<Scratch>,
-    /// The per-hop mailboxes of every worker (a target's mail only ever
-    /// lands in its owner's), kept for the engine's life and cleared at the
-    /// start of every batch.
-    mailboxes: MailboxSet,
-    /// Reusable buffer for the per-vertex output delta of the commit phase.
-    commit_delta: Vec<f32>,
 }
 
 impl DistRippleEngine {
@@ -143,7 +45,7 @@ impl DistRippleEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`DistError::Mismatch`] if graph, model, store and
+    /// Returns [`crate::DistError::Mismatch`] if graph, model, store and
     /// partitioning shapes do not fit together.
     pub fn new(
         graph: &DynamicGraph,
@@ -153,35 +55,43 @@ impl DistRippleEngine {
         network: NetworkModel,
     ) -> Result<Self> {
         validate_shapes(graph, &model, store, &partitioning)?;
-        let stores = vec![store.clone(); partitioning.num_parts()];
+        let partitioning = Arc::new(partitioning);
+        let workers = (0..partitioning.num_parts())
+            .map(|p| {
+                ShardEngine::new(
+                    graph,
+                    model.clone(),
+                    store.clone(),
+                    RippleConfig::exact(),
+                    Arc::clone(&partitioning),
+                    PartitionId(p as u32),
+                )
+            })
+            .collect::<ripple_core::Result<_>>()?;
         Ok(DistRippleEngine {
-            graph: graph.clone(),
+            workers,
             partitioning,
             network,
-            stores,
-            pool: WorkerPool::default(),
-            topo: CsrSnapshot::from_dynamic(graph),
-            scratches: vec![Scratch::new()],
-            mailboxes: MailboxSet::new(model.num_layers()),
-            commit_delta: Vec::new(),
-            model,
         })
     }
 
     /// Enables intra-worker parallelism: each simulated worker shards its
     /// per-superstep frontier across `threads` pool workers (clamped to at
-    /// least 1). Results are bit-identical for any thread count — the
-    /// per-part commit replays in the same sorted vertex order either way.
+    /// least 1). Results are bit-identical for any thread count — each
+    /// worker's commit replays in the same sorted vertex order either way.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = WorkerPool::new(threads);
-        self.scratches = vec![Scratch::new(); self.pool.threads()];
+        self.workers = self
+            .workers
+            .into_iter()
+            .map(|w| w.with_threads(threads))
+            .collect();
         self
     }
 
     /// Number of pool threads each simulated worker uses during a superstep.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.workers[0].threads()
     }
 
     /// Number of workers.
@@ -189,26 +99,15 @@ impl DistRippleEngine {
         self.partitioning.num_parts()
     }
 
-    /// The replicated topology (reflecting every processed batch).
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
-    }
-
-    /// The engine's persistent topology snapshot (in lockstep with
-    /// [`DistRippleEngine::graph`]).
-    pub fn topology(&self) -> &CsrSnapshot {
-        &self.topo
-    }
-
-    /// The topology epoch: how many update batches the snapshot has
-    /// absorbed.
+    /// The topology epoch: how many update batches every worker's snapshot
+    /// has absorbed.
     pub fn topology_epoch(&self) -> u64 {
-        self.topo.epoch()
+        self.workers[0].topology_epoch()
     }
 
     /// The model used for inference.
     pub fn model(&self) -> &GnnModel {
-        &self.model
+        self.workers[0].model()
     }
 
     /// The vertex-to-worker assignment.
@@ -223,268 +122,75 @@ impl DistRippleEngine {
 
     /// Assembles the authoritative rows of every worker into one store.
     pub fn gather_store(&self) -> EmbeddingStore {
-        gather_store(&self.stores, &self.partitioning)
+        let mut gathered = self.workers[0].store().clone();
+        for worker in &self.workers[1..] {
+            assert!(worker.gather_into(&mut gathered), "workers share one shape");
+        }
+        gathered
     }
 
     /// Applies a batch of updates across all workers and incrementally
     /// refreshes every affected embedding, one BSP superstep per hop.
     ///
+    /// The batch is broadcast to every worker (charged once per remote
+    /// worker); each worker then applies the updates it owns an endpoint
+    /// of, in batch order.
+    ///
     /// # Errors
     ///
-    /// Propagates graph and tensor errors; the engine should be considered
-    /// poisoned after an error.
+    /// Returns [`crate::DistError::InvalidUpdate`] for an update naming an
+    /// unknown vertex, deleting a missing edge or rewriting features at the
+    /// wrong width; propagates graph and tensor errors. The engine should be
+    /// considered poisoned after an error.
     pub fn process_batch(&mut self, batch: &UpdateBatch) -> Result<DistBatchStats> {
-        let DistRippleEngine {
-            graph,
-            model,
-            partitioning,
-            network,
-            stores,
-            pool,
-            topo,
-            scratches,
-            mailboxes,
-            commit_delta,
-        } = self;
-        let num_layers = model.num_layers();
-        let num_parts = partitioning.num_parts();
-        let aggregator = model.aggregator();
-
-        let mut router = MessageRouter::new(partitioning, mailboxes);
+        let num_layers = self.model().num_layers();
         let mut stats = DistBatchStats {
             batch_size: batch.len(),
+            supersteps: num_layers,
             ..DistBatchStats::default()
         };
-
-        // --------------------------------------------------------------
-        // Superstep 0 — broadcast the batch to every topology replica and
-        // run the `update` operator (sequential over the batch, exactly as
-        // on a single machine, so interleaved updates never double-count).
-        // --------------------------------------------------------------
         stats
             .comm
-            .record_update_broadcast(num_parts - 1, batch.wire_bytes());
-        stats.comm_time += network.transfer_time(stats.comm.update_bytes);
+            .record_update_broadcast(self.num_parts() - 1, batch.wire_bytes());
+        stats.comm_time += self.network.transfer_time(stats.comm.update_bytes);
 
-        let update_start = Instant::now();
-        let mut source_snapshots: HashMap<VertexId, Vec<Vec<f32>>> = HashMap::new();
-        let mut edge_changes: Vec<EdgeChange> = Vec::new();
-        let mut changed_prev: HashSet<VertexId> = HashSet::new();
-
+        let mut windows = vec![UpdateBatch::new(); self.num_parts()];
         for update in batch {
-            match update {
-                GraphUpdate::UpdateFeature { vertex, features } => {
-                    if !graph.contains_vertex(*vertex) {
-                        return Err(DistError::InvalidUpdate(format!(
-                            "feature update for unknown vertex {vertex}"
-                        )));
-                    }
-                    let owner = partitioning.part_of(*vertex).index();
-                    let delta: Vec<f32> = features
-                        .iter()
-                        .zip(stores[owner].embedding(0, *vertex).iter())
-                        .map(|(n, o)| n - o)
-                        .collect();
-                    let (sinks, weights) = GraphView::out_adjacency(topo, *vertex);
-                    for (&w, &weight) in sinks.iter().zip(weights.iter()) {
-                        router.deposit(1, owner, w, aggregator.edge_coefficient(weight), &delta);
-                    }
-                    graph.set_feature(*vertex, features)?;
-                    stores[owner].set_embedding(0, *vertex, features)?;
-                    changed_prev.insert(*vertex);
-                }
-                GraphUpdate::AddEdge { src, dst, weight } => {
-                    snapshot_source(stores, partitioning, model, &mut source_snapshots, *src);
-                    graph.add_edge(*src, *dst, *weight)?;
-                    topo.add_edge(*src, *dst, *weight)
-                        .expect("topology snapshot out of sync with graph");
-                    let owner = partitioning.part_of(*src).index();
-                    let coeff = aggregator.edge_coefficient(*weight);
-                    router.deposit(1, owner, *dst, coeff, stores[owner].embedding(0, *src));
-                    edge_changes.push(EdgeChange {
-                        source: *src,
-                        sink: *dst,
-                        sign: 1.0,
-                        coeff,
-                    });
-                }
-                GraphUpdate::DeleteEdge { src, dst } => {
-                    let weight = graph.edge_weight(*src, *dst).ok_or_else(|| {
-                        DistError::InvalidUpdate(format!("deleting missing edge {src} -> {dst}"))
-                    })?;
-                    snapshot_source(stores, partitioning, model, &mut source_snapshots, *src);
-                    graph.remove_edge(*src, *dst)?;
-                    topo.remove_edge(*src, *dst)
-                        .expect("topology snapshot out of sync with graph");
-                    let owner = partitioning.part_of(*src).index();
-                    let coeff = aggregator.edge_coefficient(weight);
-                    router.deposit(1, owner, *dst, -coeff, stores[owner].embedding(0, *src));
-                    edge_changes.push(EdgeChange {
-                        source: *src,
-                        sink: *dst,
-                        sign: -1.0,
-                        coeff,
-                    });
-                }
+            let (first, second) = self.partitioning.update_owners(update);
+            for part in std::iter::once(first).chain(second) {
+                windows[part.index()].push(update.clone());
             }
         }
-        stats.compute_time += update_start.elapsed();
-
-        // --------------------------------------------------------------
-        // Supersteps 1..=L — the `propagate` operator, hop by hop.
-        // --------------------------------------------------------------
-        for hop in 1..=num_layers {
-            stats.supersteps += 1;
-
-            // Inject the per-hop contribution of topology changes (hop 1 was
-            // handled sequentially above). The delta is built from the
-            // source's pre-batch embedding held by the source's owner, and
-            // routed to the sink's owner like any other message.
-            if hop >= 2 {
-                for change in &edge_changes {
-                    let owner = partitioning.part_of(change.source).index();
-                    let pre_batch = &source_snapshots[&change.source][hop - 2];
-                    router.deposit(
-                        hop,
-                        owner,
-                        change.sink,
-                        change.sign * change.coeff,
-                        pre_batch,
-                    );
-                }
-            }
-
-            // Communication phase: ship all pending halo stubs for this hop.
-            let superstep_bytes = router.flush(hop, &mut stats.comm);
-            stats.comm_time += network.transfer_time(superstep_bytes);
-
-            // Compute phase: each worker applies mailboxes and re-evaluates
-            // the layer for the affected vertices it owns. Workers run
-            // concurrently in a real deployment, so the phase costs as much
-            // as its slowest worker.
-            let layer = model.layer(hop)?;
-            let mail = router.mailboxes.hop(hop);
-            let mut affected: HashSet<VertexId> = mail.targets().iter().copied().collect();
-            if layer.depends_on_self() {
-                affected.extend(changed_prev.iter().copied());
-            }
-            if hop == num_layers {
-                stats.affected_final = affected.len();
-            }
-            let by_part = group_by_part(affected, partitioning);
-
-            // Apply phase: every worker folds the deltas addressed to its
-            // vertices into its store in place. All parts apply before any
-            // commits: each target row gets exactly one add either way, and
-            // the commits below deposit into the next hop only.
-            let mut apply_time = vec![Duration::ZERO; num_parts];
-            for ((part, vertices), time) in by_part.iter().enumerate().zip(&mut apply_time) {
-                let apply_start = Instant::now();
-                for &v in vertices {
-                    if let Some(delta) = mail.get(v) {
-                        ripple_tensor::add_assign(stores[part].aggregate_mut(hop, v), delta);
-                    }
-                }
-                *time = apply_start.elapsed();
-            }
-
-            let mut changed_now: HashSet<VertexId> = HashSet::new();
-            let mut slowest_worker = Duration::ZERO;
-            for (part, vertices) in by_part.iter().enumerate() {
-                if vertices.is_empty() {
-                    continue;
-                }
-                let worker_start = Instant::now();
-
-                // The compute phase runs intra-worker parallel: pool workers
-                // re-evaluate disjoint contiguous shards of the frontier into
-                // their own scratch arenas (allocation-free once warm)
-                // without writing the store.
-                let ranges = evaluate_frontier_into(
-                    pool,
-                    &*topo,
-                    model,
-                    &stores[part],
-                    hop,
-                    vertices,
-                    scratches,
-                )?;
-
-                // Commit block after block in sorted vertex order (identical
-                // to the inline order), writing back and routing next-hop
-                // messages.
-                for (scratch, range) in scratches.iter().zip(ranges) {
-                    for (&v, new_embedding) in vertices[range].iter().zip(scratch.out.iter_rows()) {
-                        commit_delta.clear();
-                        commit_delta.extend(
-                            new_embedding
-                                .iter()
-                                .zip(stores[part].embedding(hop, v).iter())
-                                .map(|(n, o)| n - o),
-                        );
-                        stores[part].set_embedding(hop, v, new_embedding)?;
-                        changed_now.insert(v);
-
-                        // Forward messages to the next hop's mailboxes,
-                        // streaming the snapshot's contiguous out-rows.
-                        if hop < num_layers {
-                            let (sinks, weights) = GraphView::out_adjacency(&*topo, v);
-                            for (&w, &weight) in sinks.iter().zip(weights.iter()) {
-                                router.deposit(
-                                    hop + 1,
-                                    part,
-                                    w,
-                                    aggregator.edge_coefficient(weight),
-                                    commit_delta,
-                                );
-                            }
-                        }
-                    }
-                }
-                slowest_worker = slowest_worker.max(apply_time[part] + worker_start.elapsed());
-            }
-            stats.compute_time += slowest_worker;
-            changed_prev = changed_now;
+        let mut superstep_bytes = vec![0usize; num_layers];
+        let comm = &mut stats.comm;
+        let (worker_stats, compute_time) =
+            ShardEngine::process_lockstep(&mut self.workers, &windows, |hop, message| {
+                let wire = message.wire_bytes();
+                comm.record_halo_message(wire);
+                superstep_bytes[hop - 1] += wire;
+            })?;
+        for &bytes in &superstep_bytes {
+            stats.comm_time += self.network.transfer_time(bytes);
         }
-
-        // Batch absorbed: bump the topology epoch and compact if due.
-        topo.advance_epoch();
-        topo.maybe_compact();
+        stats.compute_time = compute_time;
+        stats.affected_final = worker_stats.iter().map(|s| s.affected_final).sum();
         Ok(stats)
     }
-}
-
-/// Captures the pre-batch embeddings (layers 1..L-1) of an edge-update source
-/// vertex from its owner's store, once per batch.
-fn snapshot_source(
-    stores: &[EmbeddingStore],
-    partitioning: &Partitioning,
-    model: &GnnModel,
-    snapshots: &mut HashMap<VertexId, Vec<Vec<f32>>>,
-    source: VertexId,
-) {
-    if snapshots.contains_key(&source) {
-        return;
-    }
-    let owner = partitioning.part_of(source).index();
-    let upto = model.num_layers().saturating_sub(1);
-    let mut layers = Vec::with_capacity(upto);
-    for l in 1..=upto {
-        layers.push(stores[owner].embedding(l, source).to_vec());
-    }
-    snapshots.insert(source, layers);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripple_core::{RippleConfig, RippleEngine};
+    use crate::DistError;
+    use ripple_core::RippleEngine;
     use ripple_gnn::layer_wise::full_inference;
     use ripple_gnn::Workload;
     use ripple_graph::partition::halo::HaloInfo;
     use ripple_graph::partition::{LdgPartitioner, Partitioner};
     use ripple_graph::stream::{build_stream, StreamConfig};
     use ripple_graph::synth::DatasetSpec;
+    use ripple_graph::{GraphUpdate, VertexId};
+    use std::time::Duration;
 
     fn bootstrap(
         workload: Workload,
@@ -655,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn topology_snapshot_tracks_the_replicated_graph() {
+    fn every_worker_advances_the_topology_epoch_once_per_batch() {
         let (snapshot, model, store, batches) = bootstrap(Workload::GcS, 2, 29);
         let partitioning = LdgPartitioner::new().partition(&snapshot, 3).unwrap();
         let mut engine = DistRippleEngine::new(
@@ -670,15 +376,9 @@ mod tests {
         for batch in &batches {
             engine.process_batch(batch).unwrap();
         }
+        let epochs: Vec<u64> = engine.workers.iter().map(|w| w.topology_epoch()).collect();
+        assert_eq!(epochs, vec![batches.len() as u64; 3]);
         assert_eq!(engine.topology_epoch(), batches.len() as u64);
-        let graph = engine.graph();
-        let topo = engine.topology();
-        assert_eq!(GraphView::num_edges(topo), graph.num_edges());
-        for v in 0..graph.num_vertices() as u32 {
-            let vid = VertexId(v);
-            assert_eq!(topo.in_neighbors(vid), graph.in_neighbors(vid));
-            assert_eq!(topo.out_neighbors(vid), graph.out_neighbors(vid));
-        }
     }
 
     #[test]
@@ -718,10 +418,18 @@ mod tests {
             NetworkModel::ten_gbe(),
         )
         .unwrap();
-        let bad = UpdateBatch::from_updates(vec![GraphUpdate::update_feature(
-            VertexId(n + 3),
-            vec![0.0; 6],
-        )]);
-        assert!(engine.process_batch(&bad).is_err());
+        let (unknown, known) = (VertexId(n + 3), VertexId(1));
+        for update in [
+            GraphUpdate::update_feature(unknown, vec![0.0; 6]),
+            GraphUpdate::add_edge(unknown, known),
+            GraphUpdate::add_edge(known, unknown),
+            GraphUpdate::delete_edge(unknown, known),
+        ] {
+            let bad = UpdateBatch::from_updates(vec![update.clone()]);
+            assert!(
+                matches!(engine.process_batch(&bad), Err(DistError::InvalidUpdate(_))),
+                "{update:?} must be rejected"
+            );
+        }
     }
 }

@@ -7,7 +7,9 @@ use std::fmt;
 pub enum DistError {
     /// Graph, model, store and partitioning shapes do not fit together.
     Mismatch(String),
-    /// An update is invalid for the current replicated graph state.
+    /// An update is invalid for the current graph state: it names an
+    /// unknown vertex, deletes a missing edge or rewrites features at the
+    /// wrong width. The owning worker rejects it.
     InvalidUpdate(String),
     /// An underlying graph operation failed.
     Graph(ripple_graph::GraphError),
@@ -52,9 +54,15 @@ impl From<ripple_gnn::GnnError> for DistError {
     }
 }
 
+/// Keeps the typed shape and update errors of a worker engine; everything
+/// else is wrapped.
 impl From<ripple_core::RippleError> for DistError {
     fn from(e: ripple_core::RippleError) -> Self {
-        DistError::Engine(e)
+        match e {
+            ripple_core::RippleError::Mismatch(msg) => DistError::Mismatch(msg),
+            ripple_core::RippleError::InvalidUpdate(msg) => DistError::InvalidUpdate(msg),
+            e => DistError::Engine(e),
+        }
     }
 }
 

@@ -2,22 +2,26 @@
 //! (paper §5, Figs 12–13).
 //!
 //! The paper's distributed deployment partitions the graph across workers
-//! (METIS there, [`ripple_graph::partition`] here), replicates the topology
-//! of boundary ("halo") vertices DistDGL-style, and runs inference as a
-//! sequence of **BSP supersteps**: one superstep per GNN hop, each consisting
-//! of a communication phase (ship the messages produced by the previous
-//! compute phase) and a compute phase (apply mailboxes, re-evaluate layers).
+//! (METIS there, [`ripple_graph::partition`] here), gives each worker the
+//! edges incident to its own vertices plus stubs for the boundary ("halo")
+//! vertices DistDGL-style, and runs inference as a sequence of **BSP
+//! supersteps**: one superstep per GNN hop, each consisting of a
+//! communication phase (ship the messages produced by the previous compute
+//! phase) and a compute phase (apply mailboxes, re-evaluate layers).
 //!
 //! Real sockets would add nothing to the reproduction — the quantities the
 //! paper reports are *bytes on the wire* and *simulated network time* — so
-//! this crate executes every worker in one process against per-worker
-//! embedding stores and routes anything that crosses a partition boundary
-//! through a byte-accounted [`NetworkModel`]:
+//! this crate executes every worker in one process and routes anything that
+//! crosses a partition boundary through a byte-accounted [`NetworkModel`]:
 //!
-//! * [`DistRippleEngine`] — **push-based**: a vertex whose embedding changed
-//!   sends [`ripple_core::DeltaMessage`]s to its remote out-neighbours'
-//!   mailboxes, pre-accumulated per (source worker, target) stub exactly as
-//!   the halo machinery prescribes. Communication scales with the *changed*
+//! * [`DistRippleEngine`] — **push-based**: each worker is a
+//!   [`ripple_core::ShardEngine`] with its own halo-restricted graph and
+//!   store, running the single-machine engine's update operator and hop
+//!   loop; [`ripple_core::ShardEngine::process_lockstep`] runs all of them
+//!   through each hop together. A vertex whose embedding changed sends
+//!   [`ripple_core::DeltaMessage`]s to its remote out-neighbours' mailboxes,
+//!   pre-accumulated per (source worker, target) stub exactly as the halo
+//!   machinery prescribes. Communication scales with the *changed*
 //!   in-neighbours `k'` of each affected vertex.
 //! * [`DistRecomputeEngine`] — **pull-based** (DistDGL/RC-style): a worker
 //!   recomputing an affected vertex has no change tracking, so every

@@ -1,11 +1,13 @@
 //! Shared per-worker state helpers of the distributed engines.
 //!
-//! Both engines keep one [`EmbeddingStore`] per worker, full-sized but
+//! Both engines keep one [`EmbeddingStore`] per worker (the incremental
+//! engine's live inside its [`ripple_core::ShardEngine`]s), full-sized but
 //! *authoritative only for the rows of vertices that worker owns* — exactly
 //! the ownership discipline of a real deployment, where reading a remote row
 //! without first communicating it would be a bug. [`gather_store`] assembles
-//! the authoritative rows back into one store, which is how every exactness
-//! test compares a distributed run against the single-machine engines.
+//! the authoritative rows of a set of per-worker stores back into one store,
+//! which is how every exactness test compares a distributed run against the
+//! single-machine engines.
 
 use crate::{DistError, Result};
 use ripple_gnn::{EmbeddingStore, GnnModel};

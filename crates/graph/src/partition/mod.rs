@@ -30,6 +30,7 @@ pub use ldg::LdgPartitioner;
 
 use crate::dynamic::DynamicGraph;
 use crate::ids::{PartitionId, VertexId};
+use crate::update::GraphUpdate;
 use crate::{GraphError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -81,6 +82,27 @@ impl Partitioning {
     /// Panics if `v` is outside the assignment.
     pub fn part_of(&self, v: VertexId) -> PartitionId {
         self.assignment[v.index()]
+    }
+
+    /// The partitions `update` must reach: a feature rewrite goes to the
+    /// vertex's owner; an edge change to its source's owner, then to its
+    /// destination's owner when that differs. A vertex outside the
+    /// assignment (an invalid update) maps to `id % num_parts`, so it still
+    /// reaches one engine, which rejects it with a typed error.
+    pub fn update_owners(&self, update: &GraphUpdate) -> (PartitionId, Option<PartitionId>) {
+        let owner = |v: VertexId| {
+            self.assignment
+                .get(v.index())
+                .copied()
+                .unwrap_or(PartitionId((v.index() % self.num_parts) as u32))
+        };
+        match update {
+            GraphUpdate::UpdateFeature { vertex, .. } => (owner(*vertex), None),
+            GraphUpdate::AddEdge { src, dst, .. } | GraphUpdate::DeleteEdge { src, dst } => {
+                let (a, b) = (owner(*src), owner(*dst));
+                (a, (b != a).then_some(b))
+            }
+        }
     }
 
     /// All vertices owned by partition `p`, in id order.
@@ -201,6 +223,46 @@ mod tests {
         );
         assert_eq!(p.part_sizes(), vec![2, 1]);
         assert!((p.balance_factor() - (2.0 / 1.5)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn update_owners_follow_the_routing_rule() {
+        let p =
+            Partitioning::from_assignment(vec![PartitionId(0), PartitionId(1), PartitionId(0)], 2)
+                .unwrap();
+        let (v0, v1, v2) = (VertexId(0), VertexId(1), VertexId(2));
+        let owners = |u: GraphUpdate| p.update_owners(&u);
+        assert_eq!(
+            owners(GraphUpdate::update_feature(v1, vec![0.0])),
+            (PartitionId(1), None)
+        );
+        // Same-owner edges reach one partition, cut edges source owner first.
+        assert_eq!(
+            owners(GraphUpdate::add_edge(v0, v2)),
+            (PartitionId(0), None)
+        );
+        assert_eq!(
+            owners(GraphUpdate::add_edge(v1, v2)),
+            (PartitionId(1), Some(PartitionId(0)))
+        );
+        assert_eq!(
+            owners(GraphUpdate::delete_edge(v2, v1)),
+            (PartitionId(0), Some(PartitionId(1)))
+        );
+        // Ids beyond the assignment fall back to `id % num_parts`.
+        let (v7, v8) = (VertexId(7), VertexId(8));
+        assert_eq!(
+            owners(GraphUpdate::update_feature(v7, vec![0.0])),
+            (PartitionId(1), None)
+        );
+        assert_eq!(
+            owners(GraphUpdate::add_edge(v8, v1)),
+            (PartitionId(0), Some(PartitionId(1)))
+        );
+        assert_eq!(
+            owners(GraphUpdate::delete_edge(v1, v7)),
+            (PartitionId(1), None)
+        );
     }
 
     #[test]

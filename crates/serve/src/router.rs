@@ -2,11 +2,13 @@
 //! their owning shards' queues.
 //!
 //! A [`ShardRouter`] is the sharded counterpart of [`crate::UpdateClient`].
-//! Feature updates go to the owner of the rewritten vertex; edge updates go
-//! to the owner of **both** endpoints (once, when one shard owns both) —
-//! each owner applies the topology change to its halo-restricted graph, and
-//! only the source's owner emits the resulting value deltas, mirroring how
-//! the distributed engine routes halo stubs.
+//! It routes by [`Partitioning::update_owners`]: feature updates go to the
+//! owner of the rewritten vertex; edge updates go to the owner of **both**
+//! endpoints (once, when one shard owns both) — each owner applies the
+//! topology change to its halo-restricted graph, and only the source's owner
+//! emits the resulting value deltas. An id beyond the partitioned space is
+//! routed by hash, so the owning engine reports the error exactly like the
+//! single-engine path would.
 //!
 //! Shard queues are unbounded (halo sends between workers must never
 //! block), so producer backpressure lives here: every shard carries a depth
@@ -19,7 +21,7 @@ use crate::metrics::ServeMetrics;
 use crate::scheduler::{BackpressurePolicy, QueuedUpdate, Submission};
 use crate::shard::ShardMsg;
 use ripple_graph::partition::Partitioning;
-use ripple_graph::{GraphUpdate, PartitionId, VertexId};
+use ripple_graph::GraphUpdate;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -86,35 +88,10 @@ impl ShardRouter {
         self.txs.len()
     }
 
-    /// The owning shard of `v`. A vertex beyond the partitioned id space
-    /// (e.g. an invalid update) is routed by hash so the owning engine
-    /// reports the error exactly like the single-engine path would.
-    fn owner(&self, v: VertexId) -> PartitionId {
-        let num_parts = self.txs.len();
-        self.partitioning
-            .assignment()
-            .get(v.index())
-            .copied()
-            .unwrap_or(PartitionId((v.index() % num_parts) as u32))
-    }
-
-    /// The shards `update` must reach: feature rewrites go to the vertex
-    /// owner; edge changes to both endpoint owners (deduplicated).
-    fn routes(&self, update: &GraphUpdate) -> (PartitionId, Option<PartitionId>) {
-        match update {
-            GraphUpdate::UpdateFeature { vertex, .. } => (self.owner(*vertex), None),
-            GraphUpdate::AddEdge { src, dst, .. } | GraphUpdate::DeleteEdge { src, dst } => {
-                let a = self.owner(*src);
-                let b = self.owner(*dst);
-                (a, (b != a).then_some(b))
-            }
-        }
-    }
-
     /// Submits one update, honouring the configured backpressure policy
     /// across every shard it routes to.
     pub fn submit(&self, update: GraphUpdate) -> Submission {
-        let (first, second) = self.routes(&update);
+        let (first, second) = self.partitioning.update_owners(&update);
         let targets = [Some(first), second];
         // Clear backpressure on every route before enqueueing anywhere, so
         // a cross-shard update is accepted by all owners or by none.

@@ -160,23 +160,14 @@ fn ripple_digest(workload: Workload, layers: usize, threads: usize) -> u64 {
     digest(engine.store(), &counters)
 }
 
-/// Splits a batch the way the sharded router does: feature updates to the
-/// owner, edge updates to both endpoint owners (once if they coincide).
+/// Splits a batch the way the sharded router does, by
+/// [`Partitioning::update_owners`].
 fn split_batch(batch: &UpdateBatch, partitioning: &Partitioning) -> Vec<Vec<GraphUpdate>> {
     let mut per_shard = vec![Vec::new(); partitioning.num_parts()];
     for update in batch {
-        match update {
-            GraphUpdate::UpdateFeature { vertex, .. } => {
-                per_shard[partitioning.part_of(*vertex).index()].push(update.clone());
-            }
-            GraphUpdate::AddEdge { src, dst, .. } | GraphUpdate::DeleteEdge { src, dst } => {
-                let a = partitioning.part_of(*src);
-                let b = partitioning.part_of(*dst);
-                per_shard[a.index()].push(update.clone());
-                if b != a {
-                    per_shard[b.index()].push(update.clone());
-                }
-            }
+        let (first, second) = partitioning.update_owners(update);
+        for part in std::iter::once(first).chain(second) {
+            per_shard[part.index()].push(update.clone());
         }
     }
     per_shard

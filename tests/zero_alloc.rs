@@ -3,31 +3,41 @@
 //! exact `reevaluate_slice_into` call each engine worker makes per hop —
 //! performs **zero heap allocations**, as do the underlying `_into` kernels.
 //!
-//! The counting allocator is process-global, so the tests in this file
-//! serialise themselves on [`MEASURE_LOCK`] and bracket each measured region
-//! tightly.
+//! The counting allocator is process-global; it counts only on the thread
+//! that armed it, into that thread's own counter, so the test harness
+//! spawning or reporting other tests cannot leak into a count. Every
+//! measured region runs on the measuring thread (the engine runs with one
+//! thread, which evaluates inline). The tests still serialise themselves on
+//! [`MEASURE_LOCK`] and bracket each measured region tightly.
 
 use ripple::gnn::layer_wise::{full_inference, reevaluate_slice_into};
 use ripple::prelude::*;
 use ripple::tensor::{ops, Matrix, Scratch};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 /// Held for the duration of every test so measured regions never interleave.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Wraps the system allocator, counting every `alloc`/`realloc` while armed.
+/// Wraps the system allocator, counting every `alloc`/`realloc` of an armed
+/// thread.
 struct CountingAllocator;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
@@ -36,9 +46,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,14 +54,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Runs `f` with the counter armed and returns how many heap allocations it
-/// performed.
+/// Runs `f` with this thread's counter armed and returns how many heap
+/// allocations it performed.
 fn count_allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
     let value = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (ALLOCATIONS.load(Ordering::SeqCst), value)
+    ARMED.with(|a| a.set(false));
+    (ALLOCATIONS.with(Cell::get), value)
 }
 
 #[test]
@@ -106,6 +114,9 @@ fn steady_state_compute_phase_performs_zero_allocations() {
 #[test]
 fn warm_into_kernels_perform_zero_allocations() {
     let _guard = MEASURE_LOCK.lock().unwrap();
+    let (allocs, canary) = count_allocations(|| vec![0u8; 8]);
+    assert_eq!(allocs, 1, "the counter missed an armed allocation");
+    drop(canary);
     let a = ripple::tensor::init::uniform(48, 24, -1.0, 1.0, 1);
     let b = ripple::tensor::init::uniform(24, 40, -1.0, 1.0, 2);
     let mut out = Matrix::default();
