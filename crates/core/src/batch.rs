@@ -43,7 +43,7 @@ pub trait StreamingEngine {
     /// The vertices whose store rows changed in the last processed batch
     /// (sorted, deduplicated), or `None` when the engine does not track
     /// them. The serving layer uses this for O(affected) dirty-row epoch
-    /// publication; `None` falls back to a full-store refresh.
+    /// publication; `None` falls back to a full-table refresh.
     fn dirty_rows(&self) -> Option<&[ripple_graph::VertexId]> {
         None
     }

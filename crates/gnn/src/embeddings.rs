@@ -194,33 +194,12 @@ impl EmbeddingStore {
         (&prev[l - 1], &mut rest[0], &mut self.aggregates[l - 1])
     }
 
-    /// Overwrites this store with the shape and contents of `other`,
-    /// **reusing every table's buffer capacity** (see [`Matrix::copy_from`]).
-    /// This is the resize-free refresh behind the serving layer's epoch
-    /// snapshots: once a double buffer has been through one refresh, later
-    /// refreshes of an unchanged-shape store perform no heap allocation.
-    pub fn copy_from(&mut self, other: &EmbeddingStore) {
-        self.embeddings
-            .resize_with(other.embeddings.len(), Matrix::default);
-        for (dst, src) in self.embeddings.iter_mut().zip(other.embeddings.iter()) {
-            dst.copy_from(src);
-        }
-        self.aggregates
-            .resize_with(other.aggregates.len(), Matrix::default);
-        for (dst, src) in self.aggregates.iter_mut().zip(other.aggregates.iter()) {
-            dst.copy_from(src);
-        }
-    }
-
     /// Refreshes only the given vertices' rows (every embedding layer and
     /// every aggregate table) from `other`, leaving all other rows untouched.
-    /// This is the O(affected) epoch refresh behind the serving layer's
-    /// dirty-row snapshot publication: when the caller knows which rows
-    /// changed between two stores of identical shape, copying just those
-    /// rows replaces the full-table memcpy of [`EmbeddingStore::copy_from`].
+    /// Shard engines gather their owned rows into one global store this way.
     ///
     /// Returns `false` without touching anything if the two stores have
-    /// different shapes (the caller should fall back to a full copy).
+    /// different shapes.
     ///
     /// # Panics
     ///
@@ -388,22 +367,6 @@ mod tests {
         let c = EmbeddingStore::zeroed(&m, 5);
         assert!(a.max_final_diff(&c).is_err());
         assert!(a.max_diff_all_layers(&c).is_err());
-    }
-
-    #[test]
-    fn copy_from_matches_source_exactly() {
-        let m = model();
-        let mut src = EmbeddingStore::zeroed(&m, 5);
-        src.set_embedding(1, VertexId(3), &[0.25; 8]).unwrap();
-        src.set_aggregate(2, VertexId(1), &[1.5; 8]).unwrap();
-        // Refresh a differently-shaped store: it must converge to `src`.
-        let mut dst = EmbeddingStore::zeroed(&m, 9);
-        dst.copy_from(&src);
-        assert!(dst == src, "copy_from must produce a bit-identical store");
-        // Steady state: refreshing again after a mutation tracks the source.
-        src.set_embedding(0, VertexId(0), &[7.0; 4]).unwrap();
-        dst.copy_from(&src);
-        assert!(dst == src);
     }
 
     #[test]

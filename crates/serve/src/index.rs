@@ -13,7 +13,7 @@
 //!
 //! The per-cluster **radii** back both: `dot(x, q) ≤ dot(c, q) + radius·‖q‖`
 //! for every member `x` of cluster `c`. Scores always come from the
-//! published store snapshot, never from index state, so every returned
+//! published snapshot table, never from index state, so every returned
 //! `(vertex, score)` is bit-identical to what a full scan reports for it.
 //!
 //! # Publication
@@ -32,7 +32,7 @@
 //! O(|V|). [`IndexStats`] counts repairs vs. full rebuilds to prove the
 //! incrementality.
 //!
-//! An index published at epoch `e` describes exactly the store snapshot
+//! An index published at epoch `e` describes exactly the snapshot table
 //! published at epoch `e` — the pairing a pruned exact read relies on. Two
 //! publications keep it: recovery resumes the index at the store's epoch
 //! ([`IndexMaintainer::bootstrap_at`]), and the non-final windows of an
@@ -191,7 +191,7 @@ impl SharedIndexStats {
 ///
 /// Readers obtain it through [`IndexReader::index`] and use
 /// [`TopKIndex::candidates`] to turn a query vector into the member set of
-/// its `nprobe` best clusters; scoring happens against the store snapshot,
+/// its `nprobe` best clusters; scoring happens against the snapshot table,
 /// never against index state.
 #[derive(Debug, Clone)]
 pub struct TopKIndex {
@@ -230,7 +230,7 @@ pub struct TopKIndex {
     centroid_norms: Vec<f64>,
     /// Indexed (non-tombstoned) rows.
     active: usize,
-    /// Whether this index describes exactly the store snapshot published at
+    /// Whether this index describes exactly the snapshot table published at
     /// the same epoch, so an exact read may prune on it. Cleared by
     /// [`IndexMaintainer::publish_unpaired`].
     paired: bool,
@@ -518,7 +518,7 @@ impl TopKIndex {
     /// Per-cluster upper bounds `(bound, cluster)` on the score an exact
     /// read computes for any member — the pruning bounds of
     /// [`ReadMode::Exact`](crate::ReadMode::Exact). The read pairs this
-    /// index with the store snapshot of `epoch`, whose final layer has
+    /// index with the snapshot table of `epoch`, which has
     /// `rows` rows, of which the read covers `covered` (all of them, or a
     /// shard's owned rows).
     ///
@@ -688,6 +688,22 @@ pub struct VersionedIndex {
     current: Mutex<Arc<TopKIndex>>,
 }
 
+impl VersionedIndex {
+    /// A new reader handle starting at the current epoch; session handles
+    /// mint readers here so that holding one never pins an old index.
+    pub(crate) fn reader(self: &Arc<Self>) -> IndexReader {
+        IndexReader {
+            shared: Arc::clone(self),
+            cached: self.current(),
+        }
+    }
+
+    /// The latest published index (a pointer clone under the mutex).
+    fn current(&self) -> Arc<TopKIndex> {
+        self.current.lock().expect("index lock poisoned").clone()
+    }
+}
+
 /// A reader's cached handle onto the latest published index. Cheap to
 /// clone; refreshes lazily on access with one atomic epoch load.
 #[derive(Debug, Clone)]
@@ -702,12 +718,7 @@ impl IndexReader {
     /// epoch exists).
     pub fn index(&mut self) -> &Arc<TopKIndex> {
         if self.shared.epoch.load(Ordering::Acquire) != self.cached.epoch {
-            self.cached = self
-                .shared
-                .current
-                .lock()
-                .expect("index lock poisoned")
-                .clone();
+            self.cached = self.shared.current();
         }
         &self.cached
     }
@@ -715,6 +726,11 @@ impl IndexReader {
     /// The index this handle currently caches, without refreshing.
     pub fn cached(&self) -> &Arc<TopKIndex> {
         &self.cached
+    }
+
+    /// The shared state, from which [`VersionedIndex::reader`] mints handles.
+    pub(crate) fn shared(&self) -> &Arc<VersionedIndex> {
+        &self.shared
     }
 
     /// Refreshes and returns the current index epoch.
@@ -773,40 +789,27 @@ impl IndexMaintainer {
         let stats = Arc::new(SharedIndexStats::default());
         let mut built = TopKIndex::build(store, owned.as_deref(), &params);
         built.epoch = epoch;
-        let initial = Arc::new(built);
         SharedIndexStats::bump(&stats.builds, 1);
         let shared = Arc::new(VersionedIndex {
             epoch: AtomicU64::new(epoch),
-            current: Mutex::new(Arc::clone(&initial)),
+            current: Mutex::new(Arc::new(built)),
         });
+        let reader = shared.reader();
         let maintainer = IndexMaintainer {
             params,
-            shared: Arc::clone(&shared),
+            shared,
             retired: None,
             prev_dirty: None,
             owned,
             structure_epoch: 0,
             stats,
         };
-        let reader = IndexReader {
-            shared,
-            cached: initial,
-        };
         (maintainer, reader)
     }
 
     /// A new reader handle starting at the current epoch.
     pub fn reader(&self) -> IndexReader {
-        let cached = self
-            .shared
-            .current
-            .lock()
-            .expect("index lock poisoned")
-            .clone();
-        IndexReader {
-            shared: Arc::clone(&self.shared),
-            cached,
-        }
+        self.shared.reader()
     }
 
     /// The shared counters (cloned into session handles at spawn).
@@ -839,7 +842,7 @@ impl IndexMaintainer {
         self.publish_epoch(store, dirty, true)
     }
 
-    /// [`IndexMaintainer::publish`] for an epoch whose store snapshot will
+    /// [`IndexMaintainer::publish`] for an epoch whose snapshot table will
     /// *not* equal `store`: a non-final window of an admission group, which
     /// repairs from the post-group store while its snapshot holds only the
     /// rows committed so far. A split or merge there would size radii from

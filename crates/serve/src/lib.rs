@@ -5,11 +5,12 @@
 //! a batch propagates. This crate adds the read/update separation a serving
 //! deployment needs:
 //!
-//! * [`VersionedStore`] — epoch-versioned [`ripple_gnn::EmbeddingStore`]
-//!   snapshots behind an `Arc` swap. Readers hold a cheap cached
-//!   [`SnapshotReader`] handle whose hot path is **one atomic load**; the
-//!   publisher double-buffers so steady-state epoch publication reuses the
-//!   retired snapshot's buffers instead of allocating a full store copy.
+//! * [`VersionedStore`] — epoch-versioned snapshots of the engine's
+//!   final-layer embedding table (all that reads serve) behind an `Arc`
+//!   swap. Readers hold a cheap cached [`SnapshotReader`] handle whose hot
+//!   path is **one atomic load**; the publisher double-buffers so
+//!   steady-state epoch publication reuses the retired snapshot's table
+//!   instead of allocating a copy.
 //! * [`UpdateScheduler`] internals behind [`spawn`] — an MPSC update queue
 //!   with size- and time-window coalescing, same-edge churn dedup and
 //!   bounded-queue backpressure ([`BackpressurePolicy::Block`] or

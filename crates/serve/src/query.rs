@@ -22,7 +22,7 @@
 //! index) fail up front with
 //! [`ServeError::InvalidQuery`]; an unmet epoch floor fails with
 //! [`ServeError::StaleRead`]. Approximate reads score candidates from the
-//! same store snapshot the exact scan reads, so every returned score is
+//! same snapshot table the exact scan reads, so every returned score is
 //! bit-identical to the exact scan's — approximation affects *which* rows
 //! are considered, never their scores.
 //!
@@ -47,7 +47,7 @@ use crate::versioned::{EpochSnapshot, SnapshotReader};
 use ripple_graph::partition::Partitioning;
 use ripple_graph::{PartitionId, VertexId};
 use ripple_tensor::ops::score_rows_into;
-use ripple_tensor::Matrix;
+use ripple_tensor::{vector, Matrix};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -134,7 +134,7 @@ pub enum ReadMode {
     /// Probe the `nprobe` clusters of the session's IVF index whose
     /// centroids best match the query, scoring only their postings —
     /// sublinear when `nprobe` covers a fraction of the clusters. Scores
-    /// are read from the store snapshot, so they are bit-identical to
+    /// are read from the snapshot table, so they are bit-identical to
     /// [`ReadMode::Exact`] for every returned vertex; only recall is
     /// approximate. `nprobe` clamps to the cluster count, so
     /// `usize::MAX` probes everything (and must then match the exact scan).
@@ -369,11 +369,11 @@ impl QueryService {
         let start = Instant::now();
         let (snapshot, submitted, shard) =
             self.point_view(v).ok_or(ServeError::UnknownVertex(v))?;
-        let store = snapshot.store();
-        if v.index() >= store.num_vertices() {
+        let table = snapshot.table();
+        if v.index() >= table.rows() {
             return Err(ServeError::UnknownVertex(v));
         }
-        let value = store.embedding(store.num_layers(), v).to_vec();
+        let value = table.row(v.index()).to_vec();
         let stamped = stamp(value, &snapshot, submitted, shard);
         self.metrics.record_read(start.elapsed());
         Ok(stamped)
@@ -390,11 +390,12 @@ impl QueryService {
         let start = Instant::now();
         let (snapshot, submitted, shard) =
             self.point_view(v).ok_or(ServeError::UnknownVertex(v))?;
-        let store = snapshot.store();
-        if v.index() >= store.num_vertices() {
+        let table = snapshot.table();
+        if v.index() >= table.rows() {
             return Err(ServeError::UnknownVertex(v));
         }
-        let stamped = stamp(store.predicted_label(v), &snapshot, submitted, shard);
+        let label = vector::argmax(table.row(v.index())).unwrap_or(0);
+        let stamped = stamp(label, &snapshot, submitted, shard);
         self.metrics.record_read(start.elapsed());
         Ok(stamped)
     }
@@ -489,8 +490,7 @@ impl QueryService {
             } => {
                 let pending = submitted.load(Ordering::Relaxed);
                 let snapshot = Arc::clone(reader.snapshot());
-                let store = snapshot.store();
-                let table = store.embeddings(store.num_layers());
+                let table = snapshot.table();
                 if table.cols() != query.len() {
                     return Err(width_mismatch(table.cols(), query.len()));
                 }
@@ -539,8 +539,7 @@ impl QueryService {
                     .iter_mut()
                     .map(|r| Arc::clone(r.snapshot()))
                     .collect();
-                let num_layers = snapshots[0].store().num_layers();
-                let width = snapshots[0].store().embeddings(num_layers).cols();
+                let width = snapshots[0].table().cols();
                 if width != query.len() {
                     return Err(width_mismatch(width, query.len()));
                 }
@@ -553,7 +552,7 @@ impl QueryService {
                     ReadMode::Exact => {
                         let (mut pruned, mut scored) = (true, 0);
                         for (p, (snapshot, ids)) in snapshots.iter().zip(owned.iter()).enumerate() {
-                            let table = snapshot.store().embeddings(num_layers);
+                            let table = snapshot.table();
                             let index = indexes.as_mut().map(|list| &**list[p].index());
                             let covered = ids.partition_point(|&v| (v as usize) < table.rows());
                             let (shard_pruned, rows) = scan_exact(
@@ -576,7 +575,7 @@ impl QueryService {
                         // so the merged candidate set is duplicate-free and
                         // scoring stays owner-authoritative.
                         for (snapshot, index) in snapshots.iter().zip(indexes.iter_mut()) {
-                            let table = snapshot.store().embeddings(num_layers);
+                            let table = snapshot.table();
                             let candidates = index.index().candidates(query, nprobe);
                             scan(table, candidates, query, &mut top)?;
                         }
@@ -958,6 +957,22 @@ mod tests {
             q.read_label(VertexId(99)),
             Err(ServeError::UnknownVertex(VertexId(99)))
         ));
+    }
+
+    #[test]
+    fn read_label_matches_the_store_argmax_including_ties() {
+        let mut base = store();
+        // Vertex 0 ties its two largest components, vertex 2 all three.
+        base.set_embedding(2, VertexId(0), &[0.5, 3.0, 3.0])
+            .unwrap();
+        let (mut q, _publisher) = service(&base, 0);
+        for v in (0..base.num_vertices()).map(|v| VertexId(v as u32)) {
+            assert_eq!(
+                q.read_label(v).unwrap().value,
+                base.predicted_label(v),
+                "label of {v:?}"
+            );
+        }
     }
 
     #[test]

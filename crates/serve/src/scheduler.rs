@@ -28,7 +28,9 @@ use crate::durability::{
     recover, write_checkpoint_ref, CheckpointRef, DurabilityConfig, RecoveryReport, WalFrame,
     WalWriter, FP_AFTER_PUBLISH,
 };
-use crate::index::{IndexMaintainer, IndexParams, IndexReader, IndexStats, SharedIndexStats};
+use crate::index::{
+    IndexMaintainer, IndexParams, IndexReader, IndexStats, SharedIndexStats, VersionedIndex,
+};
 use crate::metrics::ServeMetrics;
 use crate::versioned::{SnapshotPublisher, SnapshotReader, VersionedStore};
 use ripple_core::{DeltaMessage, Footprint, RippleError, StreamingEngine};
@@ -1227,8 +1229,11 @@ pub struct ServeHandle<E> {
     tx: SyncSender<Msg>,
     submitted: Arc<AtomicU64>,
     metrics: Arc<ServeMetrics>,
-    reader: SnapshotReader,
-    index_reader: Option<IndexReader>,
+    /// The published snapshots and index. The handle keeps the shared
+    /// state, not readers, so it never pins an epoch: each query service
+    /// starts at the current one.
+    snapshots: Arc<VersionedStore>,
+    index: Option<Arc<VersionedIndex>>,
     index_stats: Option<Arc<SharedIndexStats>>,
     policy: BackpressurePolicy,
     flush_log: Option<FlushLog>,
@@ -1254,8 +1259,8 @@ impl<E> ServeHandle<E> {
     /// A new query handle (each reader thread should own one).
     pub fn query_service(&self) -> crate::QueryService {
         crate::QueryService::new(
-            self.reader.clone(),
-            self.index_reader.clone(),
+            self.snapshots.reader(),
+            self.index.as_ref().map(VersionedIndex::reader),
             Arc::clone(&self.submitted),
             Arc::clone(&self.metrics),
         )
@@ -1344,8 +1349,11 @@ where
     let queue_capacity = config.queue_capacity;
     let policy = config.policy;
     let (scheduler, reader) = UpdateScheduler::new(engine, config, Arc::clone(&metrics))?;
+    let snapshots = Arc::clone(reader.shared());
     let flush_log = scheduler.flush_log();
-    let index_reader = scheduler.index_reader();
+    let index = scheduler
+        .index_reader()
+        .map(|reader| Arc::clone(reader.shared()));
     let index_stats = scheduler.shared_index_stats();
     let recovery = scheduler.recovery_report();
     let failure: Arc<Mutex<Option<ServeError>>> = Arc::new(Mutex::new(None));
@@ -1367,8 +1375,8 @@ where
         tx,
         submitted,
         metrics,
-        reader,
-        index_reader,
+        snapshots,
+        index,
         index_stats,
         policy,
         flush_log,
@@ -1770,6 +1778,35 @@ mod tests {
         }
         assert_eq!(applied, 1, "time window must flush the lone update");
         assert!(metrics.report().max_visibility_lag >= Duration::from_millis(4));
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn serving_handle_does_not_pin_the_bootstrap_epoch() {
+        let (graph, model, store, updates) = bootstrap(17);
+        let handle = spawn(engine(graph, model, store), ServeConfig::default()).unwrap();
+        let (snapshot, index) = {
+            let mut index = handle.index.as_ref().map(VersionedIndex::reader).unwrap();
+            let mut snapshots = handle.snapshots.reader();
+            assert_eq!(snapshots.epoch(), 0);
+            (
+                Arc::downgrade(snapshots.snapshot()),
+                Arc::downgrade(index.index()),
+            )
+        };
+        // Two publications with the handle alive and no query service held:
+        // the second reclaims the epoch-0 buffers for reuse.
+        let client = handle.client();
+        for update in updates.into_iter().take(2) {
+            client.submit(update);
+            handle.flush().unwrap();
+        }
+        assert_eq!(handle.query_service().epoch(), 2);
+        assert!(
+            snapshot.upgrade().is_none(),
+            "epoch-0 snapshot still pinned"
+        );
+        assert!(index.upgrade().is_none(), "epoch-0 index still pinned");
         handle.shutdown().unwrap();
     }
 }

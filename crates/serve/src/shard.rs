@@ -27,11 +27,11 @@ use crate::durability::{
     recover, write_checkpoint_ref, CheckpointRef, DurabilityConfig, HaloSource, RecoveryReport,
     WalFrame, WalWriter, FP_AFTER_PUBLISH,
 };
-use crate::index::{IndexMaintainer, IndexReader, IndexStats, SharedIndexStats};
+use crate::index::{IndexMaintainer, IndexStats, SharedIndexStats, VersionedIndex};
 use crate::metrics::ServeMetrics;
 use crate::router::ShardRouter;
 use crate::scheduler::{Coalescer, FlushLog, FlushRecord, ServeConfig, ServeError};
-use crate::versioned::{SnapshotPublisher, SnapshotReader, VersionedStore};
+use crate::versioned::{SnapshotPublisher, VersionedStore};
 use ripple_core::{DeltaMessage, Footprint, RippleConfig, ShardEngine};
 use ripple_gnn::{EmbeddingStore, GnnModel};
 use ripple_graph::partition::halo::HaloInfo;
@@ -727,9 +727,11 @@ pub struct ShardedServeHandle {
     total_submitted: Arc<AtomicU64>,
     halo_in_flight: Arc<AtomicU64>,
     metrics: Arc<ServeMetrics>,
-    readers: Vec<SnapshotReader>,
-    /// Per-shard IVF index readers (present iff [`ServeConfig::index`]).
-    index_readers: Option<Vec<IndexReader>>,
+    /// Per-shard published snapshots. Like [`crate::ServeHandle`], the
+    /// handle keeps the shared state, not readers, so it pins no epoch.
+    snapshots: Vec<Arc<VersionedStore>>,
+    /// Per-shard published IVF indexes (present iff [`ServeConfig::index`]).
+    indexes: Option<Vec<Arc<VersionedIndex>>>,
     /// Per-shard index maintenance counters (empty when indexing is off).
     index_stats: Vec<Arc<SharedIndexStats>>,
     partitioning: Arc<Partitioning>,
@@ -766,8 +768,10 @@ impl ShardedServeHandle {
     /// thread should own one).
     pub fn query_service(&self) -> crate::QueryService {
         crate::QueryService::new_sharded(
-            self.readers.clone(),
-            self.index_readers.clone(),
+            self.snapshots.iter().map(VersionedStore::reader).collect(),
+            self.indexes
+                .as_ref()
+                .map(|list| list.iter().map(VersionedIndex::reader).collect()),
             self.submitted.clone(),
             self.secondary_submitted.clone(),
             Arc::clone(&self.partitioning),
@@ -967,8 +971,8 @@ pub fn spawn_sharded(
     let mut alive = Vec::with_capacity(shards);
     let mut submitted = Vec::with_capacity(shards);
     let mut secondary_submitted = Vec::with_capacity(shards);
-    let mut readers = Vec::with_capacity(shards);
-    let mut index_readers = config.index.map(|_| Vec::with_capacity(shards));
+    let mut snapshots = Vec::with_capacity(shards);
+    let mut indexes = config.index.map(|_| Vec::with_capacity(shards));
     let mut index_stats = Vec::new();
     let mut flush_logs = Vec::new();
     let mut recovery = Vec::new();
@@ -1089,7 +1093,7 @@ pub fn spawn_sharded(
             applied_secondary,
             engine.topology_epoch(),
         );
-        readers.push(reader);
+        snapshots.push(Arc::clone(reader.shared()));
         // Each shard indexes only the rows it owns: the merged approximate
         // read scores every candidate from its owner's snapshot, exactly
         // like the merged exact scan.
@@ -1101,8 +1105,8 @@ pub fn spawn_sharded(
                 .collect();
             let (maintainer, index_reader) =
                 IndexMaintainer::bootstrap_at(engine.store(), Some(owned), params, epoch);
-            if let Some(list) = &mut index_readers {
-                list.push(index_reader);
+            if let Some(list) = &mut indexes {
+                list.push(Arc::clone(index_reader.shared()));
             }
             index_stats.push(maintainer.shared_stats());
             maintainer
@@ -1180,8 +1184,8 @@ pub fn spawn_sharded(
         total_submitted,
         halo_in_flight,
         metrics,
-        readers,
-        index_readers,
+        snapshots,
+        indexes,
         index_stats,
         partitioning,
         flush_logs,
@@ -1386,5 +1390,45 @@ mod tests {
         assert!(epoch >= 1);
         assert_eq!(shards, 2);
         sharded.shutdown().unwrap();
+    }
+
+    #[test]
+    fn sharded_handle_does_not_pin_a_shard_bootstrap_epoch() {
+        let (graph, model, store, _) = bootstrap(23);
+        let config = ServeConfig::builder().max_batch(8).build().unwrap();
+        let handle =
+            spawn_sharded(&graph, &model, &store, RippleConfig::default(), config, 2).unwrap();
+        let (snapshot, index) = {
+            let mut snapshots = handle.snapshots[0].reader();
+            let mut index = handle.indexes.as_ref().unwrap()[0].reader();
+            assert_eq!(snapshots.epoch(), 0);
+            (
+                Arc::downgrade(snapshots.snapshot()),
+                Arc::downgrade(index.index()),
+            )
+        };
+        // Two windows for shard 0 with the handle alive and no query
+        // service held.
+        let owned = handle
+            .partitioning()
+            .assignment()
+            .iter()
+            .position(|owner| *owner == PartitionId(0))
+            .unwrap();
+        let client = handle.client();
+        for value in [1.0, 2.0] {
+            client.submit(GraphUpdate::update_feature(
+                VertexId(owned as u32),
+                vec![value; 6],
+            ));
+            handle.flush().unwrap();
+        }
+        assert!(handle.query_service().epoch_vector()[0] >= 2);
+        assert!(
+            snapshot.upgrade().is_none(),
+            "epoch-0 snapshot still pinned"
+        );
+        assert!(index.upgrade().is_none(), "epoch-0 index still pinned");
+        handle.shutdown().unwrap();
     }
 }
