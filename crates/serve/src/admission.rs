@@ -1,16 +1,20 @@
-//! Footprint-based concurrent window admission: the conflict-tracking
-//! commit pipeline in front of the serving engines.
+//! Footprint-based concurrent window admission: the one commit pipeline
+//! behind both serving tiers.
 //!
-//! The serial scheduler closes a coalesced window, logs it, applies it, and
-//! publishes its epoch — one window fully committed before the next one is
-//! even looked at. Admission decouples *reservation* from *execution*:
-//! when a window closes, its [`Footprint`] (the vertices its updates plus
-//! their k-hop affected cones can touch) is computed against the current
-//! topology and checked against every in-flight reservation. Windows whose
-//! footprints are pairwise disjoint are **staged together**: each is
-//! WAL-logged immediately (in `window_seq` order, with its post-commit
-//! counters predicted), then the whole group executes as one merged engine
-//! pass and commits window by window, in the exact order the WAL recorded.
+//! Every closed window is *staged* (WAL-appended unsynced, its post-commit
+//! counters predicted, a reservation held) and later *drained* (one fsync
+//! for the group, then execution and per-window epoch publication in
+//! `window_seq` order). The in-flight depth decides how many windows a
+//! group may hold. **Depth 1 is the serial pipeline**: every window stages
+//! into an empty group and drains at once, so its footprint is never
+//! compared with anything and is not computed.
+//!
+//! At depth 2 and above, the single-engine scheduler computes each
+//! window's [`Footprint`] (the vertices its updates plus their k-hop
+//! affected cones can touch) against the current topology and checks it
+//! against every in-flight reservation. Windows whose footprints are
+//! pairwise disjoint stage together, and the whole group executes as one
+//! merged engine pass.
 //!
 //! The state machine per window:
 //!
@@ -37,61 +41,21 @@
 //! staged set is pairwise footprint-disjoint at all times. Everything else
 //! (merged-pass bit-identity, per-window epoch reconstruction from the
 //! merged dirty set, group fsync) leans on it.
+//!
+//! The sharded tier uses the same controller as a plain **group commit**:
+//! its windows stage with [`Footprint::empty`] and a drained group still
+//! executes window by window, in order, so no footprint is needed and no
+//! window ever conflicts. The depth there only sets how many windows share
+//! one fsync.
 
 use ripple_core::Footprint;
 use std::time::{Duration, Instant};
 
-/// Admission knobs carried inside [`crate::ServeConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionParams {
-    /// Whether concurrent admission is on. Off (the default) keeps the
-    /// serial one-window-at-a-time pipeline exactly as it was.
-    pub enabled: bool,
-    /// Maximum in-flight (reserved, uncommitted) windows. The staged group
-    /// drains as soon as it reaches this depth. Must be at least 1.
-    pub max_inflight: usize,
-}
-
-impl Default for AdmissionParams {
-    fn default() -> Self {
-        AdmissionParams {
-            enabled: false,
-            max_inflight: 4,
-        }
-    }
-}
-
-impl AdmissionParams {
-    /// Admission enabled with the given in-flight depth.
-    pub fn enabled(max_inflight: usize) -> Self {
-        AdmissionParams {
-            enabled: true,
-            max_inflight: max_inflight.max(1),
-        }
-    }
-
-    /// Builds the knobs from the `RIPPLE_SERVE_ADMISSION` (`1`/`on`/`true`
-    /// to enable) and `RIPPLE_SERVE_INFLIGHT` (in-flight depth) environment
-    /// variables, defaulting to disabled.
-    pub fn from_env() -> Self {
-        let mut params = AdmissionParams::default();
-        if let Ok(v) = std::env::var("RIPPLE_SERVE_ADMISSION") {
-            params.enabled = matches!(v.as_str(), "1" | "on" | "true" | "yes");
-        }
-        if let Some(depth) = std::env::var("RIPPLE_SERVE_INFLIGHT")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            params.max_inflight = depth.max(1);
-        }
-        params
-    }
-}
-
 /// Lifecycle of one window moving through the admission pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowState {
-    /// Closed and footprinted, but not yet reserved (not WAL-logged).
+    /// Closed (and footprinted, above depth 1), but not yet reserved (not
+    /// WAL-logged).
     Pending,
     /// WAL-logged and holding a reservation in the in-flight set.
     Reserved,
@@ -167,6 +131,12 @@ impl<P> AdmissionController<P> {
             staged: Vec::new(),
             staged_since: None,
         }
+    }
+
+    /// The in-flight depth: how many windows one staged group may hold
+    /// (1 is the serial pipeline).
+    pub fn max_inflight(&self) -> usize {
+        self.max_inflight
     }
 
     /// Number of in-flight (reserved) windows.
@@ -296,13 +266,5 @@ mod tests {
         assert_eq!(d1, d2, "later reservations do not extend the deadline");
         ctl.take_group();
         assert!(ctl.deadline(Duration::from_millis(5)).is_none());
-    }
-
-    #[test]
-    fn params_default_off_and_clamp_inflight() {
-        let params = AdmissionParams::default();
-        assert!(!params.enabled);
-        assert_eq!(AdmissionParams::enabled(0).max_inflight, 1);
-        assert!(AdmissionParams::enabled(4).enabled);
     }
 }

@@ -211,27 +211,6 @@ impl DurabilityConfig {
         config.dir = self.shard_dir(shard);
         config
     }
-
-    /// Builds a configuration from the `RIPPLE_SERVE_WAL_DIR`,
-    /// `RIPPLE_SERVE_CKPT_EVERY` and `RIPPLE_SERVE_FSYNC`
-    /// (`always`/`never`) environment knobs. Returns `None` when no WAL
-    /// directory is set.
-    pub fn from_env() -> Option<Self> {
-        let dir = std::env::var("RIPPLE_SERVE_WAL_DIR").ok()?;
-        let mut config = DurabilityConfig::new(dir);
-        if let Some(every) = std::env::var("RIPPLE_SERVE_CKPT_EVERY")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            config.checkpoint_every = every;
-        }
-        match std::env::var("RIPPLE_SERVE_FSYNC").as_deref() {
-            Ok("never") => config.fsync = FsyncPolicy::Never,
-            Ok("always") => config.fsync = FsyncPolicy::Always,
-            _ => {}
-        }
-        Some(config)
-    }
 }
 
 impl PartialEq for DurabilityConfig {
@@ -705,20 +684,20 @@ impl WalWriter {
         })
     }
 
-    /// Appends one frame and makes it durable per the fsync policy. This is
-    /// the serial path: one window, one (conditional) sync. An error here
-    /// must poison the session: the frame may or may not be durable, and
-    /// only recovery can tell.
+    /// Appends one frame and makes it durable per the fsync policy: one
+    /// frame, one (conditional) sync. An error here must poison the
+    /// session: the frame may or may not be durable, and only recovery can
+    /// tell.
     pub fn append(&mut self, frame: &WalFrame) -> crate::Result<()> {
         self.append_unsynced(frame)?;
         self.sync()
     }
 
     /// Appends one frame *without* syncing, honouring any armed fail
-    /// points. The group-commit path under concurrent admission queues
-    /// several staged windows through here and then issues a single
-    /// [`WalWriter::sync`] for the whole group — one fsync covers every
-    /// frame queued since the last sync.
+    /// points. Both serving tiers log every staged window through here and
+    /// then issue a single [`WalWriter::sync`] when the staged group drains
+    /// — one fsync covers every frame queued since the last sync (one per
+    /// window at depth 1).
     pub fn append_unsynced(&mut self, frame: &WalFrame) -> crate::Result<()> {
         if self.fail.fire(FP_WAL_BEFORE_APPEND) {
             return Err(ServeError::Wal(format!(

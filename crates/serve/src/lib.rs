@@ -83,7 +83,7 @@ pub mod shard;
 pub mod soak;
 pub mod versioned;
 
-pub use admission::{AdmissionController, AdmissionParams, StagedWindow, WindowState};
+pub use admission::{AdmissionController, StagedWindow, WindowState};
 pub use durability::{
     DurabilityConfig, FailPoints, FsyncPolicy, RecoveryReport, FP_AFTER_PUBLISH, FP_CKPT_MID,
     FP_WAL_AFTER_APPEND, FP_WAL_BEFORE_APPEND, FP_WAL_TORN_APPEND,

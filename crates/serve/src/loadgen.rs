@@ -116,8 +116,6 @@ impl LoadgenConfig {
     /// | `RIPPLE_SERVE_POLICY` | `block` or `shed` backpressure | `block` |
     /// | `RIPPLE_SERVE_READ_MODE` | `exact` or `approx` top-k reads | `exact` |
     /// | `RIPPLE_SERVE_NPROBE` | probed clusters of approx reads | 16 |
-    /// | `RIPPLE_SERVE_ADMISSION` | `1`/`on` enables concurrent admission | off |
-    /// | `RIPPLE_SERVE_INFLIGHT` | in-flight admission window depth | 4 |
     pub fn from_env() -> Self {
         let scale = std::env::var("RIPPLE_SCALE").unwrap_or_default();
         let (vertices, avg_degree, feature_dim, updates) = match scale.to_lowercase().as_str() {
@@ -161,7 +159,6 @@ impl LoadgenConfig {
                 _ => BackpressurePolicy::Block,
             };
         }
-        config.serve.admission = crate::admission::AdmissionParams::from_env();
         if let Ok(mode) = std::env::var("RIPPLE_SERVE_READ_MODE") {
             config.read_mode = match mode.to_lowercase().as_str() {
                 "approx" => ReadMode::Approx {
@@ -1163,7 +1160,8 @@ pub fn run_nprobe_sweep(
 pub struct AdmissionBenchPoint {
     /// Which workload shape this point ran.
     pub scenario: &'static str,
-    /// In-flight admission depth (0 = serial pipeline, admission off).
+    /// In-flight admission depth (0 labels the serial baseline, which runs
+    /// at depth 1).
     pub depth: usize,
     /// Windows committed (= epochs published).
     pub windows: u64,
@@ -1313,16 +1311,14 @@ fn run_admission_mode(scenario: &AdmissionScenario, depth: usize) -> AdmissionRu
         RippleConfig::default(),
     )
     .expect("bench engine");
-    let builder = ServeConfig::builder()
+    let config = ServeConfig::builder()
         .max_batch(scenario.max_batch)
         .max_delay(Duration::from_secs(60))
-        .record_batches(true);
-    let builder = if depth > 0 {
-        builder.concurrent_admission(depth)
-    } else {
-        builder
-    };
-    let handle = spawn(engine, builder.build().unwrap()).expect("bench session");
+        .record_batches(true)
+        .concurrent_admission(depth)
+        .build()
+        .unwrap();
+    let handle = spawn(engine, config).expect("bench session");
     let client = handle.client();
     let started = Instant::now();
     for update in &scenario.updates {

@@ -146,24 +146,28 @@ impl ServeMetrics {
         self.engine_errors.load(Ordering::Relaxed)
     }
 
-    /// Windows committed inside concurrent admission groups (size >= 2).
+    /// Windows committed inside admission groups of size >= 2 (on the
+    /// sharded tier: windows that shared a group fsync).
     pub fn admitted_concurrent(&self) -> u64 {
         self.admitted_concurrent.load(Ordering::Relaxed)
     }
 
-    /// Footprint conflicts detected by the admission controller.
+    /// Footprint conflicts detected by the admission controller. Always 0
+    /// on the sharded tier, whose windows stage without a footprint.
     pub fn conflicts(&self) -> u64 {
         self.conflicts.load(Ordering::Relaxed)
     }
 
     /// Windows that joined an already non-empty staged group (executed in
-    /// the group's single merged engine pass).
+    /// the group's single merged engine pass; on the sharded tier, still
+    /// executed one by one behind the group's fsync).
     pub fn merged(&self) -> u64 {
         self.merged.load(Ordering::Relaxed)
     }
 
     /// Windows deferred behind a conflicting in-flight group (the group
-    /// committed first; the window staged alone afterwards).
+    /// committed first; the window staged alone afterwards). Always 0 on
+    /// the sharded tier.
     pub fn serialized(&self) -> u64 {
         self.serialized.load(Ordering::Relaxed)
     }
@@ -244,13 +248,16 @@ pub struct MetricsReport {
     pub epochs: u64,
     /// Engine failures observed by the scheduler.
     pub engine_errors: u64,
-    /// Windows committed inside concurrent admission groups (size >= 2).
+    /// Windows committed inside admission groups of size >= 2 (on the
+    /// sharded tier: windows that shared a group fsync).
     pub admitted_concurrent: u64,
-    /// Footprint conflicts detected by the admission controller.
+    /// Footprint conflicts detected by the admission controller (always 0
+    /// on the sharded tier, whose windows stage without a footprint).
     pub conflicts: u64,
     /// Windows merged into an already non-empty staged group.
     pub merged: u64,
-    /// Windows serialized behind a conflicting in-flight group.
+    /// Windows serialized behind a conflicting in-flight group (always 0
+    /// on the sharded tier).
     pub serialized: u64,
     /// Reads served.
     pub reads: u64,

@@ -23,7 +23,7 @@
 //! the [`SnapshotPublisher`], which is what makes the batch visible to
 //! readers — queries never touch the engine's working store.
 
-use crate::admission::{AdmissionController, AdmissionParams, StagedWindow};
+use crate::admission::{AdmissionController, StagedWindow};
 use crate::durability::{
     recover, write_checkpoint_ref, CheckpointRef, DurabilityConfig, RecoveryReport, WalFrame,
     WalWriter, FP_AFTER_PUBLISH,
@@ -89,10 +89,14 @@ pub struct ServeConfig {
     /// directory, with crash recovery on session start. `None` (the
     /// default) serves purely in memory.
     pub durability: Option<DurabilityConfig>,
-    /// Footprint-based concurrent window admission (see
-    /// [`crate::admission`]). Disabled by default: the serial
-    /// one-window-at-a-time commit pipeline.
-    pub admission: AdmissionParams,
+    /// In-flight admission depth (see [`crate::admission`]): how many
+    /// closed windows one staged group may hold before it commits. The
+    /// default 1 is the serial pipeline, one window committed at a time.
+    /// Above 1, the single-engine tier merges footprint-disjoint windows
+    /// into one engine pass (an engine without [`StreamingEngine::model`]
+    /// or [`StreamingEngine::dirty_rows`] still serves at depth 1); the
+    /// sharded tier commits that many windows behind one fsync.
+    pub max_inflight: usize,
 }
 
 impl ServeConfig {
@@ -119,7 +123,7 @@ impl Default for ServeConfig {
             record_batches: false,
             index: Some(IndexParams::default()),
             durability: None,
-            admission: AdmissionParams::default(),
+            max_inflight: 1,
         }
     }
 }
@@ -214,26 +218,22 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the admission knobs (see [`crate::admission`]).
-    #[must_use]
-    pub fn admission(mut self, params: AdmissionParams) -> Self {
-        self.config.admission = params;
-        self
-    }
-
-    /// Enables footprint-based concurrent window admission with the given
-    /// in-flight depth: non-conflicting windows stage together and execute
-    /// as one merged engine pass, committing in `window_seq` order.
+    /// Sets the in-flight admission depth ([`ServeConfig::max_inflight`]),
+    /// clamped to at least 1. On the single-engine tier, footprint-disjoint
+    /// windows stage together and execute as one merged engine pass; on the
+    /// sharded tier, up to `max_inflight` windows share one fsync. Either
+    /// way windows commit in `window_seq` order.
     #[must_use]
     pub fn concurrent_admission(mut self, max_inflight: usize) -> Self {
-        self.config.admission = AdmissionParams::enabled(max_inflight);
+        self.config.max_inflight = max_inflight.max(1);
         self
     }
 
-    /// Disables concurrent admission (the default): serial commits.
+    /// Sets the in-flight depth back to 1 (the default): the serial
+    /// pipeline, one window committed at a time.
     #[must_use]
     pub fn no_admission(mut self) -> Self {
-        self.config.admission = AdmissionParams::default();
+        self.config.max_inflight = 1;
         self
     }
 
@@ -280,12 +280,6 @@ impl ServeConfigBuilder {
                     "durability.segment_bytes must be non-zero".to_string(),
                 ));
             }
-        }
-        if config.admission.enabled && config.admission.max_inflight == 0 {
-            return Err(ServeError::InvalidConfig(
-                "admission.max_inflight must be non-zero (no window could ever reserve)"
-                    .to_string(),
-            ));
         }
         config.max_delay = config.max_delay.min(ServeConfig::MAX_DELAY);
         Ok(config)
@@ -629,7 +623,10 @@ impl Coalescer {
 /// Commit bookkeeping a staged window carries from reservation to
 /// publication: the coalesced batch, the raw-update accounting, and the
 /// post-commit counters predicted at WAL-append time (the publish
-/// debug-asserts the prediction).
+/// debug-asserts the prediction). Predicting them is what lets the WAL
+/// frame carry the *post*-window stamps before the engine runs: each is a
+/// deterministic function of the pre-state and the batch, so recovery
+/// replay lands on the same stamps without re-deriving them.
 #[derive(Debug)]
 struct WindowCommit {
     batch: UpdateBatch,
@@ -647,6 +644,10 @@ struct WindowCommit {
 /// the coalescing window. [`spawn`] runs it on a dedicated thread; tests can
 /// drive it synchronously via [`UpdateScheduler::absorb`] /
 /// [`UpdateScheduler::flush`].
+///
+/// Every window commits through one path: it is staged with the admission
+/// controller, then the staged group drains (see [`crate::admission`]). The
+/// serial pipeline is that path at depth 1.
 #[derive(Debug)]
 pub struct UpdateScheduler<E> {
     engine: E,
@@ -665,11 +666,10 @@ pub struct UpdateScheduler<E> {
     wal: Option<WalWriter>,
     recovery: Option<RecoveryReport>,
     flush_log: Option<FlushLog>,
-    /// The concurrent-admission controller (present iff
-    /// [`ServeConfig::admission`] is enabled *and* the engine exposes the
-    /// model and dirty-row tracking the footprint pipeline needs; engines
-    /// without either fall back to the serial path silently).
-    admission: Option<AdmissionController<WindowCommit>>,
+    /// The staged group. Its depth is [`ServeConfig::max_inflight`] when
+    /// the engine exposes the model and dirty-row tracking the footprint
+    /// pipeline needs, and 1 (serial) otherwise.
+    admission: AdmissionController<WindowCommit>,
 }
 
 impl<E: StreamingEngine> UpdateScheduler<E> {
@@ -756,12 +756,15 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
         let index = config.index.map(|params| {
             IndexMaintainer::bootstrap_at(engine.current_store(), None, params, epoch).0
         });
-        // Concurrent admission needs the model (to footprint windows) and
-        // per-batch dirty rows (to partition the merged pass's dirty set
-        // back per window); an engine without either serves serially.
-        let admission =
-            (config.admission.enabled && engine.model().is_some() && engine.dirty_rows().is_some())
-                .then(|| AdmissionController::new(config.admission.max_inflight));
+        // Merging windows needs the model (to footprint them) and per-batch
+        // dirty rows (to partition the merged pass's dirty set back per
+        // window); an engine without either serves at depth 1.
+        let depth = if engine.model().is_some() && engine.dirty_rows().is_some() {
+            config.max_inflight
+        } else {
+            1
+        };
+        let admission = AdmissionController::new(depth);
         Ok((
             UpdateScheduler {
                 engine,
@@ -804,14 +807,14 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
         self.index.as_ref().map(IndexMaintainer::shared_stats)
     }
 
-    /// Absorbs one update into the coalescing window and flushes if the
-    /// size window closed. Returns the published epoch if a flush happened.
+    /// Absorbs one update into the coalescing window and, if the size
+    /// window closed, stages it. Returns the published epoch if a commit
+    /// happened.
     ///
-    /// With concurrent admission on, a closed size window *stages* instead
-    /// of committing: epochs publish only when the staged group drains (on
-    /// a footprint conflict, a full in-flight set, a time window, or an
-    /// explicit flush), so the returned epoch is `None` while windows ride
-    /// in the group.
+    /// Epochs publish only when the staged group drains (on a footprint
+    /// conflict, a full in-flight set, a time window, or an explicit
+    /// flush); at depth 1 that is every closed window, and above it the
+    /// returned epoch is `None` while windows ride in the group.
     pub fn absorb(&mut self, update: GraphUpdate, enqueued: Instant) -> crate::Result<Option<u64>> {
         self.window.push(
             QueuedUpdate {
@@ -821,164 +824,57 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
             },
             &self.metrics,
         );
-        if self.window.raw_len() >= self.config.max_batch as u64 {
-            if self.admission.is_some() {
-                let drained = self.stage_window()?;
-                if self.admission.as_ref().is_some_and(|c| c.is_full()) {
-                    return self.drain_staged().map(Some);
-                }
-                return Ok(drained);
-            }
-            return self.flush().map(Some);
+        if self.window.raw_len() < self.config.max_batch as u64 {
+            return Ok(None);
         }
-        Ok(None)
+        let drained = self.stage_window()?;
+        if self.admission.is_full() {
+            return self.drain_staged().map(Some);
+        }
+        Ok(drained)
     }
 
-    /// Flushes the pending window: applies the coalesced batch through the
-    /// engine, publishes the next epoch and records metrics. With an empty
-    /// window this publishes nothing and returns the current epoch.
-    ///
-    /// Publication threads the flush window's affected set (the engine's
-    /// per-batch dirty rows) into the publisher, so steady-state epoch
-    /// refreshes copy O(affected) rows instead of the full store; a window
-    /// that cancelled out entirely publishes with an empty dirty set.
+    /// Flushes: stages the pending window (if any), then commits everything
+    /// in flight — an explicit flush promises full visibility. With nothing
+    /// pending or staged this publishes nothing and returns the current
+    /// epoch.
     pub fn flush(&mut self) -> crate::Result<u64> {
-        if self.admission.is_some() {
-            // Stage the pending window (if any), then commit everything
-            // in flight: an explicit flush promises full visibility.
-            self.stage_window()?;
-            return self.drain_staged();
-        }
-        if self.window.raw_len() == 0 {
-            return Ok(self.publisher.epoch());
-        }
-        let (batch, raw, _secondary, enqueues) = self.window.drain();
-        let ran_engine = !batch.is_empty();
-        // Log before apply. The frame records the *post*-window counters —
-        // all deterministic functions of the pre-state and the batch (the
-        // engine bumps the topology epoch exactly once per non-empty
-        // batch) — so recovery replay lands on the same stamps without
-        // re-deriving them.
-        self.window_seq += 1;
-        if let Some(wal) = &mut self.wal {
-            wal.append(&WalFrame {
-                window_seq: self.window_seq,
-                epoch: self.publisher.epoch() + 1,
-                applied_seq: self.applied_seq + raw,
-                applied_secondary: 0,
-                topology_epoch: self.engine.topology_epoch() + u64::from(ran_engine),
-                raw,
-                batch: batch.clone(),
-                halos: Vec::new(),
-                halo_sources: Vec::new(),
-            })?;
-        }
-        if ran_engine {
-            if let Err(e) = self.engine.process_batch(&batch) {
-                self.metrics.record_engine_error();
-                return Err(ServeError::Engine(e));
+        self.stage_window()?;
+        self.drain_staged()
+    }
+
+    /// The footprint a window stages with. At depth 1 a window always
+    /// stages into an empty group, so its footprint is never compared with
+    /// anything and is left empty; above it, the footprint is computed
+    /// against the live topology.
+    fn footprint(&self, batch: &UpdateBatch) -> Footprint {
+        match self.engine.model() {
+            Some(model) if self.admission.max_inflight() > 1 => {
+                Footprint::for_batch(self.engine.current_graph(), model, batch)
             }
+            _ => Footprint::empty(),
         }
-        self.applied_seq += raw;
-        let topology_epoch = self.engine.topology_epoch();
-        let dirty: Option<&[VertexId]> = if ran_engine {
-            self.engine.dirty_rows()
-        } else {
-            // Nothing reached the engine: the store is unchanged.
-            Some(&[])
-        };
-        // Index first, store second: a reader that pairs the freshest store
-        // with its cached index only ever sees an index *ahead* of the
-        // store, never behind — and scores always come from the store, so
-        // skew costs at most recall, never correctness.
-        if let Some(index) = &mut self.index {
-            index.publish(self.engine.current_store(), dirty);
-        }
-        let epoch = self.publisher.publish_rows(
-            self.engine.current_store(),
-            self.applied_seq,
-            topology_epoch,
-            dirty,
-        );
-        let published_at = Instant::now();
-        for enqueued in enqueues {
-            self.metrics
-                .record_visibility_lag(published_at.saturating_duration_since(enqueued));
-        }
-        self.metrics.record_flush(raw, ran_engine);
-        if let Some(log) = &self.flush_log {
-            log.push(FlushRecord {
-                window_seq: self.window_seq,
-                batch,
-                halos: Vec::new(),
-                raw,
-                epoch,
-                applied_seq: self.applied_seq,
-                topology_epoch,
-            });
-        }
-        if let Some(d) = &self.config.durability {
-            if d.fail_points.fire(FP_AFTER_PUBLISH) {
-                return Err(ServeError::Wal(format!(
-                    "fail point {FP_AFTER_PUBLISH} fired after epoch {epoch} was published"
-                )));
-            }
-            if d.checkpoint_every > 0 && self.window_seq.is_multiple_of(d.checkpoint_every) {
-                // Streamed straight from the engine's live graph and store:
-                // no clones of either on the scheduler thread.
-                write_checkpoint_ref(
-                    &d.dir,
-                    &CheckpointRef {
-                        window_seq: self.window_seq,
-                        epoch,
-                        applied_seq: self.applied_seq,
-                        applied_secondary: 0,
-                        topology_epoch,
-                        graph: self.engine.current_graph(),
-                        store: self.engine.current_store(),
-                        halo_watermarks: &[],
-                    },
-                    d.fsync,
-                    &d.fail_points,
-                )?;
-            }
-        }
-        Ok(epoch)
     }
 
     /// Closes the pending coalescing window and reserves it with the
-    /// admission controller: footprint it against the live topology,
-    /// WAL-append it (unsynced — the group fsyncs once at drain), predict
-    /// its post-commit counters and stage it. A window that conflicts with
-    /// the in-flight set first forces the staged group to commit (the
-    /// window is *serialized* behind it) and is then re-footprinted against
-    /// the post-commit topology; the epoch such a forced drain published is
-    /// returned.
+    /// admission controller: footprint it, WAL-append it (unsynced — the
+    /// group fsyncs once at drain), predict its post-commit counters and
+    /// stage it. A window that conflicts with the in-flight set first
+    /// forces the staged group to commit (the window is *serialized* behind
+    /// it) and is then re-footprinted against the post-commit topology; the
+    /// epoch such a forced drain published is returned.
     fn stage_window(&mut self) -> crate::Result<Option<u64>> {
         if self.window.raw_len() == 0 {
             return Ok(None);
         }
         let (batch, raw, _secondary, enqueues) = self.window.drain();
-        let mut footprint = {
-            let model = self
-                .engine
-                .model()
-                .expect("admission is gated on an exposed model");
-            Footprint::for_batch(self.engine.current_graph(), model, &batch)
-        };
-        let conflicted = {
-            let ctl = self
-                .admission
-                .as_ref()
-                .expect("stage_window without admission");
-            !ctl.admits(&footprint)
-        };
+        let mut footprint = self.footprint(&batch);
+        let conflicted = !self.admission.admits(&footprint);
         if conflicted {
             self.metrics.record_conflict();
         }
-        let must_drain = conflicted || self.admission.as_ref().expect("checked above").is_full();
         let mut drained = None;
-        if must_drain {
+        if conflicted || self.admission.is_full() {
             drained = Some(self.drain_staged()?);
             if conflicted {
                 // The drained group committed the very writes this window's
@@ -989,18 +885,14 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
                 // disjoint and merged. The is_full drain needs no recompute:
                 // an *admitted* window is disjoint from every staged write
                 // set, so its cone cannot reach the edges the group added.
-                let model = self.engine.model().expect("checked above");
-                footprint = Footprint::for_batch(self.engine.current_graph(), model, &batch);
+                footprint = self.footprint(&batch);
             }
         }
         // Predict the post-commit stamps by chaining off the last staged
         // window (or the live counters when the group is empty): each
         // window publishes one epoch, applies `raw` more updates, and bumps
-        // the topology epoch iff its batch reaches the engine. The WAL
-        // frame records these exact stamps, so recovery replay lands on
-        // them without re-deriving anything.
-        let ctl = self.admission.as_ref().expect("checked above");
-        let (base_epoch, base_applied, base_topo) = match ctl.last() {
+        // the topology epoch iff its batch reaches the engine.
+        let (base_epoch, base_applied, base_topo) = match self.admission.last() {
             Some(w) => (
                 w.payload.epoch,
                 w.payload.applied_seq,
@@ -1021,6 +913,7 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
             raw,
             enqueues,
         };
+        // Log before apply.
         if let Some(wal) = &mut self.wal {
             wal.append_unsynced(&WalFrame {
                 window_seq: self.window_seq,
@@ -1035,8 +928,6 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
             })?;
         }
         self.admission
-            .as_mut()
-            .expect("checked above")
             .reserve(StagedWindow::pending(self.window_seq, footprint, commit));
         Ok(drained)
     }
@@ -1045,14 +936,19 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
     /// frame the group appended, one merged engine pass over the batches
     /// (bit-identical to sequential passes because the group is pairwise
     /// footprint-disjoint), then per-window epoch publication in
-    /// `window_seq` order — each window's dirty set recovered by
-    /// intersecting the merged dirty set with its write footprint. Returns
-    /// the last published epoch (the current epoch if nothing was staged).
+    /// `window_seq` order. Returns the last published epoch (the current
+    /// epoch if nothing was staged).
+    ///
+    /// Publication threads each window's affected set into the publisher,
+    /// so steady-state epoch refreshes copy O(affected) rows instead of the
+    /// full table; a window that cancelled out entirely publishes with an
+    /// empty dirty set, and an engine without dirty tracking publishes a
+    /// full refresh.
     fn drain_staged(&mut self) -> crate::Result<u64> {
-        let mut group = match self.admission.as_mut() {
-            Some(ctl) if !ctl.is_empty() => ctl.take_group(),
-            _ => return Ok(self.publisher.epoch()),
-        };
+        if self.admission.is_empty() {
+            return Ok(self.publisher.epoch());
+        }
+        let mut group = self.admission.take_group();
         if let Some(wal) = &mut self.wal {
             wal.sync()?;
         }
@@ -1061,12 +957,13 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
             .map(|w| std::mem::replace(&mut w.payload.batch, UpdateBatch::new()))
             .collect();
         let merged_dirty = match self.engine.process_windows(&batches) {
-            Ok(dirty) => dirty.expect("admission is gated on dirty-row tracking"),
+            Ok(dirty) => dirty,
             Err(e) => {
                 self.metrics.record_engine_error();
                 return Err(ServeError::Engine(e));
             }
         };
+        let merged = self.admission.max_inflight() > 1;
         let first_seq = group.first().map(StagedWindow::seq).unwrap_or(0);
         let last_seq = group.last().map(StagedWindow::seq).unwrap_or(0);
         let mut scratch: Vec<VertexId> = Vec::new();
@@ -1075,31 +972,52 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
         for (i, (window, batch)) in group.iter_mut().zip(batches).enumerate() {
             let ran_engine = !batch.is_empty();
             self.applied_seq = window.payload.applied_seq;
-            // This window's share of the merged dirty set. Rows outside it
-            // keep their previous-epoch values in the snapshot — exactly
-            // the serial schedule's state, because disjointness means no
-            // later group member wrote inside this window's footprint.
-            scratch.clear();
-            window
-                .footprint()
-                .intersect_sorted_into(&merged_dirty, &mut scratch);
-            let dirty: &[VertexId] = if ran_engine { &scratch } else { &[] };
-            // Every window repairs from the post-group store, which only
-            // the last window's snapshot equals: earlier epochs publish
-            // unpaired, so exact reads never prune on them.
+            // Earlier members of a merged group publish their predicted
+            // topology epoch; the last publishes the engine's own, which is
+            // what an engine without an epoch-versioned snapshot (always 0)
+            // must keep reporting.
+            let topology_epoch = if i + 1 == windows {
+                self.engine.topology_epoch()
+            } else {
+                window.payload.topology_epoch
+            };
+            let dirty: Option<&[VertexId]> = match &merged_dirty {
+                // Nothing reached the engine: the store is unchanged.
+                _ if !ran_engine => Some(&[]),
+                // This window's share of the merged dirty set. Rows outside
+                // it keep their previous-epoch values in the snapshot —
+                // exactly the serial schedule's state, because disjointness
+                // means no later group member wrote inside this window's
+                // footprint.
+                Some(rows) if merged => {
+                    scratch.clear();
+                    window.footprint().intersect_sorted_into(rows, &mut scratch);
+                    Some(&scratch)
+                }
+                // At depth 1 the group is this window alone.
+                Some(rows) => Some(rows),
+                None => None,
+            };
+            // Index first, store second: a reader that pairs the freshest
+            // store with its cached index only ever sees an index *ahead* of
+            // the store, never behind — and scores always come from the
+            // store, so skew costs at most recall, never correctness. Every
+            // window repairs from the post-group store, which only the last
+            // window's snapshot equals: earlier epochs publish unpaired, so
+            // exact reads never prune on them.
             if let Some(index) = &mut self.index {
                 let store = self.engine.current_store();
                 if i + 1 == windows {
-                    index.publish(store, Some(dirty));
+                    index.publish(store, dirty);
                 } else {
-                    index.publish_unpaired(store, Some(dirty));
+                    index.publish_unpaired(store, dirty);
                 }
             }
             epoch = self.publisher.publish_rows(
                 self.engine.current_store(),
                 self.applied_seq,
-                window.payload.topology_epoch,
-                Some(dirty),
+                topology_epoch,
+                dirty,
             );
             debug_assert_eq!(epoch, window.payload.epoch, "predicted epoch drifted");
             let published_at = Instant::now();
@@ -1116,17 +1034,16 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
                     raw: window.payload.raw,
                     epoch,
                     applied_seq: self.applied_seq,
-                    topology_epoch: window.payload.topology_epoch,
+                    topology_epoch,
                 });
             }
             window.commit();
         }
-        debug_assert_eq!(
-            self.engine.topology_epoch(),
-            group
-                .last()
-                .map(|w| w.payload.topology_epoch)
-                .unwrap_or_else(|| self.engine.topology_epoch()),
+        debug_assert!(
+            !merged
+                || group
+                    .last()
+                    .is_none_or(|w| w.payload.topology_epoch == self.engine.topology_epoch()),
             "predicted topology epoch drifted"
         );
         self.metrics.record_admission_group(group.len() as u64);
@@ -1138,6 +1055,8 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
             }
             // One checkpoint per group at most, cut iff the group crossed a
             // cadence boundary (seq/every strictly grew across the group).
+            // Streamed straight from the engine's live graph and store: no
+            // clones of either on the scheduler thread.
             if d.checkpoint_every > 0
                 && last_seq / d.checkpoint_every > first_seq.saturating_sub(1) / d.checkpoint_every
             {
@@ -1171,13 +1090,11 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
     fn run(mut self, rx: Receiver<Msg>) -> Result<E, ServeError> {
         loop {
             // The time window bounds both the pending coalescing window and
-            // (with admission on) the oldest staged-but-uncommitted window:
+            // (above depth 1) the oldest staged-but-uncommitted window:
             // no accepted update waits longer than `max_delay` to publish.
             let deadline = match (
                 self.window.deadline(self.config.max_delay),
-                self.admission
-                    .as_ref()
-                    .and_then(|c| c.deadline(self.config.max_delay)),
+                self.admission.deadline(self.config.max_delay),
             ) {
                 (Some(w), Some(a)) => Some(w.min(a)),
                 (w, a) => w.or(a),
@@ -1391,6 +1308,7 @@ mod tests {
     use super::*;
     use ripple_core::{RippleConfig, RippleEngine};
     use ripple_gnn::layer_wise::full_inference;
+    use ripple_gnn::recompute::{RecomputeConfig, RecomputeEngine};
     use ripple_gnn::{EmbeddingStore, GnnModel, Workload};
     use ripple_graph::stream::{build_stream, StreamConfig};
     use ripple_graph::synth::DatasetSpec;
@@ -1739,6 +1657,18 @@ mod tests {
             ServeConfig::builder().build().unwrap(),
             ServeConfig::default()
         );
+        let depth = |builder: ServeConfigBuilder| builder.build().unwrap().max_inflight;
+        assert_eq!(ServeConfig::default().max_inflight, 1, "serial by default");
+        assert_eq!(depth(ServeConfig::builder().concurrent_admission(0)), 1);
+        assert_eq!(depth(ServeConfig::builder().concurrent_admission(4)), 4);
+        assert_eq!(
+            depth(
+                ServeConfig::builder()
+                    .concurrent_admission(4)
+                    .no_admission()
+            ),
+            1
+        );
     }
 
     #[test]
@@ -1808,5 +1738,68 @@ mod tests {
         );
         assert!(index.upgrade().is_none(), "epoch-0 index still pinned");
         handle.shutdown().unwrap();
+    }
+
+    /// Asserts every served row equals the engine's final-layer row bit
+    /// for bit at `epoch`.
+    fn assert_serves_the_final_layer(
+        scheduler: &UpdateScheduler<RecomputeEngine>,
+        queries: &mut crate::QueryService,
+        epoch: u64,
+    ) {
+        let store = scheduler.engine.current_store();
+        let table = store.embeddings(store.num_layers());
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for v in 0..table.rows() {
+            let served = queries.read_embedding(VertexId(v as u32)).unwrap();
+            assert_eq!(served.epoch, epoch);
+            assert_eq!(
+                served.topology_epoch, 0,
+                "the engine keeps no topology epoch"
+            );
+            assert_eq!(
+                bits(&served.value),
+                bits(table.row(v)),
+                "vertex {v} at epoch {epoch}"
+            );
+        }
+    }
+
+    #[test]
+    fn engine_without_footprints_serves_at_depth_one() {
+        let (graph, model, store, updates) = bootstrap(19);
+        let engine = RecomputeEngine::new(graph, model, store, RecomputeConfig::rc()).unwrap();
+        assert!(StreamingEngine::model(&engine).is_none());
+        assert!(StreamingEngine::dirty_rows(&engine).is_none());
+        let metrics = Arc::new(ServeMetrics::new());
+        let config = ServeConfig::builder()
+            .max_batch(4)
+            .concurrent_admission(4)
+            .build()
+            .unwrap();
+        let (mut scheduler, reader) =
+            UpdateScheduler::new(engine, config, Arc::clone(&metrics)).unwrap();
+        let mut queries = crate::QueryService::new(
+            reader,
+            scheduler.index_reader(),
+            Arc::new(AtomicU64::new(0)),
+            Arc::clone(&metrics),
+        );
+        let now = Instant::now();
+        // Six updates per flush: one size-closed window plus a tail, which
+        // a depth-4 group would have committed together. Reading after
+        // every publication keeps the retired table reclaimable, so a
+        // publication that skipped rows would be served stale.
+        for chunk in updates.chunks(6).take(4) {
+            for update in chunk {
+                if let Some(epoch) = scheduler.absorb(update.clone(), now).unwrap() {
+                    assert_serves_the_final_layer(&scheduler, &mut queries, epoch);
+                }
+            }
+            let epoch = scheduler.flush().unwrap();
+            assert_serves_the_final_layer(&scheduler, &mut queries, epoch);
+        }
+        assert_eq!(metrics.epochs(), 8, "every window committed alone");
+        assert_eq!(metrics.admitted_concurrent(), 0);
     }
 }

@@ -12,6 +12,14 @@
 //! shard engine, publishes the shard's next epoch, and ships the outgoing
 //! cross-shard deltas the window produced to their owners' mailboxes.
 //!
+//! Each worker commits through the admission pipeline of
+//! [`crate::admission`] used as plain **group commit**: a closed window is
+//! WAL-appended unsynced and staged, and once [`ServeConfig::max_inflight`]
+//! windows are staged (or on a flush or time window) the group fsyncs once
+//! and each window executes and publishes in `window_seq` order. A shard
+//! group already runs the engine once per window, so windows stage without
+//! a footprint and never conflict; depth 1 is the serial pipeline.
+//!
 //! Epochs therefore form a per-shard **vector clock**, surfaced to readers
 //! through [`crate::QueryService`] stamps. At quiescence
 //! ([`ShardedServeHandle::quiesce`]) the gathered shard stores match the
@@ -138,149 +146,36 @@ struct ShardWorker {
     halo_in_flight: Arc<AtomicU64>,
     /// Senders to every shard of the tier, indexed by [`PartitionId`].
     peers: Vec<Sender<ShardMsg>>,
-    /// Concurrent window admission (present iff the tier's
-    /// [`ServeConfig::admission`] is enabled): windows stage with their WAL
-    /// frames unsynced, the group fsyncs once and commits in `window_seq`
-    /// order at drain.
-    admission: Option<AdmissionController<ShardWindowCommit>>,
+    /// The staged group, [`ServeConfig::max_inflight`] deep: windows stage
+    /// with their WAL frames unsynced, the group fsyncs once and commits in
+    /// `window_seq` order at drain.
+    admission: AdmissionController<ShardWindowCommit>,
 }
 
 impl ShardWorker {
-    /// Flushes the pending window: applies the coalesced batch plus the
-    /// received halos through the shard engine, publishes the shard's next
-    /// epoch, and ships outgoing cross-shard deltas. A window holding only
-    /// halos still runs the engine and publishes.
-    ///
-    /// With concurrent admission on this is the *full-visibility* path: the
-    /// pending window stages and the whole in-flight group commits.
+    /// Flushes: stages the pending window (if any), then commits every
+    /// staged window. A window holding only halos still runs the engine and
+    /// publishes.
     fn flush(&mut self) -> crate::Result<u64> {
-        if self.admission.is_some() {
-            self.stage_window()?;
-            return self.drain_staged();
-        }
-        if self.window.raw_len() == 0 && self.pending_halos.is_empty() {
-            return Ok(self.publisher.epoch());
-        }
-        let (batch, raw, secondary, enqueues) = self.window.drain();
-        let halos = std::mem::take(&mut self.pending_halos);
-        let halo_sources = std::mem::take(&mut self.pending_halo_sources);
-        let halo_batches = std::mem::take(&mut self.pending_halo_batches);
-        self.halo_oldest = None;
-        let ran_engine = !batch.is_empty() || !halos.is_empty();
-        // Log before apply, including the halos absorbed this window: peer
-        // shards log their *received* halos in their own frames, so replay
-        // of a shard's log alone reproduces its store. Outgoing deltas are
-        // *re-shipped* on replay (they may have been in flight at a crash);
-        // the logged `(sender, window_seq)` runs are what lets receivers
-        // restore the watermarks that dedup the re-delivery.
-        self.window_seq += 1;
-        if let Some(wal) = &mut self.wal {
-            let frame = WalFrame {
-                window_seq: self.window_seq,
-                epoch: self.publisher.epoch() + 1,
-                applied_seq: self.applied_seq + raw,
-                applied_secondary: self.applied_secondary + secondary,
-                topology_epoch: self.engine.topology_epoch() + u64::from(ran_engine),
-                raw,
-                batch: batch.clone(),
-                halos: halos.clone(),
-                halo_sources: halo_sources.clone(),
-            };
-            if let Err(e) = wal.append(&frame) {
-                // The worker is about to exit; release the in-flight
-                // accounting so peers' quiesce loops can observe the
-                // failure instead of spinning.
-                if halo_batches > 0 {
-                    self.halo_in_flight
-                        .fetch_sub(halo_batches, Ordering::AcqRel);
-                }
-                return Err(e);
-            }
-        }
-        self.advance_watermarks(&halo_sources);
-        let mut outgoing = Vec::new();
-        if ran_engine {
-            match self.engine.process_window(&batch, &halos) {
-                Ok((_stats, shipped)) => outgoing = shipped,
-                Err(e) => {
-                    self.metrics.record_engine_error();
-                    // The worker is about to exit; release the in-flight
-                    // accounting so peers' quiesce loops can observe the
-                    // failure instead of spinning.
-                    if halo_batches > 0 {
-                        self.halo_in_flight
-                            .fetch_sub(halo_batches, Ordering::AcqRel);
-                    }
-                    return Err(ServeError::Engine(e));
-                }
-            }
-        }
-        self.applied_seq += raw;
-        self.applied_secondary += secondary;
-        let topology_epoch = self.engine.topology_epoch();
-        let dirty: Option<&[VertexId]> = if ran_engine {
-            Some(self.engine.dirty_rows())
-        } else {
-            Some(&[])
-        };
-        // Index before store, mirroring the single-engine scheduler: index
-        // skew can only cost recall, never scores.
-        if let Some(index) = &mut self.index {
-            index.publish(self.engine.store(), dirty);
-        }
-        let epoch = self.publisher.publish_stamped(
-            self.engine.store(),
-            self.applied_seq,
-            self.applied_secondary,
-            topology_epoch,
-            dirty,
-        );
-        let published_at = Instant::now();
-        for enqueued in enqueues {
-            self.metrics
-                .record_visibility_lag(published_at.saturating_duration_since(enqueued));
-        }
-        self.metrics.record_flush(raw, ran_engine);
-        if let Some(log) = &self.flush_log {
-            log.push(FlushRecord {
-                window_seq: self.window_seq,
-                batch,
-                halos,
-                raw,
-                epoch,
-                applied_seq: self.applied_seq,
-                topology_epoch,
-            });
-        }
-        // Ship before releasing the incoming accounting: the in-flight
-        // counter must never read 0 while this window's follow-on messages
-        // are still unsent, or a concurrent quiesce would end early.
-        self.ship(self.window_seq, outgoing);
-        if halo_batches > 0 {
-            self.halo_in_flight
-                .fetch_sub(halo_batches, Ordering::AcqRel);
-        }
-        if let Some(d) = &self.durability {
-            if d.fail_points.fire(FP_AFTER_PUBLISH) {
-                return Err(ServeError::Wal(format!(
-                    "fail point {FP_AFTER_PUBLISH} fired after epoch {epoch} was published"
-                )));
-            }
-            if d.checkpoint_every > 0 && self.window_seq.is_multiple_of(d.checkpoint_every) {
-                self.write_shard_checkpoint(self.window_seq, epoch)?;
-            }
-        }
-        Ok(epoch)
+        self.stage_window()?;
+        self.drain_staged()
     }
 
-    /// Closes the pending window and stages it with the admission
-    /// controller: footprint it (batch cone plus the forward cones of every
-    /// received halo target), WAL-append it unsynced, predict its
-    /// post-commit stamps and reserve it. A conflicting window first forces
-    /// the staged group to commit and is serialized behind it.
-    fn stage_window(&mut self) -> crate::Result<Option<u64>> {
+    /// Closes the current window on a size trigger: stages it, and commits
+    /// the staged group once it is full.
+    fn close_window(&mut self) -> crate::Result<()> {
+        self.stage_window()?;
+        if self.admission.is_full() {
+            self.drain_staged()?;
+        }
+        Ok(())
+    }
+
+    /// Closes the pending window and stages it: WAL-append it unsynced,
+    /// predict its post-commit stamps and reserve it.
+    fn stage_window(&mut self) -> crate::Result<()> {
         if self.window.raw_len() == 0 && self.pending_halos.is_empty() {
-            return Ok(None);
+            return Ok(());
         }
         let (batch, raw, secondary, enqueues) = self.window.drain();
         let halos = std::mem::take(&mut self.pending_halos);
@@ -288,47 +183,10 @@ impl ShardWorker {
         let halo_batches = std::mem::take(&mut self.pending_halo_batches);
         self.halo_oldest = None;
         let ran_engine = !batch.is_empty() || !halos.is_empty();
-        let compute_footprint = |engine: &ShardEngine| {
-            let graph = engine.graph();
-            let model = engine.model();
-            let mut fp = Footprint::for_batch(graph, model, &batch);
-            // A delta deposited at hop `h` re-evaluates its target and fans
-            // out along out-edges at every later hop, so each halo target's
-            // whole forward cone joins the window's footprint.
-            fp.extend_cone(graph, model.num_layers(), halos.iter().map(|m| m.target));
-            fp
-        };
-        let mut footprint = compute_footprint(&self.engine);
-        let conflicted = {
-            let ctl = self
-                .admission
-                .as_ref()
-                .expect("stage_window without admission");
-            !ctl.admits(&footprint)
-        };
-        if conflicted {
-            self.metrics.record_conflict();
-        }
-        let must_drain = conflicted || self.admission.as_ref().expect("checked above").is_full();
-        let mut drained = None;
-        if must_drain {
-            drained = Some(self.drain_staged()?);
-            if conflicted {
-                // The drained group committed the writes this window's cone
-                // intersects; edges it added can extend that cone, so the
-                // pre-drain footprint is stale. Re-footprint against the
-                // post-commit topology to keep the staged set's documented
-                // pairwise disjointness actually true. (The is_full drain
-                // is safe without this: an admitted window's cone cannot
-                // reach edges added inside write sets it is disjoint from.)
-                footprint = compute_footprint(&self.engine);
-            }
-        }
         // Chain the predicted post-commit stamps off the last staged window
         // (or the live counters when the group is empty); the WAL frame
         // records them so recovery replay lands on the same stamps.
-        let ctl = self.admission.as_ref().expect("checked above");
-        let (base_epoch, base_applied, base_secondary, base_topo) = match ctl.last() {
+        let (base_epoch, base_applied, base_secondary, base_topo) = match self.admission.last() {
             Some(w) => (
                 w.payload.epoch,
                 w.payload.applied_seq,
@@ -355,6 +213,12 @@ impl ShardWorker {
             raw,
             enqueues,
         };
+        // Log before apply, including the halos absorbed this window: peer
+        // shards log their *received* halos in their own frames, so replay
+        // of a shard's log alone reproduces its store. Outgoing deltas are
+        // *re-shipped* on replay (they may have been in flight at a crash);
+        // the logged `(sender, window_seq)` runs are what lets receivers
+        // restore the watermarks that dedup the re-delivery.
         if let Some(wal) = &mut self.wal {
             let frame = WalFrame {
                 window_seq: self.window_seq,
@@ -377,11 +241,14 @@ impl ShardWorker {
             }
         }
         self.advance_watermarks(&commit.halo_sources);
-        self.admission
-            .as_mut()
-            .expect("checked above")
-            .reserve(StagedWindow::pending(self.window_seq, footprint, commit));
-        Ok(drained)
+        // A shard group executes window by window, so there is nothing for
+        // a footprint to decide.
+        self.admission.reserve(StagedWindow::pending(
+            self.window_seq,
+            Footprint::empty(),
+            commit,
+        ));
+        Ok(())
     }
 
     /// Commits the staged group: one fsync covering every appended frame,
@@ -390,10 +257,10 @@ impl ShardWorker {
     /// that window's sequence. Returns the last published epoch (the
     /// current epoch if nothing was staged).
     fn drain_staged(&mut self) -> crate::Result<u64> {
-        let mut group = match self.admission.as_mut() {
-            Some(ctl) if !ctl.is_empty() => ctl.take_group(),
-            _ => return Ok(self.publisher.epoch()),
-        };
+        if self.admission.is_empty() {
+            return Ok(self.publisher.epoch());
+        }
+        let mut group = self.admission.take_group();
         if let Some(wal) = &mut self.wal {
             if let Err(e) = wal.sync() {
                 let pending: u64 = group.iter().map(|w| w.payload.halo_batches).sum();
@@ -435,6 +302,8 @@ impl ShardWorker {
             } else {
                 Some(&[])
             };
+            // Index before store, mirroring the single-engine scheduler:
+            // index skew can only cost recall, never scores.
             if let Some(index) = &mut self.index {
                 index.publish(self.engine.store(), dirty);
             }
@@ -463,9 +332,10 @@ impl ShardWorker {
                     topology_epoch,
                 });
             }
-            // Ship before releasing the incoming accounting, as in the
-            // serial path: the counter must never read 0 while follow-on
-            // messages are unsent.
+            // Ship before releasing the incoming accounting: the in-flight
+            // counter must never read 0 while this window's follow-on
+            // messages are still unsent, or a concurrent quiesce would end
+            // early.
             let halo_batches = window.payload.halo_batches;
             window.commit();
             self.ship(seq, outgoing);
@@ -542,14 +412,13 @@ impl ShardWorker {
     /// Releases the accounting of every still-staged window (the worker is
     /// about to exit on an error).
     fn release_staged_accounting(&mut self) {
-        if let Some(ctl) = &mut self.admission {
-            let staged: u64 = ctl
-                .take_group()
-                .iter()
-                .map(|w| w.payload.halo_batches)
-                .sum();
-            self.release_halo_accounting(staged);
-        }
+        let staged: u64 = self
+            .admission
+            .take_group()
+            .iter()
+            .map(|w| w.payload.halo_batches)
+            .sum();
+        self.release_halo_accounting(staged);
     }
 
     /// Delivers one window's outgoing deltas, one [`ShardMsg::Halos`] batch
@@ -578,19 +447,44 @@ impl ShardWorker {
         }
     }
 
-    /// Closes the current window on a size trigger: a serial flush, or —
-    /// with admission on — a stage that drains only once the in-flight set
-    /// fills (conflicts inside [`ShardWorker::stage_window`] also drain).
-    fn close_window(&mut self) -> crate::Result<()> {
-        if self.admission.is_some() {
-            self.stage_window()?;
-            if self.admission.as_ref().is_some_and(|c| c.is_full()) {
-                self.drain_staged()?;
-            }
-            Ok(())
-        } else {
-            self.flush().map(|_| ())
+    /// Absorbs one routed update into the coalescing window, closing the
+    /// window once it holds [`ServeConfig::max_batch`] raw updates.
+    fn absorb(&mut self, queued: QueuedUpdate) -> crate::Result<()> {
+        self.window.push(queued, &self.metrics);
+        if self.window.raw_len() >= self.config.max_batch as u64 {
+            self.close_window()?;
         }
+        Ok(())
+    }
+
+    /// Accepts one peer window's halo batch into the pending window.
+    fn accept_halos(
+        &mut self,
+        from: PartitionId,
+        window_seq: u64,
+        messages: Vec<DeltaMessage>,
+    ) -> crate::Result<()> {
+        if window_seq <= self.halo_watermarks[from.index()] {
+            // A re-shipped batch this shard already logged (recovery
+            // re-delivers every replayed window's outgoing deltas): drop
+            // it, release its accounting.
+            self.release_halo_accounting(1);
+            return Ok(());
+        }
+        self.halo_oldest.get_or_insert_with(Instant::now);
+        self.pending_halo_sources.push(HaloSource {
+            from,
+            window_seq,
+            count: messages.len() as u32,
+        });
+        self.pending_halos.extend(messages);
+        self.pending_halo_batches += 1;
+        // Heavy cross-shard traffic closes the size window too, so the halo
+        // mailbox cannot buffer unboundedly.
+        if self.pending_halos.len() >= self.config.max_batch {
+            self.close_window()?;
+        }
+        Ok(())
     }
 
     /// Drains the shard queue until every sender hangs up or a stop message
@@ -599,10 +493,7 @@ impl ShardWorker {
         loop {
             let window_deadline = self.window.deadline(self.config.max_delay);
             let halo_deadline = self.halo_oldest.map(|t| t + self.config.max_delay);
-            let staged_deadline = self
-                .admission
-                .as_ref()
-                .and_then(|c| c.deadline(self.config.max_delay));
+            let staged_deadline = self.admission.deadline(self.config.max_delay);
             let deadline = [window_deadline, halo_deadline, staged_deadline]
                 .into_iter()
                 .flatten()
@@ -627,37 +518,13 @@ impl ShardWorker {
             match wake {
                 Some(ShardMsg::Update(queued)) => {
                     self.depth.fetch_sub(1, Ordering::AcqRel);
-                    self.window.push(queued, &self.metrics);
-                    if self.window.raw_len() >= self.config.max_batch as u64 {
-                        self.close_window()?;
-                    }
+                    self.absorb(queued)?;
                 }
                 Some(ShardMsg::Halos {
                     from,
                     window_seq,
                     messages,
-                }) => {
-                    if window_seq <= self.halo_watermarks[from.index()] {
-                        // A re-shipped batch this shard already logged
-                        // (recovery re-delivers every replayed window's
-                        // outgoing deltas): drop it, release its accounting.
-                        self.release_halo_accounting(1);
-                        continue;
-                    }
-                    self.halo_oldest.get_or_insert_with(Instant::now);
-                    self.pending_halo_sources.push(HaloSource {
-                        from,
-                        window_seq,
-                        count: messages.len() as u32,
-                    });
-                    self.pending_halos.extend(messages);
-                    self.pending_halo_batches += 1;
-                    // Heavy cross-shard traffic closes the size window too,
-                    // so the halo mailbox cannot buffer unboundedly.
-                    if self.pending_halos.len() >= self.config.max_batch {
-                        self.close_window()?;
-                    }
-                }
+                }) => self.accept_halos(from, window_seq, messages)?,
                 Some(ShardMsg::Flush(ack)) => {
                     let epoch = self.flush()?;
                     // The caller may have given up waiting; ignore that.
@@ -1123,10 +990,7 @@ pub fn spawn_sharded(
         secondary_submitted.push(Arc::new(AtomicU64::new(0)));
         let failure: Arc<Mutex<Option<ServeError>>> = Arc::new(Mutex::new(None));
         failures.push(Arc::clone(&failure));
-        let admission = config
-            .admission
-            .enabled
-            .then(|| AdmissionController::new(config.admission.max_inflight));
+        let admission = AdmissionController::new(config.max_inflight);
         let worker = ShardWorker {
             part,
             engine,
@@ -1430,5 +1294,169 @@ mod tests {
         );
         assert!(index.upgrade().is_none(), "epoch-0 index still pinned");
         handle.shutdown().unwrap();
+    }
+
+    /// Per-window stamps `(window_seq, raw, epoch, applied_seq,
+    /// topology_epoch)` of one shard's flush log.
+    type Stamps = Vec<(u64, u64, u64, u64, u64)>;
+
+    /// Runs `updates` through two shard workers wired to each other's
+    /// channels and driven on the test thread, so which halos join which
+    /// window is fixed by the script rather than by thread timing: route
+    /// every update, flush both shards, then deliver halos in rounds (each
+    /// shard drains its mailbox and flushes) until none is in flight.
+    fn run_two_shards_in_lockstep(
+        graph: &DynamicGraph,
+        model: &GnnModel,
+        store: &EmbeddingStore,
+        updates: &[GraphUpdate],
+        depth: usize,
+    ) -> (Vec<Stamps>, EmbeddingStore, crate::MetricsReport) {
+        let config = ServeConfig::builder()
+            .max_batch(4)
+            .max_delay(ServeConfig::MAX_DELAY)
+            .record_batches(true)
+            .no_index()
+            .concurrent_admission(depth)
+            .build()
+            .unwrap();
+        let partitioning = Arc::new(HashPartitioner::new().partition(graph, 2).unwrap());
+        let metrics = Arc::new(ServeMetrics::new());
+        let halo_in_flight = Arc::new(AtomicU64::new(0));
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| mpsc::channel()).unzip();
+        let mut workers: Vec<ShardWorker> = (0..2)
+            .map(|p| {
+                let part = PartitionId(p as u32);
+                let engine = ShardEngine::new(
+                    graph,
+                    model.clone(),
+                    store.clone(),
+                    RippleConfig::default(),
+                    Arc::clone(&partitioning),
+                    part,
+                )
+                .unwrap();
+                let (publisher, _reader) =
+                    VersionedStore::bootstrap_at(engine.store(), 0, 0, 0, engine.topology_epoch());
+                ShardWorker {
+                    part,
+                    engine,
+                    publisher,
+                    index: None,
+                    config: config.clone(),
+                    metrics: Arc::clone(&metrics),
+                    window: Coalescer::default(),
+                    pending_halos: Vec::new(),
+                    pending_halo_sources: Vec::new(),
+                    pending_halo_batches: 0,
+                    halo_watermarks: vec![0; 2],
+                    halo_oldest: None,
+                    applied_seq: 0,
+                    applied_secondary: 0,
+                    window_seq: 0,
+                    wal: None,
+                    durability: None,
+                    flush_log: Some(FlushLog::new()),
+                    depth: Arc::new(AtomicUsize::new(0)),
+                    halo_in_flight: Arc::clone(&halo_in_flight),
+                    peers: txs.clone(),
+                    admission: AdmissionController::new(config.max_inflight),
+                }
+            })
+            .collect();
+        let now = Instant::now();
+        for update in updates {
+            let (first, second) = partitioning.update_owners(update);
+            for (copy, part) in [Some(first), second].into_iter().flatten().enumerate() {
+                workers[part.index()]
+                    .absorb(QueuedUpdate {
+                        update: update.clone(),
+                        enqueued: now,
+                        secondary: copy == 1,
+                    })
+                    .unwrap();
+            }
+        }
+        for worker in &mut workers {
+            worker.flush().unwrap();
+        }
+        while halo_in_flight.load(Ordering::Acquire) > 0 {
+            for (worker, rx) in workers.iter_mut().zip(&rxs) {
+                while let Ok(msg) = rx.try_recv() {
+                    let ShardMsg::Halos {
+                        from,
+                        window_seq,
+                        messages,
+                    } = msg
+                    else {
+                        panic!("only halos travel between shard workers");
+                    };
+                    worker.accept_halos(from, window_seq, messages).unwrap();
+                }
+                worker.flush().unwrap();
+            }
+        }
+        let stamps = workers
+            .iter()
+            .map(|worker| {
+                let log = worker.flush_log.as_ref().unwrap().snapshot();
+                log.iter()
+                    .map(|r| {
+                        (
+                            r.window_seq,
+                            r.raw,
+                            r.epoch,
+                            r.applied_seq,
+                            r.topology_epoch,
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut gathered = workers[0].engine.store().clone();
+        for worker in &workers {
+            worker.engine.gather_into(&mut gathered);
+        }
+        (stamps, gathered, metrics.report())
+    }
+
+    #[test]
+    fn shard_group_commit_matches_depth_one_on_a_hub_stream() {
+        let (graph, model, store, _) = bootstrap(31);
+        let partitioning = HashPartitioner::new().partition(&graph, 2).unwrap();
+        let hub = VertexId(0);
+        let far: Vec<VertexId> = partitioning
+            .vertices_in(PartitionId(1 - partitioning.part_of(hub).0))
+            .into_iter()
+            .filter(|&v| !graph.has_edge(hub, v))
+            .take(24)
+            .collect();
+        // Every window on the hub's shard rewrites the hub, and every
+        // window on the other shard adds a hub edge: under footprints,
+        // every hub window would conflict with the one staged before it.
+        let updates: Vec<GraphUpdate> = far
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &v)| {
+                [
+                    GraphUpdate::update_feature(hub, vec![i as f32 * 0.125; 6]),
+                    GraphUpdate::add_edge(hub, v),
+                ]
+            })
+            .collect();
+        let (serial_stamps, serial_store, serial) =
+            run_two_shards_in_lockstep(&graph, &model, &store, &updates, 1);
+        let (group_stamps, group_store, grouped) =
+            run_two_shards_in_lockstep(&graph, &model, &store, &updates, 4);
+        assert!(serial_stamps.iter().all(|log| log.len() >= 6));
+        assert_eq!(group_stamps, serial_stamps, "per-shard flush-log stamps");
+        assert!(
+            group_store == serial_store,
+            "gathered stores must be bit-identical"
+        );
+        assert_eq!(serial.admitted_concurrent, 0);
+        assert_eq!(grouped.conflicts, 0, "shard windows carry no footprint");
+        assert_eq!(grouped.serialized, 0);
+        assert!(grouped.admitted_concurrent > 0, "depth 4 commits groups");
     }
 }

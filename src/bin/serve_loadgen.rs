@@ -126,8 +126,7 @@ fn main() {
     );
     println!(
         "graph: {} vertices, avg degree {:.1}; stream: {} updates; \
-         {} readers, {} engine thread(s), {} shard(s); window: {} updates / {:?}; queue {} ({:?}); \
-         admission: {}",
+         {} readers, {} engine thread(s), {} shard(s); window: {} updates / {:?}; queue {} ({:?})",
         config.vertices,
         config.avg_degree,
         config.updates,
@@ -138,14 +137,6 @@ fn main() {
         config.serve.max_delay,
         config.serve.queue_capacity,
         config.serve.policy,
-        if config.serve.admission.enabled {
-            format!(
-                "concurrent (inflight {})",
-                config.serve.admission.max_inflight
-            )
-        } else {
-            "serial".to_string()
-        },
     );
     println!();
 
