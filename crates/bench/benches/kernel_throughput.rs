@@ -15,7 +15,10 @@
 //! section comparing the forced-scalar kernels against the active tier —
 //! with a speedup *floor* asserted only when the environment actually has a
 //! SIMD tier to spend (never on a scalar-only host, so a 1-core scalar
-//! runner can't silently upload numbers that look like a regression).
+//! runner can't silently upload numbers that look like a regression). An
+//! `ivf_assign` section times the IVF assignment kernel
+//! (`ops::row_sq_dist_into` plus the index's argmin) the same two ways, at
+//! the serving benchmark's four assignment shapes, with no floor.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use ripple_gnn::layer_wise::{full_inference, full_inference_per_vertex};
@@ -181,6 +184,77 @@ fn simd_gemm_rows() -> Vec<String> {
     rows
 }
 
+/// The serving benchmark's IVF assignment shapes, `(rows, clusters, dim)`
+/// per pass: `topk_reads`' bootstrap k-means pass, then the per-window
+/// repair of `dense_stream`, `sparse_stream` and `durable_hub`.
+const IVF_ASSIGN_SHAPES: [(usize, usize, usize); 4] = [
+    (100_000, 316, 40),
+    (9_034, 38, 47),
+    (1_476, 210, 40),
+    (3_443, 36, 40),
+];
+
+/// One IVF assignment pass: every row's distance to every centroid through
+/// `row_sq_dist_into`, then the index's argmin (`dist < best`, from `+∞`).
+/// Returns the summed cluster ids and distance bits, a checksum both tiers
+/// must agree on.
+fn ivf_assign_pass(rows: &Matrix, centroids_t: &Matrix, dists: &mut [f32]) -> u64 {
+    let mut checksum = 0u64;
+    for i in 0..rows.rows() {
+        ops::row_sq_dist_into(rows.row(i), centroids_t, dists).unwrap();
+        let mut best = 0u32;
+        let mut best_dist = f32::INFINITY;
+        for (c, &dist) in dists.iter().enumerate() {
+            if dist < best_dist {
+                best_dist = dist;
+                best = c as u32;
+            }
+        }
+        checksum = checksum.wrapping_add(u64::from(best) ^ (u64::from(best_dist.to_bits()) << 16));
+    }
+    checksum
+}
+
+/// The forced-scalar vs active-tier IVF assignment comparison
+/// (`ivf_assign` section): ms per pass at each workload shape, recorded
+/// with no speedup floor.
+fn ivf_assign_rows() -> Vec<String> {
+    let tier = simd::active_tier();
+    let mut rows = Vec::new();
+    for (n, clusters, dim) in IVF_ASSIGN_SHAPES {
+        let table = init::uniform(n, dim, -1.0, 1.0, 3);
+        let centroids_t = init::uniform(dim, clusters, -1.0, 1.0, 4);
+        let mut scalar_dists = vec![0.0f32; clusters];
+        let mut simd_dists = vec![0.0f32; clusters];
+        let (mut scalar_sum, mut simd_sum) = (0, 0);
+        let (scalar, simd_time) = time_interleaved(
+            5,
+            || {
+                simd::force_tier(Some(SimdTier::Scalar));
+                scalar_sum = black_box(ivf_assign_pass(&table, &centroids_t, &mut scalar_dists));
+            },
+            || {
+                simd::force_tier(None);
+                simd_sum = black_box(ivf_assign_pass(&table, &centroids_t, &mut simd_dists));
+            },
+        );
+        simd::force_tier(None);
+        assert_eq!(
+            scalar_sum, simd_sum,
+            "scalar and {tier} IVF assignment diverged at {n}x{clusters}x{dim}"
+        );
+        rows.push(format!(
+            "    {{\"section\": \"ivf_assign\", \"rows\": {n}, \"clusters\": {clusters}, \
+             \"dim\": {dim}, \"tier\": \"{tier}\", \"scalar_ms\": {:.4}, \"simd_ms\": {:.4}, \
+             \"speedup\": {:.3}}}",
+            scalar * 1e3,
+            simd_time * 1e3,
+            scalar / simd_time
+        ));
+    }
+    rows
+}
+
 /// Writes the `BENCH_kernels.json` artifact (hand-rolled: the offline serde
 /// shim has no serialiser).
 fn write_kernels_json(path: &str) {
@@ -227,6 +301,7 @@ fn write_kernels_json(path: &str) {
         ));
     }
     rows.extend(simd_gemm_rows());
+    rows.extend(ivf_assign_rows());
     let json = format!(
         "{{\n  \"experiment\": \"kernel_throughput\",\n  \"simd_tier\": \"{}\",\n  \
          \"detected_tier\": \"{}\",\n  \"cores\": {},\n  \

@@ -90,41 +90,6 @@ impl Footprint {
         }
     }
 
-    /// Extends the write set with `seeds` and their out-cone up to `depth`
-    /// hops — the sharded tier's halo extension: a delta deposited at hop
-    /// `h` into an owned target re-evaluates the target and fans out to its
-    /// out-neighbours at every later hop, so the deposit's whole forward
-    /// cone joins the window's footprint.
-    pub fn extend_cone<G: GraphView + ?Sized>(
-        &mut self,
-        graph: &G,
-        depth: usize,
-        seeds: impl IntoIterator<Item = VertexId>,
-    ) {
-        let mut frontier: Vec<VertexId> = seeds
-            .into_iter()
-            .filter(|&v| graph.contains_vertex(v))
-            .collect();
-        let mut grown: Vec<VertexId> = frontier.clone();
-        for _ in 0..depth {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                next.extend_from_slice(graph.out_neighbors(u));
-            }
-            next.sort_unstable();
-            next.dedup();
-            grown.extend_from_slice(&next);
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        self.writes.extend(grown);
-        self.writes.sort_unstable();
-        self.writes.dedup();
-        self.mask = occupancy(&self.writes) | occupancy(&self.reads);
-    }
-
     /// The sorted write set.
     pub fn writes(&self) -> &[VertexId] {
         &self.writes
@@ -291,20 +256,6 @@ mod tests {
         let other = Footprint::from_writes((0..10).map(VertexId).collect());
         assert!(fp.disjoint(&other));
         assert!(other.disjoint(&fp));
-    }
-
-    #[test]
-    fn cone_extension_grows_the_write_set_along_out_edges() {
-        let g = line_graph(10);
-        let mut fp = Footprint::from_writes(vec![VertexId(0)]);
-        fp.extend_cone(&g, 2, [VertexId(4)]);
-        assert_eq!(
-            fp.writes(),
-            &[VertexId(0), VertexId(4), VertexId(5), VertexId(6)]
-        );
-        // The refreshed mask keeps the prefilter sound.
-        let probe = Footprint::from_writes(vec![VertexId(6)]);
-        assert!(fp.intersects(&probe));
     }
 
     #[test]

@@ -685,9 +685,10 @@ impl WalWriter {
     }
 
     /// Appends one frame and makes it durable per the fsync policy: one
-    /// frame, one (conditional) sync. An error here must poison the
-    /// session: the frame may or may not be durable, and only recovery can
-    /// tell.
+    /// frame, one (conditional) sync. Test-only shorthand for
+    /// [`WalWriter::append_unsynced`] then [`WalWriter::sync`], which is how
+    /// both serving tiers log.
+    #[cfg(test)]
     pub fn append(&mut self, frame: &WalFrame) -> crate::Result<()> {
         self.append_unsynced(frame)?;
         self.sync()

@@ -54,7 +54,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ripple_gnn::EmbeddingStore;
 use ripple_graph::VertexId;
-use ripple_tensor::{ops::row_matmul_into, Matrix};
+use ripple_tensor::ops::{row_matmul_into, row_sq_dist_into};
+use ripple_tensor::{vector, Matrix};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -219,11 +220,13 @@ pub struct TopKIndex {
     /// (stale) radius costs probe order and pruning, never bound validity;
     /// that validity is what lets an exact read skip a cluster.
     radii: Vec<f32>,
-    /// The `dim × num_clusters` transpose of `centroids`, kept so the
-    /// per-query centroid scan runs as one row-times-matrix kernel with a
-    /// sequential (vectorizable) inner loop over clusters. Derived state:
-    /// refreshed whenever the centroid table changes shape (build, split,
-    /// merge) and deliberately excluded from [`TopKIndex::contents_eq`].
+    /// The `dim × num_clusters` transpose of `centroids`, the layout both
+    /// cluster scans use: assignment runs `row_sq_dist_into` over it (one
+    /// row's distance to every centroid, 8 clusters per SIMD lane group),
+    /// and the per-query centroid scan runs `row_matmul_into` over it.
+    /// Derived state: refreshed the moment the centroid table changes
+    /// (build, split, merge), so no assignment ever reads a stale table,
+    /// and deliberately excluded from [`TopKIndex::contents_eq`].
     centroids_t: Matrix,
     /// `‖c‖` per centroid, in `f64` — the exact bound's slack scales with
     /// it. Derived state, refreshed with `centroids_t`.
@@ -237,7 +240,9 @@ pub struct TopKIndex {
 }
 
 /// The `dim × clusters` transpose of the row-major centroid table — the
-/// layout [`TopKIndex::candidates`] feeds to `row_matmul_into`.
+/// layout [`nearest_centroid`] feeds to `row_sq_dist_into` and
+/// [`TopKIndex::candidates`] feeds to `row_matmul_into`, both with a
+/// sequential inner loop over clusters.
 fn transpose_centroids(centroids: &[f32], dim: usize) -> Matrix {
     if dim == 0 {
         return Matrix::zeros(0, 0);
@@ -279,27 +284,27 @@ fn fold_radius(radius: &mut f32, squared_dist: f32) {
     };
 }
 
-/// The nearest centroid to `row` by squared L2 distance, ties to the lower
-/// cluster index. This is *the* assignment function — build, repair, split
-/// and merge all funnel through it, which is what makes incremental repair
-/// equal a from-scratch rebuild under the same centroids.
-fn nearest_centroid(centroids: &[f32], dim: usize, row: &[f32]) -> u32 {
-    nearest_centroid_with_dist(centroids, dim, row).0
-}
-
-/// [`nearest_centroid`] plus the squared distance to it, so maintenance
-/// paths can fold the winning distance into the cluster's radius bound
-/// without a second pass.
-fn nearest_centroid_with_dist(centroids: &[f32], dim: usize, row: &[f32]) -> (u32, f32) {
-    debug_assert!(!centroids.is_empty());
+/// The nearest centroid to `row` by squared L2 distance, and that distance
+/// (so maintenance paths fold it into the cluster's radius bound without a
+/// second pass). This is *the* assignment function — build, Lloyd
+/// refinement, repair and merge call it, and a split's one-new-centroid
+/// comparison reproduces it — which is what makes incremental repair equal
+/// a from-scratch rebuild under the same centroids.
+///
+/// `row_sq_dist_into` scores every centroid of the transposed table
+/// `centroids_t` into the caller's `dists` scratch (resized to the cluster
+/// count, so steady-state calls do not allocate); each distance is the
+/// scalar chain `Σ (c − x)²` over ascending dims on every SIMD tier. A
+/// scalar argmin follows: a distance wins only when strictly below the best
+/// so far, starting from `+∞`, so ties go to the lower cluster index and a
+/// NaN never wins (a row with no finite distance lands in cluster 0 at
+/// `+∞`).
+fn nearest_centroid(centroids_t: &Matrix, row: &[f32], dists: &mut Vec<f32>) -> (u32, f32) {
+    dists.resize(centroids_t.cols(), 0.0);
+    row_sq_dist_into(row, centroids_t, dists).expect("rows are as wide as the centroid table");
     let mut best = 0u32;
     let mut best_dist = f32::INFINITY;
-    for (c, centroid) in centroids.chunks_exact(dim).enumerate() {
-        let mut dist = 0.0f32;
-        for (a, b) in centroid.iter().zip(row.iter()) {
-            let d = a - b;
-            dist += d * d;
-        }
+    for (c, &dist) in dists.iter().enumerate() {
         if dist < best_dist {
             best_dist = dist;
             best = c as u32;
@@ -352,25 +357,24 @@ impl TopKIndex {
         // Lloyd refinement; an emptied cluster keeps its previous centroid.
         let mut sums = vec![0.0f32; k * dim];
         let mut counts = vec![0u32; k];
+        let mut dists = Vec::with_capacity(k);
         for _ in 0..params.kmeans_iters {
+            let centroids_t = transpose_centroids(&centroids, dim);
             sums.iter_mut().for_each(|s| *s = 0.0);
             counts.iter_mut().for_each(|c| *c = 0);
             for &v in &members {
                 let row = table.row(v as usize);
-                let c = nearest_centroid(&centroids, dim, row) as usize;
+                let c = nearest_centroid(&centroids_t, row, &mut dists).0 as usize;
                 counts[c] += 1;
-                let sum = &mut sums[c * dim..(c + 1) * dim];
-                for (s, x) in sum.iter_mut().zip(row.iter()) {
-                    *s += x;
-                }
+                vector::add_assign(&mut sums[c * dim..(c + 1) * dim], row);
             }
             for c in 0..k {
                 if counts[c] > 0 {
-                    let inv = 1.0 / counts[c] as f32;
-                    let centroid = &mut centroids[c * dim..(c + 1) * dim];
-                    for (out, s) in centroid.iter_mut().zip(&sums[c * dim..(c + 1) * dim]) {
-                        *out = s * inv;
-                    }
+                    vector::scaled_copy(
+                        &mut centroids[c * dim..(c + 1) * dim],
+                        &sums[c * dim..(c + 1) * dim],
+                        1.0 / counts[c] as f32,
+                    );
                 }
             }
         }
@@ -392,8 +396,7 @@ impl TopKIndex {
             paired: true,
         };
         for &v in &members {
-            let (c, dist) =
-                nearest_centroid_with_dist(&index.centroids, dim, table.row(v as usize));
+            let (c, dist) = nearest_centroid(&index.centroids_t, table.row(v as usize), &mut dists);
             index.assign[v as usize] = c;
             index.postings[c as usize].push(v);
             fold_radius(&mut index.radii[c as usize], dist);
@@ -597,7 +600,9 @@ impl TopKIndex {
 
     /// A from-scratch reassignment of `store` under **this** index's
     /// centroids — the oracle the repair-determinism test compares against
-    /// (incremental repair must land on exactly this state).
+    /// (incremental repair must land on exactly this state). The derived
+    /// tables are re-derived from the centroids, not copied, so a stale
+    /// transposed table in `self` cannot hide in the oracle.
     pub fn rebuilt_with_same_centroids(
         &self,
         store: &EmbeddingStore,
@@ -614,16 +619,17 @@ impl TopKIndex {
             assign: vec![TOMBSTONE; n],
             postings: vec![Vec::new(); self.postings.len()],
             radii: vec![0.0; self.postings.len()],
-            centroids_t: self.centroids_t.clone(),
-            centroid_norms: self.centroid_norms.clone(),
+            centroids_t: transpose_centroids(&self.centroids, self.dim),
+            centroid_norms: centroid_norms(&self.centroids, self.dim),
             active: 0,
             paired: true,
         };
+        let mut dists = Vec::with_capacity(out.postings.len());
         for v in 0..n {
             if !is_owned(v) {
                 continue;
             }
-            let (c, dist) = nearest_centroid_with_dist(&out.centroids, out.dim, table.row(v));
+            let (c, dist) = nearest_centroid(&out.centroids_t, table.row(v), &mut dists);
             out.assign[v] = c;
             out.postings[c as usize].push(v as u32);
             fold_radius(&mut out.radii[c as usize], dist);
@@ -641,15 +647,23 @@ impl TopKIndex {
             && self.postings == other.postings
     }
 
+    /// Re-derives `centroids_t` and `centroid_norms` from the centroid
+    /// table; called right after every structural change, before any
+    /// assignment reads the transposed table.
+    fn refresh_derived(&mut self) {
+        self.centroids_t = transpose_centroids(&self.centroids, self.dim);
+        self.centroid_norms = centroid_norms(&self.centroids, self.dim);
+    }
+
     /// Reassigns one vertex; returns whether it moved. `None` as `row`
-    /// tombstones the vertex.
-    fn reassign(&mut self, v: usize, row: Option<&[f32]>) -> bool {
+    /// tombstones the vertex. `dists` is [`nearest_centroid`]'s scratch.
+    fn reassign(&mut self, v: usize, row: Option<&[f32]>, dists: &mut Vec<f32>) -> bool {
         if v >= self.assign.len() {
             self.assign.resize(v + 1, TOMBSTONE);
         }
         let old = self.assign[v];
         let (new, dist) = match row {
-            Some(row) => nearest_centroid_with_dist(&self.centroids, self.dim, row),
+            Some(row) => nearest_centroid(&self.centroids_t, row, dists),
             None => (TOMBSTONE, 0.0),
         };
         if old == new {
@@ -760,6 +774,9 @@ pub struct IndexMaintainer {
     /// predates a split/merge and cannot be repaired.
     structure_epoch: u64,
     stats: Arc<SharedIndexStats>,
+    /// [`nearest_centroid`]'s distance scratch, one slot per cluster,
+    /// reused by every repair and merge.
+    dists: Vec<f32>,
 }
 
 impl IndexMaintainer {
@@ -803,6 +820,7 @@ impl IndexMaintainer {
             owned,
             structure_epoch: 0,
             stats,
+            dists: Vec::new(),
         };
         (maintainer, reader)
     }
@@ -934,7 +952,7 @@ impl IndexMaintainer {
     /// centroids (the pure assignment function), tombstoning rows that left
     /// the store or this shard's ownership.
     fn repair(
-        &self,
+        &mut self,
         index: &mut TopKIndex,
         store: &EmbeddingStore,
         rows: impl Iterator<Item = VertexId>,
@@ -945,7 +963,7 @@ impl IndexMaintainer {
         for v in rows {
             let vi = v.index();
             let row = (vi < table.rows() && self.is_owned(vi)).then(|| table.row(vi));
-            if index.reassign(vi, row) {
+            if index.reassign(vi, row, &mut self.dists) {
                 moved += 1;
             }
             repaired += 1;
@@ -962,7 +980,6 @@ impl IndexMaintainer {
             return;
         }
         let table = store.embeddings(store.num_layers());
-        let entry_structure = index.structure_epoch;
         let mean = index.active as f64 / index.postings.len() as f64;
 
         // Split: the largest cluster, when it outgrew the threshold and a
@@ -1035,6 +1052,7 @@ impl IndexMaintainer {
                         index.postings[c as usize].push(v as u32);
                     }
                 }
+                index.refresh_derived();
                 index.structure_epoch += 1;
                 self.structure_epoch = index.structure_epoch;
                 SharedIndexStats::bump(&self.stats.splits, 1);
@@ -1059,18 +1077,18 @@ impl IndexMaintainer {
             if let Some((c, _)) = smallest {
                 let members = index.postings.remove(c);
                 index.centroids.drain(c * index.dim..(c + 1) * index.dim);
+                index.refresh_derived();
                 index.radii.remove(c);
                 for a in index.assign.iter_mut() {
                     if *a != TOMBSTONE && *a > c as u32 {
                         *a -= 1;
                     }
                 }
-                let table = store.embeddings(store.num_layers());
                 for &v in &members {
-                    let (c, dist) = nearest_centroid_with_dist(
-                        &index.centroids,
-                        index.dim,
+                    let (c, dist) = nearest_centroid(
+                        &index.centroids_t,
                         table.row(v as usize),
+                        &mut self.dists,
                     );
                     index.assign[v as usize] = c;
                     let posting = &mut index.postings[c as usize];
@@ -1084,14 +1102,6 @@ impl IndexMaintainer {
                 SharedIndexStats::bump(&self.stats.merges, 1);
                 SharedIndexStats::bump(&self.stats.rows_moved, members.len() as u64);
             }
-        }
-
-        // The transposed scan table and the norms are derived from the
-        // centroid table, so one refresh after any structural change keeps
-        // them in lockstep.
-        if index.structure_epoch != entry_structure {
-            index.centroids_t = transpose_centroids(&index.centroids, index.dim);
-            index.centroid_norms = centroid_norms(&index.centroids, index.dim);
         }
     }
 }
@@ -1134,6 +1144,9 @@ mod tests {
             }
         }
         assert_eq!(seen, index.len());
+        // Derived from the centroid table itself, not the index's copy.
+        let centroids_t = transpose_centroids(index.centroids(), index.dim());
+        let mut dists = Vec::new();
         for v in 0..table.rows() {
             let is_owned = owned.is_none_or(|o| o[v]);
             let a = index.assignments()[v];
@@ -1141,7 +1154,7 @@ mod tests {
                 assert_eq!(a, u32::MAX, "non-owned rows must be tombstoned");
                 continue;
             }
-            let expect = nearest_centroid(index.centroids(), index.dim(), table.row(v));
+            let expect = nearest_centroid(&centroids_t, table.row(v), &mut dists).0;
             assert_eq!(a, expect, "vertex {v} not assigned to its nearest centroid");
         }
     }
@@ -1274,6 +1287,55 @@ mod tests {
         assert!(index.num_clusters() < 3);
         assert_invariant(index, &s, None);
         assert!(index.contents_eq(&index.rebuilt_with_same_centroids(&s, None)));
+    }
+
+    /// A merge reassigns its orphans against the centroid table *after* the
+    /// drain. Against a stale transposed table an orphan would win its
+    /// removed cluster's old slot, which now names the next cluster up.
+    #[test]
+    fn merge_orphans_reassign_against_the_drained_table() {
+        // Three blobs of ten rows, 50 apart.
+        let mut s = store(30, |v| [(v % 3) as f32 * 50.0 + (v / 3) as f32 * 0.1, 0.0]);
+        let p = IndexParams {
+            clusters: 3,
+            split_factor: 2.0,
+            ..IndexParams::default()
+        };
+        let (mut maintainer, mut reader) = IndexMaintainer::bootstrap(&s, None, p);
+        let before = Arc::clone(reader.cached());
+        let sizes: Vec<usize> = before.postings().iter().map(Vec::len).collect();
+        assert_eq!(sizes, [10, 10, 10]);
+        // Starve cluster 0 to one member by moving the rest onto a member
+        // of cluster 2: sizes 1 / 10 / 19, under the split threshold (20)
+        // and with cluster 0 under the merge threshold (5).
+        let orphan = before.postings()[0][0];
+        let host = before.postings()[2][0];
+        let host_row = s.embeddings(2).row(host as usize).to_vec();
+        let dirty: Vec<VertexId> = before.postings()[0][1..]
+            .iter()
+            .map(|&v| VertexId(v))
+            .collect();
+        for &v in &dirty {
+            s.set_embedding(2, v, &host_row).unwrap();
+        }
+        maintainer.publish(&s, Some(&dirty));
+        let stats = maintainer.stats();
+        assert_eq!((stats.splits, stats.merges), (0, 1), "{stats:?}");
+        let index = reader.index();
+        assert_eq!(index.num_clusters(), 2);
+        // The orphan landed in a cluster whose index was above the removed
+        // one (every survivor's was), now shifted down by one.
+        let landed = index.assignments()[orphan as usize] as usize;
+        assert!(index.postings()[landed].contains(&orphan));
+        assert_invariant(index, &s, None);
+        let rebuilt = index.rebuilt_with_same_centroids(&s, None);
+        assert!(index.contents_eq(&rebuilt));
+        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(index.radii()), bits(rebuilt.radii()));
+        assert_eq!(
+            index.centroids_t.as_slice(),
+            transpose_centroids(index.centroids(), index.dim()).as_slice()
+        );
     }
 
     #[test]

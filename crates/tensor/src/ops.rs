@@ -26,14 +26,19 @@
 //! score +0.0 where `dot` scores −0.0, and a top-k ordered by `total_cmp`
 //! tells the two apart.
 //!
+//! [`row_sq_dist_into`] is the IVF assignment kernel: one row's squared L2
+//! distance to every column of a transposed centroid table, each column
+//! summed in the same ascending order from +0.0.
+//!
 //! # SIMD dispatch
 //!
-//! [`gemm_block_into`], [`row_matmul_into`] and [`score_rows_into`] dispatch
-//! once per call on [`crate::simd::active_tier`] to explicit AVX2/NEON
-//! micro-kernels that reproduce the scalar tiling and per-element
-//! accumulation order exactly (see [`crate::simd`] for why the tiers stay
-//! bit-identical); [`gather_rows_into`] additionally software-prefetches
-//! upcoming source rows, whose indices are visible ahead of time.
+//! [`gemm_block_into`], [`row_matmul_into`], [`row_sq_dist_into`] and
+//! [`score_rows_into`] dispatch once per call on
+//! [`crate::simd::active_tier`] to explicit AVX2/NEON micro-kernels that
+//! reproduce the scalar tiling and per-element accumulation order exactly
+//! (see [`crate::simd`] for why the tiers stay bit-identical);
+//! [`gather_rows_into`] additionally software-prefetches upcoming source
+//! rows, whose indices are visible ahead of time.
 //! `tests/simd_parity.rs` pins every tier against the scalar reference bit
 //! for bit.
 
@@ -279,6 +284,75 @@ pub fn row_matmul(x: &[f32], w: &Matrix) -> Result<Vec<f32>> {
     let mut out = vec![0.0f32; w.cols()];
     row_matmul_into(x, w, &mut out)?;
     Ok(out)
+}
+
+/// Squared L2 distance from a row vector `x (1 x k)` to every column of a
+/// transposed table `W_t (k x n)`: `out[j] = Σ_p (W_t[p][j] − x[p])²`,
+/// **overwriting** `out` (length `n`). Performs no heap allocation. This is
+/// the IVF assignment kernel: with `W_t` the `dim × clusters` transpose of a
+/// centroid table, `out` holds the row's distance to every centroid.
+///
+/// Each distance is the scalar chain over one column, from 0.0 with `p`
+/// ascending: subtract, multiply, then add (never a fused multiply-add).
+/// Because `(w − x)²` and `(x − w)²` round to the same bits, this equals a
+/// row-major `Σ (x − c)²` loop over each centroid. The AVX2 tier scores 8
+/// columns per lane group with a masked tile for the `n % 8` tail; NEON
+/// runs the scalar reference.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `x.len() != w_t.rows()` or
+/// `out.len() != w_t.cols()`.
+pub fn row_sq_dist_into(x: &[f32], w_t: &Matrix, out: &mut [f32]) -> Result<()> {
+    if x.len() != w_t.rows() {
+        return Err(TensorError::ShapeMismatch {
+            op: "row_sq_dist_into",
+            left: (1, x.len()),
+            right: w_t.shape(),
+        });
+    }
+    if out.len() != w_t.cols() {
+        return Err(TensorError::ShapeMismatch {
+            op: "row_sq_dist_into",
+            left: (1, out.len()),
+            right: (1, w_t.cols()),
+        });
+    }
+    let n = w_t.cols();
+    match simd::active_tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only dispatched when detected; shapes checked above.
+        SimdTier::Avx2 => unsafe { simd::x86::row_sq_dist(x, w_t.as_slice(), n, out) },
+        _ => row_sq_dist_scalar(x, w_t.as_slice(), n, out),
+    }
+    Ok(())
+}
+
+/// The scalar reference of [`row_sq_dist_into`]: each column's distance is
+/// its own sequential chain over `p`, register-tiled 8 columns at a time
+/// like [`row_matmul_scalar`].
+fn row_sq_dist_scalar(x: &[f32], w_data: &[f32], n: usize, out: &mut [f32]) {
+    let mut j0 = 0;
+    while j0 + GEMM_NR <= n {
+        let mut acc = [0.0f32; GEMM_NR];
+        for (p, &xp) in x.iter().enumerate() {
+            let w_tile = &w_data[p * n + j0..p * n + j0 + GEMM_NR];
+            for (acc_cell, &w) in acc.iter_mut().zip(w_tile) {
+                let d = w - xp;
+                *acc_cell += d * d;
+            }
+        }
+        out[j0..j0 + GEMM_NR].copy_from_slice(&acc);
+        j0 += GEMM_NR;
+    }
+    for (j, out_cell) in out.iter_mut().enumerate().skip(j0) {
+        let mut acc = 0.0f32;
+        for (p, &xp) in x.iter().enumerate() {
+            let d = w_data[p * n + j] - xp;
+            acc += d * d;
+        }
+        *out_cell = acc;
+    }
 }
 
 /// Packs the selected rows of `m` into `out` (resized, capacity-reusing, to

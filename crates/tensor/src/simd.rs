@@ -17,6 +17,12 @@
 //!   *rows*: each of the 8 lanes is one row's dot product with the query,
 //!   fed by an in-register transpose, so no sum is ever split across lanes
 //!   or reassociated.
+//! * The distance kernel behind `ops::row_sq_dist_into` (IVF assignment)
+//!   vectorises across *clusters*: each of the 8 lanes is one centroid's
+//!   squared L2 distance to the row, a `sub`, `mul`, `add` chain over
+//!   ascending dims with no FMA, so every lane equals the scalar chain.
+//!   The `clusters % 8` tail is a masked tile, as for GEMM columns; NEON
+//!   runs the scalar reference.
 //! * Fused multiply-add (`fmadd`/`fmla`) is **deliberately not used** in any
 //!   accumulation: an FMA rounds once where `mul` + `add` round twice, which
 //!   would break bit-parity with the scalar kernels. The SIMD win here is
@@ -380,6 +386,65 @@ pub(crate) mod x86 {
             for (p, &xp) in x.iter().enumerate() {
                 let wt = _mm256_maskload_ps(wp.add(p * n + j0), mask);
                 acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(xp), wt));
+            }
+            _mm256_maskstore_ps(op.add(j0), mask, acc);
+        }
+    }
+
+    /// Lane groups [`row_sq_dist`] scores side by side: each shares one
+    /// broadcast of `x[p]`, and their independent add chains hide the
+    /// latency of one chain.
+    const SQ_DIST_GROUPS: usize = 4;
+
+    /// Squared L2 distance from `x` to every column of the `x.len() × n`
+    /// table `w`, 8 columns per lane group. Each lane runs the scalar
+    /// sequence of `ops::row_sq_dist_into` — from 0.0, `p` ascending, `sub`
+    /// then `mul` then `add`, never `fmadd` — so every distance is
+    /// bit-identical to the scalar chain. The `n % 8` column tail is one
+    /// masked tile.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `w.len() == x.len() * n`, `out.len() == n`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn row_sq_dist(x: &[f32], w: &[f32], n: usize, out: &mut [f32]) {
+        debug_assert_eq!(w.len(), x.len() * n);
+        debug_assert_eq!(out.len(), n);
+        let wp = w.as_ptr();
+        let op = out.as_mut_ptr();
+        let mut j0 = 0;
+        while j0 + SQ_DIST_GROUPS * LANES <= n {
+            let mut acc = [_mm256_setzero_ps(); SQ_DIST_GROUPS];
+            for (p, &xp) in x.iter().enumerate() {
+                let xv = _mm256_set1_ps(xp);
+                let tile = wp.add(p * n + j0);
+                for (g, acc) in acc.iter_mut().enumerate() {
+                    let d = _mm256_sub_ps(_mm256_loadu_ps(tile.add(g * LANES)), xv);
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(d, d));
+                }
+            }
+            for (g, acc) in acc.into_iter().enumerate() {
+                _mm256_storeu_ps(op.add(j0 + g * LANES), acc);
+            }
+            j0 += SQ_DIST_GROUPS * LANES;
+        }
+        while j0 + LANES <= n {
+            let mut acc = _mm256_setzero_ps();
+            for (p, &xp) in x.iter().enumerate() {
+                let d = _mm256_sub_ps(_mm256_loadu_ps(wp.add(p * n + j0)), _mm256_set1_ps(xp));
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
+            }
+            _mm256_storeu_ps(op.add(j0), acc);
+            j0 += LANES;
+        }
+        if j0 < n {
+            // Masked-off lanes load 0.0 and are never stored.
+            let mask = tail_mask(n - j0);
+            let mut acc = _mm256_setzero_ps();
+            for (p, &xp) in x.iter().enumerate() {
+                let wt = _mm256_maskload_ps(wp.add(p * n + j0), mask);
+                let d = _mm256_sub_ps(wt, _mm256_set1_ps(xp));
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
             }
             _mm256_maskstore_ps(op.add(j0), mask, acc);
         }

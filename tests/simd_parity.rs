@@ -505,3 +505,200 @@ fn gemm_column_tails_match_the_scalar_sequence_on_every_tier() {
         }
     });
 }
+
+/// The IVF assignment function as it stood before the distance kernel: a
+/// row-major squared-L2 chain per centroid, then `dist < best` from `+∞`.
+fn row_major_nearest(centroids: &[f32], dim: usize, row: &[f32]) -> (u32, f32) {
+    let mut best = 0u32;
+    let mut best_dist = f32::INFINITY;
+    for (c, centroid) in centroids.chunks_exact(dim).enumerate() {
+        let mut dist = 0.0f32;
+        for (a, b) in centroid.iter().zip(row.iter()) {
+            let d = a - b;
+            dist += d * d;
+        }
+        if dist < best_dist {
+            best_dist = dist;
+            best = c as u32;
+        }
+    }
+    (best, best_dist)
+}
+
+/// The argmin the index runs over `row_sq_dist_into`'s output.
+fn argmin(dists: &[f32]) -> (u32, f32) {
+    let mut best = 0u32;
+    let mut best_dist = f32::INFINITY;
+    for (c, &dist) in dists.iter().enumerate() {
+        if dist < best_dist {
+            best_dist = dist;
+            best = c as u32;
+        }
+    }
+    (best, best_dist)
+}
+
+/// `clusters × dim` row-major centroids and their `dim × clusters`
+/// transpose, with a few special values sown into the table.
+fn centroid_tables(clusters: usize, dim: usize, seed: u64) -> (Vec<f32>, Matrix) {
+    let mut centroids = init::uniform(clusters, dim, -3.0, 3.0, seed)
+        .as_slice()
+        .to_vec();
+    if clusters > 4 {
+        centroids[dim] = -0.0;
+        centroids[3 * dim + dim / 2] = f32::INFINITY;
+        centroids[4 * dim] = f32::NAN;
+    }
+    let mut t = Matrix::zeros(dim, clusters);
+    for c in 0..clusters {
+        for d in 0..dim {
+            t.as_mut_slice()[d * clusters + c] = centroids[c * dim + d];
+        }
+    }
+    (centroids, t)
+}
+
+/// Rows every tier must place exactly like the row-major function: random
+/// rows, a row equal to a centroid (a zero distance), rows holding −0.0 and
+/// ±∞, and an all-NaN row, whose distances are all NaN so it keeps cluster
+/// 0 at `+∞`.
+fn assignment_rows(centroids: &[f32], dim: usize, seed: u64) -> Vec<Vec<f32>> {
+    let mut rows: Vec<Vec<f32>> = (0..6)
+        .map(|i| init::uniform(1, dim, -3.0, 3.0, seed + i).row(0).to_vec())
+        .collect();
+    rows.push(centroids[..dim].to_vec());
+    rows.push(vec![-0.0; dim]);
+    let mut inf = rows[0].clone();
+    inf[dim / 2] = f32::INFINITY;
+    rows.push(inf);
+    let mut neg_inf = rows[1].clone();
+    neg_inf[0] = f32::NEG_INFINITY;
+    rows.push(neg_inf);
+    let mut nan = rows[2].clone();
+    nan[dim - 1] = f32::NAN;
+    rows.push(nan);
+    rows.push(vec![f32::NAN; dim]);
+    rows
+}
+
+/// `row_sq_dist_into` + argmin reproduces the row-major assignment's
+/// `(cluster, distance bits)` on every tier, and every distance equals that
+/// centroid's scalar chain bit for bit — across cluster counts 1..=17 (every
+/// `% 8` tail, with and without a full lane group) and 300 (several 4-group
+/// blocks), at dims 1, 40, 47 and 128. The kernel writes into the prefix of
+/// a NaN-filled buffer, so a masked store past `clusters` is caught too.
+#[test]
+fn row_sq_dist_matches_the_row_major_assignment_on_every_tier() {
+    const SENTINEL_PAD: usize = 16;
+    with_tiers(|tier| {
+        for clusters in (1..=17).chain([300]) {
+            for dim in [1usize, 40, 47, 128] {
+                let seed = (clusters * 1009 + dim) as u64;
+                let (centroids, t) = centroid_tables(clusters, dim, seed);
+                for (r, row) in assignment_rows(&centroids, dim, seed).iter().enumerate() {
+                    let context = format!("{clusters} clusters, dim {dim}, row {r} on {tier}");
+                    let mut buf = vec![f32::NAN; clusters + SENTINEL_PAD];
+                    ops::row_sq_dist_into(row, &t, &mut buf[..clusters]).unwrap();
+                    assert!(
+                        buf[clusters..].iter().all(|x| x.is_nan()),
+                        "{context}: wrote past its output"
+                    );
+                    for (c, (&got, centroid)) in
+                        buf.iter().zip(centroids.chunks_exact(dim)).enumerate()
+                    {
+                        let mut want = 0.0f32;
+                        for (a, b) in centroid.iter().zip(row) {
+                            let d = a - b;
+                            want += d * d;
+                        }
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{context}: cluster {c} ({got} vs {want})"
+                        );
+                    }
+                    let (want_c, want_d) = row_major_nearest(&centroids, dim, row);
+                    let (got_c, got_d) = argmin(&buf[..clusters]);
+                    assert_eq!(
+                        (got_c, got_d.to_bits()),
+                        (want_c, want_d.to_bits()),
+                        "{context}"
+                    );
+                    if row.iter().all(|x| x.is_nan()) {
+                        assert_eq!((got_c, got_d), (0, f32::INFINITY), "{context}");
+                    }
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn row_sq_dist_rejects_mismatched_shapes() {
+    let t = Matrix::zeros(3, 5);
+    assert!(ops::row_sq_dist_into(&[0.0; 2], &t, &mut [0.0; 5]).is_err());
+    assert!(ops::row_sq_dist_into(&[0.0; 3], &t, &mut [0.0; 4]).is_err());
+}
+
+/// Index maintenance under forced scalar and under `auto` lands on the same
+/// index: bootstrap (k-means build), dirty-set publications, at least one
+/// split and one merge. Equal `contents_eq`, radii bits and counters.
+#[test]
+fn forced_scalar_and_auto_index_maintenance_are_bit_identical() {
+    use ripple::serve::index::IndexMaintainer;
+    let _guard = TIER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            simd::force_tier(None);
+        }
+    }
+    let _reset = Reset;
+
+    // 1 500 rows at dim 47: 39 clusters, so a 4-group block and a 7-lane
+    // masked tail on AVX2.
+    const ROWS: usize = 1_500;
+    const DIM: usize = 47;
+    let run = |tier: Option<SimdTier>| {
+        simd::force_tier(tier);
+        let model = GnnModel::new(LayerKind::GraphConv, Aggregator::Sum, &[3, 4, DIM], 0).unwrap();
+        let mut store = EmbeddingStore::zeroed(&model, ROWS);
+        let table = init::uniform(ROWS, DIM, -1.0, 1.0, 77);
+        for v in 0..ROWS {
+            store
+                .set_embedding(2, VertexId(v as u32), table.row(v))
+                .unwrap();
+        }
+        let params = IndexParams {
+            split_factor: 2.0,
+            ..IndexParams::default()
+        };
+        let (mut maintainer, mut reader) = IndexMaintainer::bootstrap(&store, None, params);
+        for step in 0..4u64 {
+            // Herd a third of the rows into one spread-out blob each step:
+            // its cluster outgrows the split threshold and the clusters it
+            // drained fall under the merge threshold.
+            let blob = init::uniform(ROWS / 3, DIM, 4.0, 4.5, 100 + step);
+            let dirty: Vec<VertexId> = (0..ROWS / 3)
+                .map(|i| VertexId(((i * 3 + step as usize) % ROWS) as u32))
+                .collect();
+            for (i, &v) in dirty.iter().enumerate() {
+                store.set_embedding(2, v, blob.row(i)).unwrap();
+            }
+            maintainer.publish(&store, Some(&dirty));
+        }
+        (maintainer.stats(), (**reader.index()).clone())
+    };
+
+    let (scalar_stats, scalar) = run(Some(SimdTier::Scalar));
+    let (auto_stats, auto) = run(None);
+    simd::force_tier(None);
+
+    assert!(
+        scalar_stats.splits >= 1 && scalar_stats.merges >= 1,
+        "the run must split and merge: {scalar_stats:?}"
+    );
+    assert_eq!(scalar_stats, auto_stats);
+    assert!(scalar.contents_eq(&auto));
+    assert_bits_eq(scalar.radii(), auto.radii(), "index radii");
+}
