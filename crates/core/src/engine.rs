@@ -47,43 +47,13 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
-/// Configuration knobs of the incremental engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RippleConfig {
-    /// When `true`, a vertex whose recomputed embedding is numerically
-    /// unchanged does not forward messages to the next hop. The paper's
-    /// engine does **not** prune (to stay deterministic about which vertices
-    /// are touched), so this defaults to `false`; it exists as an ablation of
-    /// how much InkStream-style pruning would help linear aggregators.
-    pub skip_unchanged: bool,
-    /// Absolute tolerance below which a delta counts as "unchanged" when
-    /// `skip_unchanged` is enabled.
-    pub prune_tolerance: f32,
-}
-
-impl Default for RippleConfig {
-    fn default() -> Self {
-        RippleConfig {
-            skip_unchanged: false,
-            prune_tolerance: 1e-7,
-        }
-    }
-}
-
-impl RippleConfig {
-    /// The paper's configuration: propagate to every affected vertex.
-    pub fn exact() -> Self {
-        Self::default()
-    }
-
-    /// Ablation configuration that prunes numerically-unchanged vertices.
-    pub fn pruning(tolerance: f32) -> Self {
-        RippleConfig {
-            skip_unchanged: true,
-            prune_tolerance: tolerance,
-        }
-    }
-}
+/// Configuration of the incremental engine, built with
+/// [`RippleConfig::default`]. It has no settings: the engine always
+/// propagates to every affected vertex, as the paper's engine does, so the
+/// set of touched vertices is a function of the batch alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct RippleConfig;
 
 /// Where the update operator and the hop loop send each mailbox deposit.
 /// The hop loop is monomorphised over it, so routing costs no indirect call.
@@ -300,7 +270,6 @@ pub struct RippleEngine {
     graph: DynamicGraph,
     model: GnnModel,
     store: EmbeddingStore,
-    config: RippleConfig,
     /// Persistent epoch-versioned CSR snapshot of the topology: the hot
     /// propagation paths (aggregation degrees, message fanout) stream its
     /// contiguous rows; the update operator keeps it in lockstep with
@@ -340,7 +309,7 @@ impl RippleEngine {
         graph: DynamicGraph,
         model: GnnModel,
         store: EmbeddingStore,
-        config: RippleConfig,
+        _config: RippleConfig,
     ) -> Result<Self> {
         validate_parts(&graph, &model, &store)?;
         let topo = CsrSnapshot::from_dynamic(&graph);
@@ -349,7 +318,6 @@ impl RippleEngine {
             graph,
             model,
             store,
-            config,
             topo,
             pool: WorkerPool::default(),
             scratches: vec![Scratch::new()],
@@ -429,11 +397,6 @@ impl RippleEngine {
     /// The model used for inference.
     pub fn model(&self) -> &GnnModel {
         &self.model
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> RippleConfig {
-        self.config
     }
 
     /// Predicted label of a vertex from the current final-layer embeddings —
@@ -604,7 +567,6 @@ impl RippleEngine {
         let RippleEngine {
             model,
             store,
-            config,
             topo,
             pool,
             scratches,
@@ -653,10 +615,6 @@ impl RippleEngine {
             delta.clear();
             delta.extend(new_embedding.iter().zip(old).map(|(n, o)| n - o));
             store.set_embedding(hop, v, new_embedding)?;
-
-            if config.skip_unchanged && delta.iter().all(|d| d.abs() <= config.prune_tolerance) {
-                continue;
-            }
             changed_now.push(v);
 
             if hop < num_layers {
@@ -986,26 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn pruning_config_still_exact_for_identical_feature_rewrite() {
-        // Re-writing a vertex's features with the same values is a zero delta:
-        // the pruning configuration must not propagate anything, and the
-        // result must still be exact.
-        let (engine_parts, snapshot, model, _) = bootstrap(Workload::GcS, 2, 31);
-        let (graph, store) = engine_parts.into_parts();
-        let mut engine =
-            RippleEngine::new(graph, model.clone(), store, RippleConfig::pruning(1e-6)).unwrap();
-        let same_features = snapshot.feature(VertexId(4)).to_vec();
-        let batch = UpdateBatch::from_updates(vec![GraphUpdate::update_feature(
-            VertexId(4),
-            same_features,
-        )]);
-        let stats = engine.process_batch(&batch).unwrap();
-        let reference = full_inference(&snapshot, &model).unwrap();
-        assert!(engine.store().max_diff_all_layers(&reference).unwrap() < 1e-4);
-        assert!(stats.affected_per_hop[0] <= snapshot.out_degree(VertexId(4)) + 1);
-    }
-
-    #[test]
     fn invalid_updates_are_reported() {
         for threads in [1, 4] {
             let (engine, snapshot, _model, _) = bootstrap(Workload::GcS, 2, 37);
@@ -1174,6 +1112,5 @@ mod tests {
     fn incremental_state_overhead_is_reported() {
         let (engine, _, _, _) = bootstrap(Workload::GcS, 2, 41);
         assert!(engine.incremental_state_bytes() > 0);
-        assert!(engine.config() == RippleConfig::default());
     }
 }

@@ -201,11 +201,6 @@ impl MailboxSet {
         self.hops.iter().all(|h| h.targets.is_empty())
     }
 
-    /// Total number of pending (vertex, hop) slots across all hops.
-    pub fn total_pending(&self) -> usize {
-        self.hops.iter().map(|h| h.targets.len()).sum()
-    }
-
     /// Empties every mailbox, resetting only the slots that held mail and
     /// keeping every buffer's capacity.
     pub fn clear(&mut self) {
@@ -266,7 +261,6 @@ mod tests {
         assert_eq!(m.len(1), 1);
         assert_eq!(m.len(2), 0);
         assert_eq!(m.len(3), 1);
-        assert_eq!(m.total_pending(), 2);
         assert_eq!(m.hop(1).targets(), &[VertexId(0)]);
         assert_eq!(row(&m, 3, 0), vec![2.0, 2.0]);
         m.clear();

@@ -96,31 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn pruning_config_is_respected() {
-        let (snapshot, model, store, batches) = bootstrap(Workload::GcS, 2, 13);
-        let mut exact = RippleEngine::new(
-            snapshot.clone(),
-            model.clone(),
-            store.clone(),
-            RippleConfig::default(),
-        )
-        .unwrap()
-        .with_threads(2);
-        let mut pruning = RippleEngine::new(snapshot, model, store, RippleConfig::pruning(1e-6))
-            .unwrap()
-            .with_threads(2);
-        for batch in &batches {
-            exact.process_batch(batch).unwrap();
-            pruning.process_batch(batch).unwrap();
-        }
-        // Pruning only skips numerically unchanged vertices, so the final
-        // embeddings stay within tolerance of the exact configuration.
-        let diff = exact.store().max_diff_all_layers(pruning.store()).unwrap();
-        assert!(diff < 1e-3, "pruning drifted: {diff}");
-        assert_eq!(pruning.config(), RippleConfig::pruning(1e-6));
-    }
-
-    #[test]
     fn constructor_validates_shapes_and_clamps_threads() {
         let (snapshot, model, store, _) = bootstrap(Workload::GcS, 2, 17);
         let wrong_model = Workload::GcS.build_model(6, 8, 4, 3, 0).unwrap();

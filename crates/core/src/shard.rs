@@ -209,11 +209,6 @@ impl ShardEngine {
         self.engine.store()
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> RippleConfig {
-        self.engine.config()
-    }
-
     /// The shard topology epoch: how many windows this shard has absorbed.
     pub fn topology_epoch(&self) -> u64 {
         self.engine.topology_epoch()

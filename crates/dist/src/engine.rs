@@ -62,7 +62,7 @@ impl DistRippleEngine {
                     graph,
                     model.clone(),
                     store.clone(),
-                    RippleConfig::exact(),
+                    RippleConfig::default(),
                     Arc::clone(&partitioning),
                     PartitionId(p as u32),
                 )

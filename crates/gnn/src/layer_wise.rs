@@ -360,26 +360,6 @@ pub fn reevaluate_slice_into<G: GraphView + ?Sized>(
     )
 }
 
-/// Re-evaluates hop `hop` for a slice of vertices against an **immutable**
-/// store, returning one freshly allocated embedding per vertex in input
-/// order. Thin wrapper over [`reevaluate_slice_into`], kept for tests and
-/// callers outside the steady-state hot path.
-///
-/// # Errors
-///
-/// Propagates layer lookup and tensor shape errors.
-pub fn reevaluate_slice<G: GraphView + ?Sized>(
-    graph: &G,
-    model: &GnnModel,
-    store: &EmbeddingStore,
-    hop: usize,
-    vertices: &[VertexId],
-) -> Result<Vec<Vec<f32>>> {
-    let mut scratch = Scratch::new();
-    reevaluate_slice_into(graph, model, store, hop, vertices, &mut scratch)?;
-    Ok(scratch.out.iter_rows().map(<[f32]>::to_vec).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,6 +368,20 @@ mod tests {
 
     fn small_graph() -> DynamicGraph {
         DatasetSpec::custom(60, 4.0, 6, 4).generate(3).unwrap()
+    }
+
+    /// [`reevaluate_slice_into`] with one freshly allocated embedding per
+    /// vertex, in input order.
+    fn reevaluate_slice<G: GraphView + ?Sized>(
+        graph: &G,
+        model: &GnnModel,
+        store: &EmbeddingStore,
+        hop: usize,
+        vertices: &[VertexId],
+    ) -> Result<Vec<Vec<f32>>> {
+        let mut scratch = Scratch::new();
+        reevaluate_slice_into(graph, model, store, hop, vertices, &mut scratch)?;
+        Ok(scratch.out.iter_rows().map(<[f32]>::to_vec).collect())
     }
 
     #[test]

@@ -871,22 +871,6 @@ pub struct Checkpoint {
     pub halo_watermarks: Vec<(PartitionId, u64)>,
 }
 
-impl Checkpoint {
-    /// A borrowed view of this checkpoint, for the streaming write path.
-    pub fn as_ref(&self) -> CheckpointRef<'_> {
-        CheckpointRef {
-            window_seq: self.window_seq,
-            epoch: self.epoch,
-            applied_seq: self.applied_seq,
-            applied_secondary: self.applied_secondary,
-            topology_epoch: self.topology_epoch,
-            graph: &self.graph,
-            store: &self.store,
-            halo_watermarks: &self.halo_watermarks,
-        }
-    }
-}
-
 /// A borrowed checkpoint: same fields as [`Checkpoint`] but referencing the
 /// engine's live (quiesced) graph and store instead of owning clones. The
 /// scheduler checkpoints through this so the store — by far the largest
@@ -1047,18 +1031,6 @@ fn decode_checkpoint(payload: &[u8]) -> Option<Checkpoint> {
         store,
         halo_watermarks,
     })
-}
-
-/// Writes an owned checkpoint durably. Thin wrapper over
-/// [`write_checkpoint_ref`] for callers that already hold a [`Checkpoint`]
-/// (recovery round-trip tests, mostly).
-pub fn write_checkpoint(
-    dir: &Path,
-    ckpt: &Checkpoint,
-    fsync: FsyncPolicy,
-    fail: &FailPoints,
-) -> crate::Result<()> {
-    write_checkpoint_ref(dir, &ckpt.as_ref(), fsync, fail)
 }
 
 /// Writes a checkpoint durably from *borrowed* state: temp file, streamed

@@ -3,9 +3,9 @@
 //! [`ServeFrontend`] is the one contract every serving session satisfies,
 //! whether one engine processes the whole graph ([`crate::spawn`] →
 //! [`ServeHandle`]) or a hash-partitioned tier of shard engines serves it
-//! ([`crate::spawn_sharded`] → [`ShardedServeHandle`]). Load generators,
-//! examples and the consistency suites are written against this trait and
-//! run unchanged on either topology; only bootstrap picks the shape.
+//! ([`crate::spawn_sharded`] → [`ShardedServeHandle`]). Examples and the
+//! consistency suites are written against this trait and run unchanged on
+//! either topology; only bootstrap picks the shape.
 //!
 //! The trait's surface is deliberately the intersection that both
 //! topologies satisfy with identical semantics:

@@ -29,16 +29,16 @@
 //!   only the rows the engine dirtied (plus lazy split/merge of imbalanced
 //!   clusters), so approximate top-k stays sublinear while following every
 //!   epoch; [`IndexStats`] counts repairs vs rebuilds.
-//! * [`ServeMetrics`] and a closed-loop [`loadgen`] — read-latency
-//!   percentiles, update-visibility lag and epochs/sec, deterministic via
-//!   the workspace's seeded `rand` shim.
+//! * [`ServeMetrics`] — lock-free counters of reads, applied updates,
+//!   epochs and update-visibility lag, shared by the scheduler and every
+//!   query handle.
 //! * A **sharded serving tier** behind the same API — [`spawn_sharded`]
 //!   hash-partitions the graph into [`ripple_core::ShardEngine`]s, each on
 //!   its own scheduler thread with its own epoch sequence; a
 //!   [`ShardRouter`] hash-routes updates and the shards exchange halo
 //!   delta messages like the distributed engine's halo stubs. The
-//!   [`ServeFrontend`] trait abstracts over both topologies, so load
-//!   generators and consistency suites run unchanged against either.
+//!   [`ServeFrontend`] trait abstracts over both topologies, so examples
+//!   and consistency suites run unchanged against either.
 //!
 //! # Example
 //!
@@ -72,9 +72,7 @@
 pub mod admission;
 pub mod durability;
 pub mod frontend;
-pub mod histogram;
 pub mod index;
-pub mod loadgen;
 pub mod metrics;
 pub mod query;
 pub mod router;
@@ -89,13 +87,7 @@ pub use durability::{
     FP_WAL_AFTER_APPEND, FP_WAL_BEFORE_APPEND, FP_WAL_TORN_APPEND,
 };
 pub use frontend::{ServeClient, ServeFrontend};
-pub use histogram::LatencyHistogram;
 pub use index::{IndexParams, IndexReader, IndexStats, TopKIndex};
-pub use loadgen::{
-    run_admission_bench, run_loadgen, run_nprobe_sweep, run_topk_bench, AdmissionBenchPoint,
-    AdmissionBenchReport, LoadgenConfig, LoadgenReport, NprobeSweepPoint, NprobeSweepReport,
-    TopKBenchPoint, TopKBenchReport, DEFAULT_NPROBE,
-};
 pub use metrics::{MetricsReport, ServeMetrics};
 pub use query::{QueryService, ReadMode, Stamped, TopKRequest};
 pub use router::ShardRouter;

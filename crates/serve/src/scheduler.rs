@@ -211,13 +211,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Disables durability (the default): purely in-memory serving.
-    #[must_use]
-    pub fn no_durability(mut self) -> Self {
-        self.config.durability = None;
-        self
-    }
-
     /// Sets the in-flight admission depth ([`ServeConfig::max_inflight`]),
     /// clamped to at least 1. On the single-engine tier, footprint-disjoint
     /// windows stage together and execute as one merged engine pass; on the
@@ -1509,12 +1502,14 @@ mod tests {
         assert_eq!(scheduler.flush().unwrap(), 1);
     }
 
-    #[test]
-    fn spawned_scheduler_serves_submitted_updates() {
+    /// Spawns a tier over an engine with `threads` worker threads, serves a
+    /// stream through it, and checks the served engine and its published
+    /// final-layer table against a 1-thread replay of the flushed windows.
+    fn serve_submitted_updates(threads: usize) {
         let (graph, model, store, updates) = bootstrap(9);
         let reference_updates = updates.clone();
         let handle = spawn(
-            engine(graph.clone(), model.clone(), store.clone()),
+            engine(graph.clone(), model.clone(), store.clone()).with_threads(threads),
             ServeConfig {
                 max_batch: 8,
                 record_batches: true,
@@ -1534,6 +1529,10 @@ mod tests {
         let mut queries = handle.query_service();
         let stamped = queries.read_label(VertexId(0)).unwrap();
         assert!(stamped.epoch >= 1);
+        let final_layer = model.num_layers();
+        let published: Vec<Vec<f32>> = (0..graph.num_vertices())
+            .map(|v| queries.read_embedding(VertexId(v as u32)).unwrap().value)
+            .collect();
 
         let log = handle.flush_log().expect("recording enabled");
         let served = handle.shutdown().unwrap();
@@ -1545,8 +1544,9 @@ mod tests {
         assert_eq!(raw_total, offered as u64);
         assert_eq!(records.last().unwrap().applied_seq, offered as u64);
 
-        // The served engine matches a reference that replayed the same
-        // flushed batches bit-for-bit…
+        // The served engine matches a 1-thread reference that replayed
+        // the same flushed batches bit-for-bit, whatever the tier's
+        // engine thread count, and so does the published final table…
         let mut reference = engine(graph.clone(), model.clone(), store.clone());
         for record in records.iter() {
             if !record.batch.is_empty() {
@@ -1555,8 +1555,17 @@ mod tests {
         }
         assert!(
             served.store() == reference.store(),
-            "stores must be bit-identical"
+            "stores must be bit-identical at {threads} threads"
         );
+        let table = reference.store().embeddings(final_layer);
+        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (v, row) in published.iter().enumerate() {
+            assert_eq!(
+                bits(row),
+                bits(table.row(v)),
+                "published row {v} at {threads} threads"
+            );
+        }
 
         // …and stays within float tolerance of the raw stream applied
         // update-by-update (window boundaries change accumulation order).
@@ -1574,6 +1583,16 @@ mod tests {
             diff < 2e-3,
             "served state drifted from the raw stream: {diff}"
         );
+    }
+
+    #[test]
+    fn spawned_scheduler_serves_submitted_updates() {
+        serve_submitted_updates(1);
+    }
+
+    #[test]
+    fn spawned_scheduler_over_a_parallel_engine_matches_one_thread() {
+        serve_submitted_updates(2);
     }
 
     #[test]

@@ -580,7 +580,7 @@ impl ShardedEngines {
 /// Handle onto a running sharded serving session (see [`spawn_sharded`]).
 ///
 /// The sharded counterpart of [`crate::ServeHandle`]; both implement
-/// [`crate::ServeFrontend`], so load generators and consistency suites run
+/// [`crate::ServeFrontend`], so examples and consistency suites run
 /// unchanged against either topology.
 #[derive(Debug)]
 pub struct ShardedServeHandle {

@@ -12,8 +12,8 @@
 //!   by the aggregation and update steps of a GNN layer.
 //! * [`Scratch`] — a reusable workspace so batched kernels run without
 //!   touching the allocator in steady state.
-//! * [`WorkerPool`] — scoped-thread sharding for chunked/ranged parallel
-//!   loops (the engines and batched inference build on it).
+//! * [`WorkerPool`] — scoped-thread sharding for ranged parallel loops
+//!   (the engines and batched inference build on it).
 //! * [`init`] — deterministic (seeded) Xavier/uniform initialisers so that
 //!   experiments are reproducible without trained weights.
 //! * [`activation`] — the element-wise non-linearities used by the models.

@@ -284,14 +284,6 @@ impl Matrix {
         out
     }
 
-    /// Appends `extra` zero rows, growing the matrix in place. Used when new
-    /// vertices are appended to a growing graph.
-    pub fn grow_rows(&mut self, extra: usize) {
-        self.data
-            .extend(std::iter::repeat_n(0.0, extra * self.cols));
-        self.rows += extra;
-    }
-
     /// Fills the whole matrix with `value`.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|x| *x = value);
@@ -317,11 +309,6 @@ impl Matrix {
         self.cols = other.cols;
         self.data.clear();
         self.data.extend_from_slice(&other.data);
-    }
-
-    /// Frobenius norm of the matrix (square root of the sum of squares).
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// Largest absolute element-wise difference between two matrices of the
@@ -483,21 +470,6 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t.row(0), &[1.0, 4.0]);
         assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn grow_rows_appends_zeros() {
-        let mut m = Matrix::filled(1, 2, 3.0);
-        m.grow_rows(2);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.row(1), &[0.0, 0.0]);
-        assert_eq!(m.row(0), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_hand_computation() {
-        let m = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -524,43 +524,6 @@ pub fn sum_rows(m: &Matrix, indices: &[usize]) -> Result<Vec<f32>> {
     Ok(acc)
 }
 
-/// Mean of a set of rows of `m`. An empty index set yields the zero vector,
-/// mirroring the convention that a vertex with no in-neighbours aggregates to
-/// zero.
-///
-/// # Errors
-///
-/// Returns [`TensorError::IndexOutOfBounds`] if any index is out of range.
-pub fn mean_rows(m: &Matrix, indices: &[usize]) -> Result<Vec<f32>> {
-    let mut acc = sum_rows(m, indices)?;
-    if !indices.is_empty() {
-        crate::vector::scale(&mut acc, 1.0 / indices.len() as f32);
-    }
-    Ok(acc)
-}
-
-/// Weighted sum of a set of rows of `m`: `sum_i w_i * m[row_i]`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::IndexOutOfBounds`] if any index is out of range and
-/// [`TensorError::ShapeMismatch`] if `indices.len() != weights.len()`.
-pub fn weighted_sum_rows(m: &Matrix, indices: &[usize], weights: &[f32]) -> Result<Vec<f32>> {
-    if indices.len() != weights.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "weighted_sum_rows",
-            left: (indices.len(), 1),
-            right: (weights.len(), 1),
-        });
-    }
-    let mut acc = vec![0.0f32; m.cols()];
-    for (&i, &w) in indices.iter().zip(weights.iter()) {
-        let row = m.try_row(i)?;
-        crate::vector::axpy(&mut acc, w, row);
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,22 +687,5 @@ mod tests {
         assert_eq!(s, vec![6.0, 8.0]);
         assert_eq!(sum_rows(&m, &[]).unwrap(), vec![0.0, 0.0]);
         assert!(sum_rows(&m, &[9]).is_err());
-    }
-
-    #[test]
-    fn mean_rows_over_subset() {
-        let m = sample();
-        let s = mean_rows(&m, &[0, 1]).unwrap();
-        assert_eq!(s, vec![2.0, 3.0]);
-        assert_eq!(mean_rows(&m, &[]).unwrap(), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn weighted_sum_rows_with_weights() {
-        let m = sample();
-        let s = weighted_sum_rows(&m, &[0, 1], &[2.0, 0.5]).unwrap();
-        assert_eq!(s, vec![3.5, 6.0]);
-        assert!(weighted_sum_rows(&m, &[0], &[1.0, 2.0]).is_err());
-        assert!(weighted_sum_rows(&m, &[9], &[1.0]).is_err());
     }
 }

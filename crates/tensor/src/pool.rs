@@ -1,13 +1,11 @@
-//! A fixed-size worker pool with channel-free range stealing.
+//! A fixed-size worker pool over scoped threads.
 //!
-//! Callers shard a contiguous index range (a hop's affected frontier, a full
-//! vertex table) into chunks and let a fixed set of [`std::thread::scope`]
-//! workers steal chunks off one shared atomic cursor — no channels, no
-//! locks, no work queues. Each chunk's result is tagged with its chunk
-//! index, so the caller gets results back **in chunk order** regardless of
-//! which worker processed which chunk. That ordered reduction is what lets
-//! the parallel engines commit results in exactly the serial engine's vertex
-//! order and stay bit-identical to it.
+//! Callers split a contiguous index range (a hop's affected frontier, a full
+//! vertex table) into one contiguous range per worker state, and a fixed set
+//! of [`std::thread::scope`] workers each evaluate one range — no channels,
+//! no locks, no work queues. Results come back **in range order**, which is
+//! what lets the parallel engines commit results in exactly the serial
+//! engine's vertex order and stay bit-identical to it.
 //!
 //! Scoped threads let the work closure borrow the caller's graph, model and
 //! embedding store directly; the per-call spawn cost (a few tens of
@@ -19,9 +17,8 @@
 //! shard work over it.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A fixed-size worker pool executing chunked parallel-for loops over scoped
+/// A fixed-size worker pool executing ranged parallel-for loops over scoped
 /// threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPool {
@@ -57,76 +54,16 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Splits `0..num_items` into chunks of `chunk_size` and maps `work` over
-    /// every chunk, returning the per-chunk results **in chunk order** (the
-    /// order the chunks appear in the input range, not completion order).
-    ///
-    /// Workers steal the next chunk index from a shared atomic cursor until
-    /// the range is exhausted. With one worker (or a single chunk) the loop
-    /// runs inline on the caller thread — same results, no spawn cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is zero, or propagates a panic from `work`.
-    pub fn map_chunks<T, F>(&self, num_items: usize, chunk_size: usize, work: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        if num_items == 0 {
-            return Vec::new();
-        }
-        let num_chunks = num_items.div_ceil(chunk_size);
-        let chunk_range = |c: usize| {
-            let start = c * chunk_size;
-            start..(start + chunk_size).min(num_items)
-        };
-        if self.threads == 1 || num_chunks == 1 {
-            return (0..num_chunks).map(|c| work(chunk_range(c))).collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let workers = self.threads.min(num_chunks);
-        let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut produced = Vec::new();
-                        loop {
-                            let c = cursor.fetch_add(1, Ordering::Relaxed);
-                            if c >= num_chunks {
-                                break;
-                            }
-                            produced.push((c, work(chunk_range(c))));
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pool worker panicked"))
-                .collect()
-        });
-        // Ordered reduction: restore chunk order so callers can merge
-        // deterministically.
-        tagged.sort_unstable_by_key(|&(c, _)| c);
-        tagged.into_iter().map(|(_, t)| t).collect()
-    }
-
     /// Splits `0..num_items` into **one contiguous range per state** (near
     /// equal sizes, earlier ranges at most one item longer) and runs
     /// `work(state, range)` for each pair, returning the per-state results
     /// index-aligned with `states`.
     ///
-    /// This is the statically partitioned sibling of
-    /// [`WorkerPool::map_chunks`] for workloads whose per-item cost is
-    /// uniform (e.g. dense layer evaluation): each worker owns a mutable
-    /// per-worker state — a scratch arena — for its whole range, so the work
-    /// closure can be allocation-free. With a single state (or a 1-thread
-    /// pool) everything runs inline on the caller; empty ranges also run
-    /// inline, so results always align with `states`.
+    /// Each worker owns a mutable per-worker state — a scratch arena — for
+    /// its whole range, so the work closure can be allocation-free. With a
+    /// single state (or a 1-thread pool) everything runs inline on the
+    /// caller; empty ranges also run inline, so results always align with
+    /// `states`.
     ///
     /// # Panics
     ///
@@ -162,12 +99,6 @@ impl WorkerPool {
                 .collect()
         })
     }
-
-    /// A chunk size that splits `num_items` into a few chunks per worker
-    /// (bounded below so tiny chunks never dominate on large frontiers).
-    pub fn suggested_chunk_size(&self, num_items: usize) -> usize {
-        num_items.div_ceil(self.threads * 4).max(16)
-    }
 }
 
 /// `parts` contiguous, in-order, near-equal ranges covering `0..num_items`
@@ -197,57 +128,6 @@ mod tests {
         assert_eq!(WorkerPool::new(0).threads(), 1);
         assert_eq!(WorkerPool::default().threads(), 1);
         assert!(WorkerPool::host_sized().threads() >= 1);
-    }
-
-    #[test]
-    fn empty_input_yields_no_chunks() {
-        let pool = WorkerPool::new(4);
-        let out: Vec<usize> = pool.map_chunks(0, 8, |r| r.len());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn chunks_cover_range_in_order() {
-        for threads in [1, 2, 4, 8] {
-            let pool = WorkerPool::new(threads);
-            let ranges: Vec<Range<usize>> = pool.map_chunks(103, 10, |r| r);
-            assert_eq!(ranges.len(), 11);
-            assert_eq!(ranges[0], 0..10);
-            assert_eq!(ranges[10], 100..103);
-            for pair in ranges.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start, "chunks must be contiguous");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_map_matches_serial_map() {
-        let items: Vec<u64> = (0..500).collect();
-        let serial: Vec<u64> =
-            WorkerPool::new(1).map_chunks(items.len(), 7, |r| items[r].iter().map(|x| x * x).sum());
-        let parallel: Vec<u64> =
-            WorkerPool::new(8).map_chunks(items.len(), 7, |r| items[r].iter().map(|x| x * x).sum());
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn more_workers_than_chunks_is_fine() {
-        let pool = WorkerPool::new(16);
-        let out: Vec<usize> = pool.map_chunks(5, 2, |r| r.start);
-        assert_eq!(out, vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn suggested_chunk_size_has_floor_and_scales() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.suggested_chunk_size(10), 16);
-        assert_eq!(pool.suggested_chunk_size(16_000), 1000);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn zero_chunk_size_panics() {
-        WorkerPool::new(2).map_chunks::<(), _>(10, 0, |_| ());
     }
 
     #[test]

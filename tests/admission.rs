@@ -222,11 +222,10 @@ proptest! {
 }
 
 /// Disconnected blocks: consecutive windows touch different components, so
-/// their footprints are disjoint and groups fill to the in-flight cap. The
-/// merged pass must actually fire (admitted_concurrent > 0) and commit each
-/// window's epoch bit-identical to the serial run.
-#[test]
-fn disjoint_blocks_fill_groups_and_stay_bit_identical() {
+/// their footprints are disjoint and groups fill to the in-flight cap
+/// `depth`. The merged pass must actually fire (admitted_concurrent > 0) and
+/// commit each window's epoch bit-identical to the serial run.
+fn disjoint_blocks_scenario(depth: usize) {
     const BLOCKS: usize = 8;
     const PER: usize = 8;
     const DIM: usize = 6;
@@ -262,15 +261,21 @@ fn disjoint_blocks_fill_groups_and_stay_bit_identical() {
         2 * BLOCKS,
         "one window per block visit"
     );
-    let concurrent = run_stream(&graph, &model, &store, &updates, serve_config(4, Some(4)));
+    let concurrent = run_stream(
+        &graph,
+        &model,
+        &store,
+        &updates,
+        serve_config(4, Some(depth)),
+    );
     assert!(
         concurrent.report.admitted_concurrent > 0,
-        "disjoint windows must actually group: {}",
+        "disjoint windows must actually group at depth {depth}: {}",
         concurrent.report
     );
     assert!(
         concurrent.report.merged > 0,
-        "groups of several windows must merge into one pass: {}",
+        "groups of several windows must merge into one pass at depth {depth}: {}",
         concurrent.report
     );
     assert_eq!(
@@ -278,5 +283,19 @@ fn disjoint_blocks_fill_groups_and_stay_bit_identical() {
         "disconnected blocks can never conflict: {}",
         concurrent.report
     );
-    assert_matches_serial(&concurrent, &serial, "disjoint blocks");
+    assert_matches_serial(
+        &concurrent,
+        &serial,
+        &format!("disjoint blocks depth {depth}"),
+    );
+}
+
+#[test]
+fn disjoint_blocks_fill_groups_and_stay_bit_identical() {
+    disjoint_blocks_scenario(4);
+}
+
+#[test]
+fn disjoint_blocks_fill_groups_at_depth_2() {
+    disjoint_blocks_scenario(2);
 }

@@ -179,35 +179,6 @@ fn partitioners_produce_valid_partitions_on_generated_datasets() {
 }
 
 #[test]
-fn pruning_ablation_is_exact_and_never_slower_in_ops() {
-    let (plan, model, store) = pipeline(Workload::GcS, 2);
-    let batches = plan.batches(30);
-    let mut exact = RippleEngine::new(
-        plan.snapshot.clone(),
-        model.clone(),
-        store.clone(),
-        RippleConfig::exact(),
-    )
-    .unwrap();
-    let mut pruning = RippleEngine::new(
-        plan.snapshot.clone(),
-        model.clone(),
-        store,
-        RippleConfig::pruning(1e-6),
-    )
-    .unwrap();
-    let mut exact_ops = 0usize;
-    let mut pruning_ops = 0usize;
-    for batch in &batches {
-        exact_ops += exact.process_batch(batch).unwrap().aggregate_ops;
-        pruning_ops += pruning.process_batch(batch).unwrap().aggregate_ops;
-    }
-    let diff = exact.store().max_diff_all_layers(pruning.store()).unwrap();
-    assert!(diff < 1e-3, "pruning changed the result: {diff}");
-    assert!(pruning_ops <= exact_ops, "pruning must not add work");
-}
-
-#[test]
 fn stream_summary_reports_consistent_totals() {
     let (plan, model, store) = pipeline(Workload::GsS, 2);
     let batches = plan.batches(25);

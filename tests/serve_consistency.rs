@@ -13,6 +13,11 @@
 //! every epoch. Every observation any reader made is then checked against
 //! the store of its stamped epoch, bit for bit.
 //!
+//! Readers may also issue top-k reads, exact or approximate: every hit's
+//! score must be the dot product of that vertex's row in the stamped epoch's
+//! store (its owner's, on the sharded tier), bit for bit. Each reader's
+//! stamps never go backwards (per shard, on the sharded tier).
+//!
 //! The sharded tier upholds the same property **per shard**: point reads
 //! carry the owning shard and that shard's scalar epoch, and the observed
 //! embedding must be bit-identical to a serial [`ShardEngine`] replay of
@@ -22,26 +27,55 @@
 use ripple::core::ShardEngine;
 use ripple::prelude::*;
 use ripple::serve::{PartitionId, ServeConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use ripple::tensor::vector::dot;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One reader observation: the stamp and the embedding bytes it was served.
+/// One reader observation: the stamp and what it was served.
 struct Observation {
     epoch: u64,
     applied_seq: u64,
-    vertex: VertexId,
-    embedding: Vec<f32>,
+    read: Read,
 }
 
-/// A sharded reader observation: the shard stamp picks the replay sequence
-/// the epoch indexes into.
-struct ShardObservation {
-    shard: PartitionId,
-    epoch: u64,
-    applied_seq: u64,
-    vertex: VertexId,
-    embedding: Vec<f32>,
+/// What a single-engine reader was served.
+enum Read {
+    /// A point read: the embedding bytes of `vertex`.
+    Point {
+        vertex: VertexId,
+        embedding: Vec<f32>,
+    },
+    /// A top-k read of the reader's fixed query.
+    TopK(Vec<(VertexId, f32)>),
+}
+
+/// A sharded reader observation.
+enum ShardObservation {
+    /// A point read: the shard stamp picks the replay sequence the epoch
+    /// indexes into.
+    Point {
+        shard: PartitionId,
+        epoch: u64,
+        applied_seq: u64,
+        vertex: VertexId,
+        embedding: Vec<f32>,
+    },
+    /// A whole-graph exact top-k read of the reader's fixed query, stamped
+    /// with every shard's epoch.
+    TopK {
+        epoch: u64,
+        epochs: Vec<u64>,
+        applied_seq: u64,
+        hits: Vec<(VertexId, f32)>,
+    },
+}
+
+/// The fixed top-k query of reader `r` over `dim`-wide embeddings.
+fn reader_query(r: usize, dim: usize) -> Vec<f32> {
+    (0..dim)
+        .map(|d| if (d + r).is_multiple_of(2) { 1.0 } else { -0.5 })
+        .collect()
 }
 
 fn bootstrap(seed: u64) -> (DynamicGraph, GnnModel, EmbeddingStore, Vec<GraphUpdate>) {
@@ -66,8 +100,10 @@ fn bootstrap(seed: u64) -> (DynamicGraph, GnnModel, EmbeddingStore, Vec<GraphUpd
 }
 
 /// Runs one serving session with `reader_threads` concurrent readers and
-/// verifies every observation against the serial-engine prefix states.
-fn linearizable_epoch_scenario(reader_threads: usize, seed: u64) {
+/// verifies every observation against the serial-engine prefix states. With
+/// `top_k`, every eighth read, starting with the first, is a top-k read in
+/// that mode.
+fn linearizable_epoch_scenario(reader_threads: usize, seed: u64, top_k: Option<ReadMode>) {
     let (graph, model, store, updates) = bootstrap(seed);
     let engine = RippleEngine::new(
         graph.clone(),
@@ -88,28 +124,61 @@ fn linearizable_epoch_scenario(reader_threads: usize, seed: u64) {
     .unwrap();
     let metrics = handle.metrics();
     let stop = Arc::new(AtomicBool::new(false));
+    // The newest epoch any reader has observed.
+    let seen = Arc::new(AtomicU64::new(0));
 
-    // Readers: hammer point-embedding reads against rotating vertices,
-    // recording the stamp and the served bytes.
+    // Readers: hammer point-embedding reads against rotating vertices, with
+    // every eighth read (starting with the first) a top-k of the reader's
+    // own query when `top_k` is set, recording the stamp and what was served.
     let num_vertices = graph.num_vertices() as u32;
+    let dim = store.embedding(store.num_layers(), VertexId(0)).len();
     let readers: Vec<_> = (0..reader_threads)
         .map(|r| {
             let mut queries = handle.query_service();
             let stop = Arc::clone(&stop);
+            let seen = Arc::clone(&seen);
+            let request = top_k.map(|mode| {
+                let mut request = TopKRequest::new(reader_query(r, dim), 5);
+                request.mode = mode;
+                request
+            });
             std::thread::spawn(move || {
                 let mut observations: Vec<Observation> = Vec::new();
                 let mut v = (r as u32 * 17) % num_vertices;
+                let mut reads = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let vertex = VertexId(v);
-                    v = (v + 13) % num_vertices;
-                    let stamped = queries.read_embedding(vertex).expect("vertex in range");
-                    if observations.len() < 50_000 {
-                        observations.push(Observation {
-                            epoch: stamped.epoch,
-                            applied_seq: stamped.applied_seq,
-                            vertex,
-                            embedding: stamped.value,
-                        });
+                    reads += 1;
+                    let observation =
+                        if let Some(request) = request.as_ref().filter(|_| reads % 8 == 1) {
+                            let stamped = queries.top_k(request).expect("valid request");
+                            Observation {
+                                epoch: stamped.epoch,
+                                applied_seq: stamped.applied_seq,
+                                read: Read::TopK(stamped.value),
+                            }
+                        } else {
+                            let vertex = VertexId(v);
+                            v = (v + 13) % num_vertices;
+                            let stamped = queries.read_embedding(vertex).expect("vertex in range");
+                            Observation {
+                                epoch: stamped.epoch,
+                                applied_seq: stamped.applied_seq,
+                                read: Read::Point {
+                                    vertex,
+                                    embedding: stamped.value,
+                                },
+                            }
+                        };
+                    seen.fetch_max(observation.epoch, Ordering::Relaxed);
+                    // Past the cap, keep only reads of a newer epoch, so a
+                    // reader that fills it early still records what the
+                    // stream later showed it.
+                    if observations.len() < 50_000
+                        || observations
+                            .last()
+                            .is_some_and(|last| last.epoch != observation.epoch)
+                    {
+                        observations.push(observation);
                     }
                 }
                 observations
@@ -118,9 +187,12 @@ fn linearizable_epoch_scenario(reader_threads: usize, seed: u64) {
         .collect();
 
     // Writer: stream the updates in small pulses so many windows flush
-    // while the readers run.
+    // while the readers run. On a loaded host the scheduler or the readers
+    // can go unscheduled for the whole stream, so each pulse gets a bounded
+    // chance to be published and then read before the next one starts.
     let client = handle.client();
     let offered = updates.len() as u64;
+    let mut submitted = 0u64;
     for chunk in updates.chunks(5) {
         for update in chunk {
             assert!(matches!(
@@ -128,7 +200,14 @@ fn linearizable_epoch_scenario(reader_threads: usize, seed: u64) {
                 Submission::Enqueued { .. }
             ));
         }
+        submitted += chunk.len() as u64;
         std::thread::sleep(Duration::from_micros(300));
+        let catch_up = Instant::now() + Duration::from_millis(50);
+        while (metrics.applied() < submitted || seen.load(Ordering::Relaxed) < metrics.epochs())
+            && Instant::now() < catch_up
+        {
+            std::thread::sleep(Duration::from_micros(100));
+        }
     }
     handle.flush().expect("scheduler alive");
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -166,11 +245,18 @@ fn linearizable_epoch_scenario(reader_threads: usize, seed: u64) {
     );
 
     // The property: every observation matches the state of its epoch,
-    // bit for bit, and carries that epoch's applied_seq stamp.
+    // bit for bit, and carries that epoch's applied_seq stamp; a top-k
+    // hit's score is the dot product of its row in that state. Each reader
+    // sees epochs in order.
     let num_layers = states[0].num_layers();
     let mut checked = 0u64;
     let mut epochs_seen: Vec<u64> = Vec::new();
-    for reader in &observations {
+    for (r, reader) in observations.iter().enumerate() {
+        assert!(
+            reader.windows(2).all(|w| w[0].epoch <= w[1].epoch),
+            "reader {r} observed an epoch go backwards"
+        );
+        let query = reader_query(r, dim);
         for obs in reader {
             let state = states.get(obs.epoch as usize).unwrap_or_else(|| {
                 panic!(
@@ -179,13 +265,28 @@ fn linearizable_epoch_scenario(reader_threads: usize, seed: u64) {
                     records.len()
                 )
             });
-            assert_eq!(
-                obs.embedding.as_slice(),
-                state.embedding(num_layers, obs.vertex),
-                "epoch {} vertex {}: observed embedding is not the serial prefix state",
-                obs.epoch,
-                obs.vertex
-            );
+            match &obs.read {
+                Read::Point { vertex, embedding } => assert_eq!(
+                    embedding.as_slice(),
+                    state.embedding(num_layers, *vertex),
+                    "epoch {} vertex {}: observed embedding is not the serial prefix state",
+                    obs.epoch,
+                    vertex
+                ),
+                Read::TopK(hits) => {
+                    assert!(!hits.is_empty(), "epoch {}: empty top-k", obs.epoch);
+                    for &(vertex, score) in hits {
+                        let expected = dot(state.embedding(num_layers, vertex), &query);
+                        assert_eq!(
+                            score.to_bits(),
+                            expected.to_bits(),
+                            "epoch {} vertex {}: top-k score is not the serial prefix state's",
+                            obs.epoch,
+                            vertex
+                        );
+                    }
+                }
+            }
             let expected_applied = if obs.epoch == 0 {
                 0
             } else {
@@ -203,9 +304,8 @@ fn linearizable_epoch_scenario(reader_threads: usize, seed: u64) {
         !records.is_empty() && metrics.epochs() as usize == records.len(),
         "every flush published exactly one epoch"
     );
-    // Per-reader epochs are monotone because each handle caches at most the
-    // latest snapshot; across the run readers should have caught the stream
-    // in flight (more than one distinct epoch observed).
+    // Across the run readers should have caught the stream in flight (more
+    // than one distinct epoch observed).
     assert!(
         epochs_seen.len() >= 2,
         "readers only saw epochs {epochs_seen:?} of {} published — no concurrency exercised",
@@ -215,17 +315,27 @@ fn linearizable_epoch_scenario(reader_threads: usize, seed: u64) {
 
 #[test]
 fn readers_observe_only_serial_prefix_states_2_threads() {
-    linearizable_epoch_scenario(2, 101);
+    linearizable_epoch_scenario(2, 101, None);
 }
 
 #[test]
 fn readers_observe_only_serial_prefix_states_4_threads() {
-    linearizable_epoch_scenario(4, 103);
+    linearizable_epoch_scenario(4, 103, None);
 }
 
 #[test]
 fn readers_observe_only_serial_prefix_states_8_threads() {
-    linearizable_epoch_scenario(8, 107);
+    linearizable_epoch_scenario(8, 107, None);
+}
+
+#[test]
+fn readers_observe_only_serial_prefix_states_with_exact_top_k() {
+    linearizable_epoch_scenario(2, 109, Some(ReadMode::Exact));
+}
+
+#[test]
+fn readers_observe_only_serial_prefix_states_with_approx_top_k() {
+    linearizable_epoch_scenario(2, 113, Some(ReadMode::Approx { nprobe: 2 }));
 }
 
 /// The serving path must agree (within float tolerance — window boundaries
@@ -274,7 +384,17 @@ fn served_endstate_matches_raw_stream_replay() {
 /// `epoch` recorded windows — each the coalesced owned batch plus the halo
 /// deltas received from peers — through a fresh shard engine over the same
 /// partitioning.
-fn sharded_linearizable_epoch_scenario(shards: usize, reader_threads: usize, seed: u64) {
+///
+/// With `top_k`, every eighth read, starting with the first, is a
+/// whole-graph exact top-k: each hit's score must be the dot product of its
+/// row in its owner's prefix state at the epoch the stamp's vector gives
+/// that shard.
+fn sharded_linearizable_epoch_scenario(
+    shards: usize,
+    reader_threads: usize,
+    seed: u64,
+    top_k: bool,
+) {
     let (graph, model, store, updates) = bootstrap(seed);
     let handle = ripple::serve::spawn_sharded(
         &graph,
@@ -293,27 +413,49 @@ fn sharded_linearizable_epoch_scenario(shards: usize, reader_threads: usize, see
     let metrics = handle.metrics();
     let partitioning = Arc::clone(handle.partitioning());
     let stop = Arc::new(AtomicBool::new(false));
+    // Reads served so far, across all readers.
+    let served_reads = Arc::new(AtomicU64::new(0));
 
     let num_vertices = graph.num_vertices() as u32;
+    let dim = store.embedding(store.num_layers(), VertexId(0)).len();
     let readers: Vec<_> = (0..reader_threads)
         .map(|r| {
             let mut queries = handle.query_service();
             let stop = Arc::clone(&stop);
+            let served_reads = Arc::clone(&served_reads);
+            let request = top_k.then(|| TopKRequest::new(reader_query(r, dim), 5));
             std::thread::spawn(move || {
                 let mut observations: Vec<ShardObservation> = Vec::new();
                 let mut v = (r as u32 * 17) % num_vertices;
+                let mut reads = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let vertex = VertexId(v);
-                    v = (v + 13) % num_vertices;
-                    let stamped = queries.read_embedding(vertex).expect("vertex in range");
+                    reads += 1;
+                    served_reads.fetch_add(1, Ordering::Relaxed);
+                    let observation =
+                        if let Some(request) = request.as_ref().filter(|_| reads % 8 == 1) {
+                            let stamped = queries.top_k(request).expect("valid request");
+                            ShardObservation::TopK {
+                                epoch: stamped.epoch,
+                                epochs: stamped
+                                    .epochs
+                                    .expect("sharded whole-graph reads carry epochs"),
+                                applied_seq: stamped.applied_seq,
+                                hits: stamped.value,
+                            }
+                        } else {
+                            let vertex = VertexId(v);
+                            v = (v + 13) % num_vertices;
+                            let stamped = queries.read_embedding(vertex).expect("vertex in range");
+                            ShardObservation::Point {
+                                shard: stamped.shard.expect("sharded point reads carry a shard"),
+                                epoch: stamped.epoch,
+                                applied_seq: stamped.applied_seq,
+                                vertex,
+                                embedding: stamped.value,
+                            }
+                        };
                     if observations.len() < 50_000 {
-                        observations.push(ShardObservation {
-                            shard: stamped.shard.expect("sharded point reads carry a shard"),
-                            epoch: stamped.epoch,
-                            applied_seq: stamped.applied_seq,
-                            vertex,
-                            embedding: stamped.value,
-                        });
+                        observations.push(observation);
                     }
                 }
                 observations
@@ -322,7 +464,9 @@ fn sharded_linearizable_epoch_scenario(shards: usize, reader_threads: usize, see
         .collect();
 
     // Writer: pulse the stream through the router so many windows flush —
-    // and halo deltas cross shards — while the readers run.
+    // and halo deltas cross shards — while the readers run. As on the
+    // single-engine tier, each pulse gets a bounded chance to be applied and
+    // then read before the next one starts.
     let client = handle.client();
     for chunk in updates.chunks(5) {
         for update in chunk {
@@ -332,6 +476,14 @@ fn sharded_linearizable_epoch_scenario(shards: usize, reader_threads: usize, see
             ));
         }
         std::thread::sleep(Duration::from_micros(300));
+        let catch_up = Instant::now() + Duration::from_millis(50);
+        while metrics.applied() < metrics.enqueued() && Instant::now() < catch_up {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let read_before = served_reads.load(Ordering::Relaxed);
+        while served_reads.load(Ordering::Relaxed) == read_before && Instant::now() < catch_up {
+            std::thread::sleep(Duration::from_micros(100));
+        }
     }
     handle.quiesce().expect("tier alive");
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -395,49 +547,113 @@ fn sharded_linearizable_epoch_scenario(shards: usize, reader_threads: usize, see
     );
 
     // The property: every observation matches its shard's prefix state at
-    // its stamped epoch, bit for bit, with that epoch's applied_seq.
+    // its stamped epoch, bit for bit, with that epoch's applied_seq. Each
+    // reader sees each shard's epochs in order, and its whole-graph reads'
+    // minimum epochs in order. A whole-graph read is checked hit by hit
+    // against each owner's state at the epoch its vector names.
     let num_layers = store.num_layers();
+    let applied_at = |shard: usize, epoch: u64| {
+        if epoch == 0 {
+            0
+        } else {
+            per_shard_records[shard][epoch as usize - 1].applied_seq
+        }
+    };
+    let state_at = |shard: usize, epoch: u64| {
+        states[shard].get(epoch as usize).unwrap_or_else(|| {
+            panic!(
+                "shard {shard} observed epoch {epoch} beyond {} published",
+                states[shard].len() - 1
+            )
+        })
+    };
     let mut checked = 0u64;
+    let mut top_k_checked = 0u64;
     let mut shards_seen: Vec<u32> = Vec::new();
-    for reader in &observations {
+    for (r, reader) in observations.iter().enumerate() {
+        let mut last_epoch = vec![0u64; shards];
+        let mut last_whole_graph_epoch = 0u64;
         for obs in reader {
-            assert_eq!(
-                obs.shard,
-                partitioning.part_of(obs.vertex),
-                "stamp must name the owner of the read vertex"
-            );
-            let shard_states = &states[obs.shard.index()];
-            let state = shard_states.get(obs.epoch as usize).unwrap_or_else(|| {
-                panic!(
-                    "shard {} observed epoch {} beyond {} published",
-                    obs.shard,
-                    obs.epoch,
-                    shard_states.len() - 1
-                )
-            });
-            assert_eq!(
-                obs.embedding.as_slice(),
-                state.embedding(num_layers, obs.vertex),
-                "shard {} epoch {} vertex {}: observed embedding is not that \
-                 shard's serial prefix state",
-                obs.shard,
-                obs.epoch,
-                obs.vertex
-            );
-            let expected_applied = if obs.epoch == 0 {
-                0
-            } else {
-                per_shard_records[obs.shard.index()][obs.epoch as usize - 1].applied_seq
-            };
-            assert_eq!(
-                obs.applied_seq, expected_applied,
-                "shard {} epoch {}",
-                obs.shard, obs.epoch
-            );
-            shards_seen.push(obs.shard.0);
+            match obs {
+                ShardObservation::Point {
+                    shard,
+                    epoch,
+                    applied_seq,
+                    vertex,
+                    embedding,
+                } => {
+                    let last = &mut last_epoch[shard.index()];
+                    assert!(
+                        *epoch >= *last,
+                        "reader {r} saw shard {shard} go back from epoch {} to {epoch}",
+                        *last
+                    );
+                    *last = *epoch;
+                    assert_eq!(
+                        *shard,
+                        partitioning.part_of(*vertex),
+                        "stamp must name the owner of the read vertex"
+                    );
+                    assert_eq!(
+                        embedding.as_slice(),
+                        state_at(shard.index(), *epoch).embedding(num_layers, *vertex),
+                        "shard {shard} epoch {epoch} vertex {vertex}: observed embedding \
+                         is not that shard's serial prefix state"
+                    );
+                    assert_eq!(
+                        *applied_seq,
+                        applied_at(shard.index(), *epoch),
+                        "shard {shard} epoch {epoch}"
+                    );
+                    shards_seen.push(shard.0);
+                }
+                ShardObservation::TopK {
+                    epoch,
+                    epochs,
+                    applied_seq,
+                    hits,
+                } => {
+                    assert_eq!(epochs.len(), shards, "one epoch per shard");
+                    assert_eq!(
+                        Some(epoch),
+                        epochs.iter().min(),
+                        "a whole-graph stamp is its vector's minimum"
+                    );
+                    assert!(
+                        *epoch >= last_whole_graph_epoch,
+                        "reader {r} saw whole-graph reads go back from epoch \
+                         {last_whole_graph_epoch} to {epoch}"
+                    );
+                    last_whole_graph_epoch = *epoch;
+                    let expected_applied: u64 = epochs
+                        .iter()
+                        .enumerate()
+                        .map(|(shard, &e)| applied_at(shard, e))
+                        .sum();
+                    assert_eq!(*applied_seq, expected_applied, "epochs {epochs:?}");
+                    assert!(!hits.is_empty(), "epochs {epochs:?}: empty top-k");
+                    let query = reader_query(r, dim);
+                    for &(vertex, score) in hits {
+                        let owner = partitioning.part_of(vertex).index();
+                        let row = state_at(owner, epochs[owner]).embedding(num_layers, vertex);
+                        assert_eq!(
+                            score.to_bits(),
+                            dot(row, &query).to_bits(),
+                            "epochs {epochs:?} vertex {vertex}: top-k score is not its \
+                             owner's serial prefix state's"
+                        );
+                    }
+                    top_k_checked += 1;
+                }
+            }
             checked += 1;
         }
     }
+    assert_eq!(
+        top_k,
+        top_k_checked > 0,
+        "whole-graph reads are issued exactly when asked for"
+    );
     assert!(checked > 0, "readers must have observed something");
     shards_seen.sort_unstable();
     shards_seen.dedup();
@@ -450,12 +666,17 @@ fn sharded_linearizable_epoch_scenario(shards: usize, reader_threads: usize, see
 
 #[test]
 fn sharded_readers_observe_only_per_shard_prefix_states_2_shards() {
-    sharded_linearizable_epoch_scenario(2, 4, 307);
+    sharded_linearizable_epoch_scenario(2, 4, 307, false);
 }
 
 #[test]
 fn sharded_readers_observe_only_per_shard_prefix_states_4_shards() {
-    sharded_linearizable_epoch_scenario(4, 4, 311);
+    sharded_linearizable_epoch_scenario(4, 4, 311, false);
+}
+
+#[test]
+fn sharded_readers_observe_only_per_shard_prefix_states_with_top_k() {
+    sharded_linearizable_epoch_scenario(2, 2, 313, true);
 }
 
 /// Cross-shard edge-delta fanout parity: a stream holding edge updates that

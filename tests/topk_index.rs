@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use ripple::prelude::*;
 use ripple::serve::index::IndexMaintainer;
-use ripple::serve::ServeConfig;
+use ripple::serve::{ServeConfig, ServeHandle};
 use std::time::{Duration, Instant};
 
 /// Builds a random but valid update stream against `graph`: intents that are
@@ -54,6 +54,42 @@ fn realise_updates(graph: &DynamicGraph, intents: &[(u8, u32, u32, Vec<f32>)]) -
     updates
 }
 
+/// Spawns a serving tier over a GC-S engine bootstrapped on `graph`, submits
+/// `updates` and waits until every one of them is visible to readers.
+fn serve_drained(
+    graph: DynamicGraph,
+    updates: Vec<GraphUpdate>,
+    seed: u64,
+) -> ServeHandle<RippleEngine> {
+    let model = Workload::GcS
+        .build_model(6, 8, 4, 2, seed ^ 0xf1de)
+        .unwrap();
+    let store = full_inference(&graph, &model).unwrap();
+    let engine = RippleEngine::new(graph, model, store, RippleConfig::default()).unwrap();
+    let handle =
+        ripple::serve::spawn(engine, ServeConfig::builder().max_batch(8).build().unwrap()).unwrap();
+    let client = handle.client();
+    let metrics = handle.metrics();
+    for update in updates {
+        assert!(matches!(client.submit(update), Submission::Enqueued { .. }));
+    }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while metrics.applied() < metrics.enqueued() {
+        handle.flush();
+        assert!(Instant::now() < deadline, "scheduler failed to drain");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    handle
+}
+
+/// Recall@10 of `approx` against the exact top-10 `exact`: the share of
+/// approximate hits scoring at least the exact top-10's lowest score.
+fn recall_at_10(approx: &[(VertexId, f32)], exact: &[(VertexId, f32)]) -> f64 {
+    let floor = exact[exact.len() - 1].1;
+    let hits = approx.iter().filter(|(_, s)| *s >= floor).count();
+    hits as f64 / exact.len() as f64
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
@@ -76,30 +112,7 @@ proptest! {
         let updates = realise_updates(&graph, &intents);
         prop_assume!(!updates.is_empty());
         let num_vertices = graph.num_vertices();
-
-        let model = Workload::GcS.build_model(6, 8, 4, 2, seed ^ 0xf1de).unwrap();
-        let store = full_inference(&graph, &model).unwrap();
-        let engine =
-            RippleEngine::new(graph, model, store, RippleConfig::default()).unwrap();
-        let handle = ripple::serve::spawn(
-            engine,
-            ServeConfig::builder().max_batch(8).build().unwrap(),
-        )
-        .unwrap();
-        let client = handle.client();
-        let metrics = handle.metrics();
-        for update in updates {
-            prop_assert!(matches!(
-                client.submit(update),
-                Submission::Enqueued { .. }
-            ));
-        }
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while metrics.applied() < metrics.enqueued() {
-            handle.flush();
-            prop_assert!(Instant::now() < deadline, "scheduler failed to drain");
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        let handle = serve_drained(graph, updates, seed);
 
         let clusters = IndexParams::default().effective_clusters(num_vertices);
         let reduced_nprobe = (clusters * 3 / 4).max(4);
@@ -141,14 +154,82 @@ proptest! {
                     v
                 );
             }
-            let floor = exact.value[exact.value.len() - 1].1;
-            let hits = approx.value.iter().filter(|(_, s)| *s >= floor).count();
-            let recall = hits as f64 / exact.value.len() as f64;
+            let recall = recall_at_10(&approx.value, &exact.value);
             prop_assert!(
                 recall >= 0.9,
                 "recall@10 {recall:.2} below floor at nprobe {reduced_nprobe}/{clusters}"
             );
         }
+        handle.shutdown().unwrap();
+    }
+
+    /// Recall@10 never falls as the probe widens from one cluster through a
+    /// reduced probe to every cluster, where it reaches 1.0: a wider probe's
+    /// candidates are a superset of a narrower one's, read from the same
+    /// published snapshot.
+    #[test]
+    fn recall_never_falls_as_the_probe_widens(
+        seed in 0u64..500,
+        intents in prop::collection::vec(
+            (0u8..3, 0u32..160, 0u32..160, prop::collection::vec(-1.0f32..1.0, 6)),
+            1..40,
+        ),
+        probe in prop::collection::vec(-1.0f32..1.0, 4),
+    ) {
+        // Skip near-degenerate probes, as above.
+        prop_assume!(probe.iter().any(|c| c.abs() >= 0.25));
+        let graph = DatasetSpec::custom(160, 4.0, 6, 4).generate(seed).unwrap();
+        let updates = realise_updates(&graph, &intents);
+        prop_assume!(!updates.is_empty());
+        let num_vertices = graph.num_vertices();
+        let handle = serve_drained(graph, updates, seed);
+
+        let clusters = IndexParams::default().effective_clusters(num_vertices);
+        let mut queries = handle.query_service();
+        let exact = queries.top_k(&TopKRequest::new(probe.clone(), 10)).unwrap();
+        let mut previous = 0.0;
+        for nprobe in [1, (clusters * 3 / 4).max(4), usize::MAX] {
+            let approx = queries
+                .top_k(&TopKRequest::new(probe.clone(), 10).approx(nprobe))
+                .unwrap();
+            let recall = recall_at_10(&approx.value, &exact.value);
+            prop_assert!(
+                recall >= previous,
+                "recall@10 fell from {previous:.2} to {recall:.2} at nprobe {nprobe}/{clusters}"
+            );
+            previous = recall;
+        }
+        prop_assert!(
+            (previous - 1.0).abs() < 1e-9,
+            "full probe must reach recall 1.0: {previous}"
+        );
+        handle.shutdown().unwrap();
+    }
+
+    /// The served index is bootstrapped once and then only repaired: every
+    /// epoch a streamed update publishes repairs its dirty rows in place,
+    /// and none falls back to a full rebuild.
+    #[test]
+    fn served_index_repairs_epochs_without_rebuilding(
+        seed in 0u64..500,
+        intents in prop::collection::vec(
+            (0u8..3, 0u32..160, 0u32..160, prop::collection::vec(-1.0f32..1.0, 6)),
+            1..40,
+        ),
+    ) {
+        let graph = DatasetSpec::custom(160, 4.0, 6, 4).generate(seed).unwrap();
+        let updates = realise_updates(&graph, &intents);
+        // A feature rewrite always dirties a row, so at least one epoch
+        // repairs.
+        prop_assume!(updates
+            .iter()
+            .any(|u| matches!(u, GraphUpdate::UpdateFeature { .. })));
+        let handle = serve_drained(graph, updates, seed);
+
+        let stats = handle.index_stats().expect("sessions index by default");
+        prop_assert_eq!(stats.builds, 1);
+        prop_assert_eq!(stats.rebuilds, 0);
+        prop_assert!(stats.repairs > 0, "no epoch repaired the index: {:?}", stats);
         handle.shutdown().unwrap();
     }
 
