@@ -1,5 +1,5 @@
-//! Footprint-based concurrent window admission: the one commit pipeline
-//! behind both serving tiers.
+//! Footprint-based concurrent window admission: the staging step of the
+//! one commit pipeline (`pipeline.rs`) that both serving tiers run.
 //!
 //! Every closed window is *staged* (WAL-appended unsynced, its post-commit
 //! counters predicted, a reservation held) and later *drained* (one fsync
@@ -65,8 +65,7 @@ pub enum WindowState {
 
 /// One window travelling through admission: its sequence number, its
 /// footprint reservation, and whatever bookkeeping the caller needs to
-/// commit it later (`P` differs between the single-engine scheduler and the
-/// shard workers).
+/// commit it later (`P`).
 #[derive(Debug)]
 pub struct StagedWindow<P> {
     seq: u64,

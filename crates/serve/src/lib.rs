@@ -74,6 +74,7 @@ pub mod durability;
 pub mod frontend;
 pub mod index;
 pub mod metrics;
+mod pipeline;
 pub mod query;
 pub mod router;
 pub mod scheduler;

@@ -7,8 +7,8 @@
 //! endpoints (once, when one shard owns both) — each owner applies the
 //! topology change to its halo-restricted graph, and only the source's owner
 //! emits the resulting value deltas. An id beyond the partitioned space is
-//! routed by hash, so the owning engine reports the error exactly like the
-//! single-engine path would.
+//! routed by hash, so its owner's pipeline refuses it before logging it,
+//! exactly like the single-engine tier does.
 //!
 //! Shard queues are unbounded (halo sends between workers must never
 //! block), so producer backpressure lives here: every shard carries a depth
@@ -18,8 +18,8 @@
 //! accepted by all of its owners or by none.
 
 use crate::metrics::ServeMetrics;
+use crate::pipeline::Msg;
 use crate::scheduler::{BackpressurePolicy, QueuedUpdate, Submission};
-use crate::shard::ShardMsg;
 use ripple_graph::partition::Partitioning;
 use ripple_graph::GraphUpdate;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -36,7 +36,7 @@ const BLOCK_BACKOFF: Duration = Duration::from_micros(50);
 /// Cloneable producer handle hash-routing updates into a sharded session.
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
-    txs: Vec<Sender<ShardMsg>>,
+    txs: Vec<Sender<Msg>>,
     depths: Vec<Arc<AtomicUsize>>,
     alive: Vec<Arc<AtomicBool>>,
     /// Per-shard accepted-update counters (an update counts at every shard
@@ -58,7 +58,7 @@ pub struct ShardRouter {
 impl ShardRouter {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        txs: Vec<Sender<ShardMsg>>,
+        txs: Vec<Sender<Msg>>,
         depths: Vec<Arc<AtomicUsize>>,
         alive: Vec<Arc<AtomicBool>>,
         submitted: Vec<Arc<AtomicU64>>,
@@ -133,7 +133,7 @@ impl ShardRouter {
             // Count the slot before sending: the worker decrements as it
             // dequeues, and the counter must never underflow.
             self.depths[i].fetch_add(1, Ordering::AcqRel);
-            if self.txs[i].send(ShardMsg::Update(queued)).is_err() {
+            if self.txs[i].send(Msg::Update(queued)).is_err() {
                 self.depths[i].fetch_sub(1, Ordering::AcqRel);
                 return Submission::Closed;
             }

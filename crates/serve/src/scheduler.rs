@@ -22,29 +22,33 @@
 //! After each flush the scheduler publishes a new [`EpochSnapshot`] through
 //! the [`SnapshotPublisher`], which is what makes the batch visible to
 //! readers — queries never touch the engine's working store.
+//!
+//! Everything after the queue — validation, admission, WAL, engine, index
+//! and store publication, checkpoints, recovery — is the crate's one commit
+//! pipeline (`pipeline.rs`), which every shard of [`crate::spawn_sharded`]
+//! runs too: the single-engine tier is one shard with no halos and no
+//! peers.
 
-use crate::admission::{AdmissionController, StagedWindow};
-use crate::durability::{
-    recover, write_checkpoint_ref, CheckpointRef, DurabilityConfig, RecoveryReport, WalFrame,
-    WalWriter, FP_AFTER_PUBLISH,
-};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::durability::{DurabilityConfig, RecoveryReport};
 use crate::index::{
     IndexMaintainer, IndexParams, IndexReader, IndexStats, SharedIndexStats, VersionedIndex,
 };
 use crate::metrics::ServeMetrics;
-use crate::versioned::{SnapshotPublisher, SnapshotReader, VersionedStore};
-use ripple_core::{DeltaMessage, Footprint, RippleError, StreamingEngine};
+use crate::pipeline::{Msg, Peers, Pipeline, Running, Unsharded};
+use crate::versioned::SnapshotReader;
+use ripple_core::{DeltaMessage, RippleError, StreamingEngine};
 use ripple_graph::{GraphUpdate, UpdateBatch, VertexId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 #[cfg(doc)]
-use crate::versioned::EpochSnapshot;
+use crate::versioned::{EpochSnapshot, SnapshotPublisher};
 
 /// What a full queue does to the next submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -393,15 +397,6 @@ pub(crate) struct QueuedUpdate {
     pub(crate) secondary: bool,
 }
 
-/// Queue protocol between clients and the scheduler thread.
-pub(crate) enum Msg {
-    Update(QueuedUpdate),
-    /// Force the current window closed; replies with the epoch after flush.
-    Flush(mpsc::Sender<u64>),
-    /// Flush, then exit the scheduler loop.
-    Stop,
-}
-
 /// Cloneable producer handle submitting updates into the scheduler queue.
 #[derive(Debug, Clone)]
 pub struct UpdateClient {
@@ -507,21 +502,24 @@ impl FlushLog {
         FlushLog::default()
     }
 
+    /// The records. A panic while the lock is held cannot leave the vector
+    /// half-pushed, so a poisoned lock is still consistent.
+    fn records(&self) -> MutexGuard<'_, Vec<FlushRecord>> {
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn push(&self, record: FlushRecord) {
-        self.records
-            .lock()
-            .expect("flush log poisoned")
-            .push(record);
+        self.records().push(record);
     }
 
     /// A point-in-time copy of every recorded flush window, in flush order.
     pub fn snapshot(&self) -> Vec<FlushRecord> {
-        self.records.lock().expect("flush log poisoned").clone()
+        self.records().clone()
     }
 
     /// Number of recorded flush windows so far.
     pub fn len(&self) -> usize {
-        self.records.lock().expect("flush log poisoned").len()
+        self.records().len()
     }
 
     /// Whether nothing has been flushed (or recording produced no windows).
@@ -613,29 +611,10 @@ impl Coalescer {
     }
 }
 
-/// Commit bookkeeping a staged window carries from reservation to
-/// publication: the coalesced batch, the raw-update accounting, and the
-/// post-commit counters predicted at WAL-append time (the publish
-/// debug-asserts the prediction). Predicting them is what lets the WAL
-/// frame carry the *post*-window stamps before the engine runs: each is a
-/// deterministic function of the pre-state and the batch, so recovery
-/// replay lands on the same stamps without re-deriving them.
-#[derive(Debug)]
-struct WindowCommit {
-    batch: UpdateBatch,
-    raw: u64,
-    enqueues: Vec<Instant>,
-    /// Predicted epoch this window publishes at.
-    epoch: u64,
-    /// Predicted cumulative raw updates applied through this window.
-    applied_seq: u64,
-    /// Predicted engine topology epoch as of this window's publication.
-    topology_epoch: u64,
-}
-
-/// The scheduler state machine: owns the engine, the snapshot publisher and
-/// the coalescing window. [`spawn`] runs it on a dedicated thread; tests can
-/// drive it synchronously via [`UpdateScheduler::absorb`] /
+/// The single-engine tier's state machine: the commit pipeline (see
+/// `crate::pipeline`) over one [`StreamingEngine`], with no halos and no
+/// peers. [`spawn`] runs it on a dedicated thread; tests can drive it
+/// synchronously via [`UpdateScheduler::absorb`] /
 /// [`UpdateScheduler::flush`].
 ///
 /// Every window commits through one path: it is staged with the admission
@@ -643,26 +622,7 @@ struct WindowCommit {
 /// serial pipeline is that path at depth 1.
 #[derive(Debug)]
 pub struct UpdateScheduler<E> {
-    engine: E,
-    publisher: SnapshotPublisher,
-    /// The IVF top-k index maintained in lockstep with the snapshots
-    /// (present iff [`ServeConfig::index`]); published *before* the store
-    /// each flush so readers never pair a store epoch with an older index.
-    index: Option<IndexMaintainer>,
-    config: ServeConfig,
-    metrics: Arc<ServeMetrics>,
-    window: Coalescer,
-    applied_seq: u64,
-    /// Monotone sequence of logged windows (see [`FlushRecord::window_seq`]).
-    window_seq: u64,
-    /// The write-ahead log (present iff [`ServeConfig::durability`]).
-    wal: Option<WalWriter>,
-    recovery: Option<RecoveryReport>,
-    flush_log: Option<FlushLog>,
-    /// The staged group. Its depth is [`ServeConfig::max_inflight`] when
-    /// the engine exposes the model and dirty-row tracking the footprint
-    /// pipeline needs, and 1 (serial) otherwise.
-    admission: AdmissionController<WindowCommit>,
+    pipeline: Pipeline<Unsharded<E>>,
 }
 
 impl<E: StreamingEngine> UpdateScheduler<E> {
@@ -683,121 +643,46 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
     /// reopened; [`ServeError::Engine`] if checkpoint restore or WAL replay
     /// fails in the engine.
     pub fn new(
-        mut engine: E,
+        engine: E,
         config: ServeConfig,
         metrics: Arc<ServeMetrics>,
     ) -> crate::Result<(Self, SnapshotReader)> {
-        let started = Instant::now();
-        let mut window_seq = 0;
-        let mut applied_seq = 0;
-        let mut epoch = 0;
-        let mut recovery = None;
-        let wal = match &config.durability {
-            Some(d) => {
-                let recovered = recover(&d.dir)?;
-                let mut report = RecoveryReport {
-                    from_checkpoint: false,
-                    checkpoint_seq: 0,
-                    replayed_windows: 0,
-                    resumed_window_seq: recovered.resumed_window_seq(),
-                    resumed_epoch: 0,
-                    dropped_tail_bytes: recovered.dropped_tail_bytes,
-                    recovery_time: Duration::ZERO,
-                };
-                if let Some(ckpt) = recovered.checkpoint {
-                    report.from_checkpoint = true;
-                    report.checkpoint_seq = ckpt.window_seq;
-                    window_seq = ckpt.window_seq;
-                    applied_seq = ckpt.applied_seq;
-                    epoch = ckpt.epoch;
-                    engine
-                        .restore_state(ckpt.graph, ckpt.store, ckpt.topology_epoch)
-                        .map_err(ServeError::Engine)?;
-                }
-                for frame in &recovered.frames {
-                    if !frame.batch.is_empty() {
-                        engine
-                            .process_batch(&frame.batch)
-                            .map_err(ServeError::Engine)?;
-                    }
-                    report.replayed_windows += 1;
-                    window_seq = frame.window_seq;
-                    applied_seq = frame.applied_seq;
-                    epoch = frame.epoch;
-                }
-                report.resumed_epoch = epoch;
-                report.recovery_time = started.elapsed();
-                recovery = Some(report);
-                Some(WalWriter::open(
-                    &d.dir,
-                    window_seq + 1,
-                    d.segment_bytes,
-                    d.fsync,
-                    d.fail_points.clone(),
-                )?)
-            }
-            None => None,
-        };
-        let (publisher, reader) = VersionedStore::bootstrap_at(
-            engine.current_store(),
-            epoch,
-            applied_seq,
-            0,
-            engine.topology_epoch(),
-        );
-        let flush_log = config.record_batches.then(FlushLog::new);
-        let index = config.index.map(|params| {
-            IndexMaintainer::bootstrap_at(engine.current_store(), None, params, epoch).0
-        });
-        // Merging windows needs the model (to footprint them) and per-batch
-        // dirty rows (to partition the merged pass's dirty set back per
-        // window); an engine without either serves at depth 1.
-        let depth = if engine.model().is_some() && engine.dirty_rows().is_some() {
-            config.max_inflight
-        } else {
-            1
-        };
-        let admission = AdmissionController::new(depth);
-        Ok((
-            UpdateScheduler {
-                engine,
-                publisher,
-                index,
-                config,
-                metrics,
-                window: Coalescer::default(),
-                applied_seq,
-                window_seq,
-                wal,
-                recovery,
-                flush_log,
-                admission,
-            },
-            reader,
-        ))
+        let durability = config.durability.clone();
+        let (pipeline, reader) = Pipeline::new(
+            Unsharded(engine),
+            &config,
+            durability,
+            None,
+            metrics,
+            Peers::default(),
+        )?;
+        Ok((UpdateScheduler { pipeline }, reader))
     }
 
     /// What recovery did at session start (present iff
     /// [`ServeConfig::durability`]).
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.recovery.clone()
+        self.pipeline.recovery.clone()
     }
 
     /// The shared flush log (present iff [`ServeConfig::record_batches`]).
     pub fn flush_log(&self) -> Option<FlushLog> {
-        self.flush_log.clone()
+        self.pipeline.flush_log.clone()
     }
 
     /// A reader handle onto the maintained top-k index (present iff
     /// [`ServeConfig::index`]).
     pub fn index_reader(&self) -> Option<IndexReader> {
-        self.index.as_ref().map(IndexMaintainer::reader)
+        self.pipeline.index.as_ref().map(IndexMaintainer::reader)
     }
 
     /// The shared index-maintenance counters (present iff
     /// [`ServeConfig::index`]).
     pub fn shared_index_stats(&self) -> Option<Arc<SharedIndexStats>> {
-        self.index.as_ref().map(IndexMaintainer::shared_stats)
+        self.pipeline
+            .index
+            .as_ref()
+            .map(IndexMaintainer::shared_stats)
     }
 
     /// Absorbs one update into the coalescing window and, if the size
@@ -808,23 +693,19 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
     /// conflict, a full in-flight set, a time window, or an explicit
     /// flush); at depth 1 that is every closed window, and above it the
     /// returned epoch is `None` while windows ride in the group.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Engine`] if the window is invalid for the engine (a
+    /// vertex outside its id space, a feature of the wrong width; refused
+    /// before it is logged) or the engine fails; [`ServeError::Wal`] if the
+    /// durability layer fails. The scheduler is poisoned either way.
     pub fn absorb(&mut self, update: GraphUpdate, enqueued: Instant) -> crate::Result<Option<u64>> {
-        self.window.push(
-            QueuedUpdate {
-                update,
-                enqueued,
-                secondary: false,
-            },
-            &self.metrics,
-        );
-        if self.window.raw_len() < self.config.max_batch as u64 {
-            return Ok(None);
-        }
-        let drained = self.stage_window()?;
-        if self.admission.is_full() {
-            return self.drain_staged().map(Some);
-        }
-        Ok(drained)
+        self.pipeline.absorb(QueuedUpdate {
+            update,
+            enqueued,
+            secondary: false,
+        })
     }
 
     /// Flushes: stages the pending window (if any), then commits everything
@@ -832,303 +713,12 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
     /// pending or staged this publishes nothing and returns the current
     /// epoch.
     pub fn flush(&mut self) -> crate::Result<u64> {
-        self.stage_window()?;
-        self.drain_staged()
-    }
-
-    /// The footprint a window stages with. At depth 1 a window always
-    /// stages into an empty group, so its footprint is never compared with
-    /// anything and is left empty; above it, the footprint is computed
-    /// against the live topology.
-    fn footprint(&self, batch: &UpdateBatch) -> Footprint {
-        match self.engine.model() {
-            Some(model) if self.admission.max_inflight() > 1 => {
-                Footprint::for_batch(self.engine.current_graph(), model, batch)
-            }
-            _ => Footprint::empty(),
-        }
-    }
-
-    /// Closes the pending coalescing window and reserves it with the
-    /// admission controller: footprint it, WAL-append it (unsynced — the
-    /// group fsyncs once at drain), predict its post-commit counters and
-    /// stage it. A window that conflicts with the in-flight set first
-    /// forces the staged group to commit (the window is *serialized* behind
-    /// it) and is then re-footprinted against the post-commit topology; the
-    /// epoch such a forced drain published is returned.
-    fn stage_window(&mut self) -> crate::Result<Option<u64>> {
-        if self.window.raw_len() == 0 {
-            return Ok(None);
-        }
-        let (batch, raw, _secondary, enqueues) = self.window.drain();
-        let mut footprint = self.footprint(&batch);
-        let conflicted = !self.admission.admits(&footprint);
-        if conflicted {
-            self.metrics.record_conflict();
-        }
-        let mut drained = None;
-        if conflicted || self.admission.is_full() {
-            drained = Some(self.drain_staged()?);
-            if conflicted {
-                // The drained group committed the very writes this window's
-                // cone intersects, and edges it added can extend that cone —
-                // so the pre-drain footprint is stale. Re-footprint against
-                // the post-commit topology before reserving, or a later
-                // window overlapping the grown cone would be judged
-                // disjoint and merged. The is_full drain needs no recompute:
-                // an *admitted* window is disjoint from every staged write
-                // set, so its cone cannot reach the edges the group added.
-                footprint = self.footprint(&batch);
-            }
-        }
-        // Predict the post-commit stamps by chaining off the last staged
-        // window (or the live counters when the group is empty): each
-        // window publishes one epoch, applies `raw` more updates, and bumps
-        // the topology epoch iff its batch reaches the engine.
-        let (base_epoch, base_applied, base_topo) = match self.admission.last() {
-            Some(w) => (
-                w.payload.epoch,
-                w.payload.applied_seq,
-                w.payload.topology_epoch,
-            ),
-            None => (
-                self.publisher.epoch(),
-                self.applied_seq,
-                self.engine.topology_epoch(),
-            ),
-        };
-        self.window_seq += 1;
-        let commit = WindowCommit {
-            epoch: base_epoch + 1,
-            applied_seq: base_applied + raw,
-            topology_epoch: base_topo + u64::from(!batch.is_empty()),
-            batch,
-            raw,
-            enqueues,
-        };
-        // Log before apply.
-        if let Some(wal) = &mut self.wal {
-            wal.append_unsynced(&WalFrame {
-                window_seq: self.window_seq,
-                epoch: commit.epoch,
-                applied_seq: commit.applied_seq,
-                applied_secondary: 0,
-                topology_epoch: commit.topology_epoch,
-                raw: commit.raw,
-                batch: commit.batch.clone(),
-                halos: Vec::new(),
-                halo_sources: Vec::new(),
-            })?;
-        }
-        self.admission
-            .reserve(StagedWindow::pending(self.window_seq, footprint, commit));
-        Ok(drained)
-    }
-
-    /// Executes and commits the staged group: one fsync covering every
-    /// frame the group appended, one merged engine pass over the batches
-    /// (bit-identical to sequential passes because the group is pairwise
-    /// footprint-disjoint), then per-window epoch publication in
-    /// `window_seq` order. Returns the last published epoch (the current
-    /// epoch if nothing was staged).
-    ///
-    /// Publication threads each window's affected set into the publisher,
-    /// so steady-state epoch refreshes copy O(affected) rows instead of the
-    /// full table; a window that cancelled out entirely publishes with an
-    /// empty dirty set, and an engine without dirty tracking publishes a
-    /// full refresh.
-    fn drain_staged(&mut self) -> crate::Result<u64> {
-        if self.admission.is_empty() {
-            return Ok(self.publisher.epoch());
-        }
-        let mut group = self.admission.take_group();
-        if let Some(wal) = &mut self.wal {
-            wal.sync()?;
-        }
-        let batches: Vec<UpdateBatch> = group
-            .iter_mut()
-            .map(|w| std::mem::replace(&mut w.payload.batch, UpdateBatch::new()))
-            .collect();
-        let merged_dirty = match self.engine.process_windows(&batches) {
-            Ok(dirty) => dirty,
-            Err(e) => {
-                self.metrics.record_engine_error();
-                return Err(ServeError::Engine(e));
-            }
-        };
-        let merged = self.admission.max_inflight() > 1;
-        let first_seq = group.first().map(StagedWindow::seq).unwrap_or(0);
-        let last_seq = group.last().map(StagedWindow::seq).unwrap_or(0);
-        let mut scratch: Vec<VertexId> = Vec::new();
-        let mut epoch = self.publisher.epoch();
-        let windows = group.len();
-        for (i, (window, batch)) in group.iter_mut().zip(batches).enumerate() {
-            let ran_engine = !batch.is_empty();
-            self.applied_seq = window.payload.applied_seq;
-            // Earlier members of a merged group publish their predicted
-            // topology epoch; the last publishes the engine's own, which is
-            // what an engine without an epoch-versioned snapshot (always 0)
-            // must keep reporting.
-            let topology_epoch = if i + 1 == windows {
-                self.engine.topology_epoch()
-            } else {
-                window.payload.topology_epoch
-            };
-            let dirty: Option<&[VertexId]> = match &merged_dirty {
-                // Nothing reached the engine: the store is unchanged.
-                _ if !ran_engine => Some(&[]),
-                // This window's share of the merged dirty set. Rows outside
-                // it keep their previous-epoch values in the snapshot —
-                // exactly the serial schedule's state, because disjointness
-                // means no later group member wrote inside this window's
-                // footprint.
-                Some(rows) if merged => {
-                    scratch.clear();
-                    window.footprint().intersect_sorted_into(rows, &mut scratch);
-                    Some(&scratch)
-                }
-                // At depth 1 the group is this window alone.
-                Some(rows) => Some(rows),
-                None => None,
-            };
-            // Index first, store second: a reader that pairs the freshest
-            // store with its cached index only ever sees an index *ahead* of
-            // the store, never behind — and scores always come from the
-            // store, so skew costs at most recall, never correctness. Every
-            // window repairs from the post-group store, which only the last
-            // window's snapshot equals: earlier epochs publish unpaired, so
-            // exact reads never prune on them.
-            if let Some(index) = &mut self.index {
-                let store = self.engine.current_store();
-                if i + 1 == windows {
-                    index.publish(store, dirty);
-                } else {
-                    index.publish_unpaired(store, dirty);
-                }
-            }
-            epoch = self.publisher.publish_rows(
-                self.engine.current_store(),
-                self.applied_seq,
-                topology_epoch,
-                dirty,
-            );
-            debug_assert_eq!(epoch, window.payload.epoch, "predicted epoch drifted");
-            let published_at = Instant::now();
-            for enqueued in window.payload.enqueues.drain(..) {
-                self.metrics
-                    .record_visibility_lag(published_at.saturating_duration_since(enqueued));
-            }
-            self.metrics.record_flush(window.payload.raw, ran_engine);
-            if let Some(log) = &self.flush_log {
-                log.push(FlushRecord {
-                    window_seq: window.seq(),
-                    batch,
-                    halos: Vec::new(),
-                    raw: window.payload.raw,
-                    epoch,
-                    applied_seq: self.applied_seq,
-                    topology_epoch,
-                });
-            }
-            window.commit();
-        }
-        debug_assert!(
-            !merged
-                || group
-                    .last()
-                    .is_none_or(|w| w.payload.topology_epoch == self.engine.topology_epoch()),
-            "predicted topology epoch drifted"
-        );
-        self.metrics.record_admission_group(group.len() as u64);
-        if let Some(d) = &self.config.durability {
-            if d.fail_points.fire(FP_AFTER_PUBLISH) {
-                return Err(ServeError::Wal(format!(
-                    "fail point {FP_AFTER_PUBLISH} fired after epoch {epoch} was published"
-                )));
-            }
-            // One checkpoint per group at most, cut iff the group crossed a
-            // cadence boundary (seq/every strictly grew across the group).
-            // Streamed straight from the engine's live graph and store: no
-            // clones of either on the scheduler thread.
-            if d.checkpoint_every > 0
-                && last_seq / d.checkpoint_every > first_seq.saturating_sub(1) / d.checkpoint_every
-            {
-                write_checkpoint_ref(
-                    &d.dir,
-                    &CheckpointRef {
-                        window_seq: last_seq,
-                        epoch,
-                        applied_seq: self.applied_seq,
-                        applied_secondary: 0,
-                        topology_epoch: self.engine.topology_epoch(),
-                        graph: self.engine.current_graph(),
-                        store: self.engine.current_store(),
-                        halo_watermarks: &[],
-                    },
-                    d.fsync,
-                    &d.fail_points,
-                )?;
-            }
-        }
-        Ok(epoch)
+        self.pipeline.flush()
     }
 
     /// Consumes the scheduler, returning the engine.
     pub fn into_engine(self) -> E {
-        self.engine
-    }
-
-    /// Drains the queue until every client hangs up or a stop message
-    /// arrives, flushing on the size and time windows.
-    fn run(mut self, rx: Receiver<Msg>) -> Result<E, ServeError> {
-        loop {
-            // The time window bounds both the pending coalescing window and
-            // (above depth 1) the oldest staged-but-uncommitted window:
-            // no accepted update waits longer than `max_delay` to publish.
-            let deadline = match (
-                self.window.deadline(self.config.max_delay),
-                self.admission.deadline(self.config.max_delay),
-            ) {
-                (Some(w), Some(a)) => Some(w.min(a)),
-                (w, a) => w.or(a),
-            };
-            let wake = match deadline {
-                Some(deadline) => {
-                    let budget = deadline.saturating_duration_since(Instant::now());
-                    match rx.recv_timeout(budget) {
-                        Ok(msg) => Some(msg),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            self.flush()?;
-                            return Ok(self.engine);
-                        }
-                    }
-                }
-                None => match rx.recv() {
-                    Ok(msg) => Some(msg),
-                    Err(_) => return Ok(self.engine),
-                },
-            };
-            match wake {
-                Some(Msg::Update(queued)) => {
-                    let enqueued = queued.enqueued;
-                    self.absorb(queued.update, enqueued)?;
-                }
-                Some(Msg::Flush(ack)) => {
-                    let epoch = self.flush()?;
-                    // The caller may have given up waiting; ignore that.
-                    let _ = ack.send(epoch);
-                }
-                Some(Msg::Stop) => {
-                    self.flush()?;
-                    return Ok(self.engine);
-                }
-                // Time window expired.
-                None => {
-                    self.flush()?;
-                }
-            }
-        }
+        self.pipeline.engine.0
     }
 }
 
@@ -1139,20 +729,10 @@ pub struct ServeHandle<E> {
     tx: SyncSender<Msg>,
     submitted: Arc<AtomicU64>,
     metrics: Arc<ServeMetrics>,
-    /// The published snapshots and index. The handle keeps the shared
-    /// state, not readers, so it never pins an epoch: each query service
-    /// starts at the current one.
-    snapshots: Arc<VersionedStore>,
-    index: Option<Arc<VersionedIndex>>,
-    index_stats: Option<Arc<SharedIndexStats>>,
     policy: BackpressurePolicy,
-    flush_log: Option<FlushLog>,
-    recovery: Option<RecoveryReport>,
-    /// The scheduler thread parks its terminal error here before exiting,
-    /// so [`ServeFrontend::quiesce`](crate::ServeFrontend) callers get the
-    /// typed failure instead of a bare "scheduler gone".
-    failure: Arc<Mutex<Option<ServeError>>>,
-    join: JoinHandle<Result<E, ServeError>>,
+    /// The scheduler thread and what it publishes; each query service
+    /// starts at the current epoch.
+    running: Running<Unsharded<E>>,
 }
 
 impl<E> ServeHandle<E> {
@@ -1169,8 +749,8 @@ impl<E> ServeHandle<E> {
     /// A new query handle (each reader thread should own one).
     pub fn query_service(&self) -> crate::QueryService {
         crate::QueryService::new(
-            self.snapshots.reader(),
-            self.index.as_ref().map(VersionedIndex::reader),
+            self.running.snapshots.reader(),
+            self.running.index.as_ref().map(VersionedIndex::reader),
             Arc::clone(&self.submitted),
             Arc::clone(&self.metrics),
         )
@@ -1184,7 +764,7 @@ impl<E> ServeHandle<E> {
     /// A snapshot of the index-maintenance counters (`None` when the
     /// session runs without an index).
     pub fn index_stats(&self) -> Option<IndexStats> {
-        self.index_stats.as_ref().map(|s| s.snapshot())
+        self.running.index_stats.as_ref().map(|s| s.snapshot())
     }
 
     /// Forces the current window closed and waits for the resulting epoch
@@ -1199,22 +779,19 @@ impl<E> ServeHandle<E> {
     /// The flush log (present iff [`ServeConfig::record_batches`]); cloned
     /// so it stays readable after [`ServeHandle::shutdown`].
     pub fn flush_log(&self) -> Option<FlushLog> {
-        self.flush_log.clone()
+        self.running.flush_log.clone()
     }
 
     /// What recovery did at session start (present iff the session was
     /// spawned with [`ServeConfig::durability`]).
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.recovery.clone()
+        self.running.recovery.clone()
     }
 
     /// The terminal error the scheduler thread stopped on, if it has
     /// stopped abnormally (engine failure, WAL failure, or panic).
     pub fn failure(&self) -> Option<ServeError> {
-        self.failure
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.running.failure()
     }
 
     /// Flushes the remaining window, stops the scheduler thread and returns
@@ -1229,13 +806,7 @@ impl<E> ServeHandle<E> {
     pub fn shutdown(self) -> Result<E, ServeError> {
         // The scheduler may already be gone (engine error); join either way.
         let _ = self.tx.send(Msg::Stop);
-        let failure = self.failure();
-        match self.join.join() {
-            Ok(result) => result,
-            // `spawn` catches panics inside the thread, so a join error is
-            // a panic that escaped the harness (e.g. in thread teardown).
-            Err(_) => Err(failure.unwrap_or(ServeError::SchedulerPanicked)),
-        }
+        self.running.stop().map(|engine| engine.0)
     }
 }
 
@@ -1255,44 +826,16 @@ where
     E: StreamingEngine + Send + 'static,
 {
     let metrics = Arc::new(ServeMetrics::new());
-    let submitted = Arc::new(AtomicU64::new(0));
-    let queue_capacity = config.queue_capacity;
-    let policy = config.policy;
-    let (scheduler, reader) = UpdateScheduler::new(engine, config, Arc::clone(&metrics))?;
-    let snapshots = Arc::clone(reader.shared());
-    let flush_log = scheduler.flush_log();
-    let index = scheduler
-        .index_reader()
-        .map(|reader| Arc::clone(reader.shared()));
-    let index_stats = scheduler.shared_index_stats();
-    let recovery = scheduler.recovery_report();
-    let failure: Arc<Mutex<Option<ServeError>>> = Arc::new(Mutex::new(None));
-    let failure_slot = Arc::clone(&failure);
+    let (queue_capacity, policy) = (config.queue_capacity, config.policy);
+    let (scheduler, _reader) = UpdateScheduler::new(engine, config, Arc::clone(&metrics))?;
     let (tx, rx) = mpsc::sync_channel(queue_capacity.max(1));
-    let join = std::thread::Builder::new()
-        .name("ripple-serve-scheduler".to_string())
-        .spawn(move || {
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scheduler.run(rx)))
-                    .unwrap_or(Err(ServeError::SchedulerPanicked));
-            if let Err(e) = &result {
-                *failure_slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(e.clone());
-            }
-            result
-        })
-        .expect("spawning the scheduler thread");
+    let name = "ripple-serve-scheduler".to_string();
     Ok(ServeHandle {
         tx,
-        submitted,
+        submitted: Arc::new(AtomicU64::new(0)),
         metrics,
-        snapshots,
-        index,
-        index_stats,
         policy,
-        flush_log,
-        recovery,
-        failure,
-        join,
+        running: scheduler.pipeline.spawn(name, rx, None),
     })
 }
 
@@ -1735,8 +1278,9 @@ mod tests {
         let (graph, model, store, updates) = bootstrap(17);
         let handle = spawn(engine(graph, model, store), ServeConfig::default()).unwrap();
         let (snapshot, index) = {
-            let mut index = handle.index.as_ref().map(VersionedIndex::reader).unwrap();
-            let mut snapshots = handle.snapshots.reader();
+            let running = &handle.running;
+            let mut index = running.index.as_ref().map(VersionedIndex::reader).unwrap();
+            let mut snapshots = running.snapshots.reader();
             assert_eq!(snapshots.epoch(), 0);
             (
                 Arc::downgrade(snapshots.snapshot()),
@@ -1766,7 +1310,7 @@ mod tests {
         queries: &mut crate::QueryService,
         epoch: u64,
     ) {
-        let store = scheduler.engine.current_store();
+        let store = scheduler.pipeline.engine.0.current_store();
         let table = store.embeddings(store.num_layers());
         let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for v in 0..table.rows() {
