@@ -4,7 +4,7 @@
 //! vertex-wise) over identical update streams. [`StreamingEngine`] gives them
 //! one interface and [`StreamRunner`] replays a stream of batches through any
 //! of them, collecting the per-batch statistics that the experiment harness
-//! and Criterion benchmarks consume.
+//! consumes.
 
 use crate::engine::RippleEngine;
 use crate::metrics::StreamSummary;

@@ -9,7 +9,6 @@
 //! special case `h_new = 0`.
 
 use ripple_graph::{PartitionId, VertexId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A delta message destined for one vertex's hop-`hop` mailbox.
@@ -18,7 +17,7 @@ use std::collections::BTreeMap;
 /// mailbox without materialising this struct; it exists as the unit of
 /// *remote* communication (halo messages) and for tests/benchmarks that need
 /// to reason about individual messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaMessage {
     /// The vertex whose mailbox receives the delta.
     pub target: VertexId,

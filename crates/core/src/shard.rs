@@ -188,11 +188,6 @@ impl ShardEngine {
         &self.partitioning
     }
 
-    /// The shard's owned vertices, ascending.
-    pub fn owned_vertices(&self) -> &[VertexId] {
-        &self.owned
-    }
-
     /// The halo-restricted graph (full vertex space, incident edges only).
     pub fn graph(&self) -> &DynamicGraph {
         self.engine.graph()
@@ -578,7 +573,7 @@ mod tests {
             .process_window(&UpdateBatch::from_updates(Vec::new()), &[halo])
             .is_err());
         // As is a halo at an out-of-range hop.
-        let owned = shards[1].owned_vertices()[0];
+        let owned = shards[1].owned[0];
         let bad_hop = DeltaMessage::new(owned, 9, vec![0.0; 6]);
         assert!(shards[1]
             .process_window(&UpdateBatch::from_updates(Vec::new()), &[bad_hop])

@@ -14,10 +14,8 @@
 //!   updates re-normalise automatically without touching the stored sum);
 //! * `WeightedSum` — the sum of `edge_weight * embedding`.
 
-use serde::{Deserialize, Serialize};
-
 /// A linear aggregation function over in-neighbour embeddings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Aggregator {
     /// `x_v = Σ_{u ∈ N(v)} h_u` — used by GraphSAGE, GIN and GCN variants.
     #[default]

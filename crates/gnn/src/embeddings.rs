@@ -13,10 +13,9 @@ use crate::model::GnnModel;
 use crate::{GnnError, Result};
 use ripple_graph::VertexId;
 use ripple_tensor::{vector, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Embeddings (`H^0..H^L`) and raw aggregates (`X^1..X^L`) for every vertex.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingStore {
     /// `embeddings[l]` is the `|V| x dims[l]` table of hop-`l` embeddings;
     /// index 0 holds the input features.

@@ -19,10 +19,9 @@
 use crate::{GnnError, Result};
 use ripple_tensor::activation::Activation;
 use ripple_tensor::{init, ops, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// The model family a layer belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Graph Convolutional Network layer (Kipf & Welling).
     GraphConv,
@@ -49,7 +48,7 @@ impl std::fmt::Display for LayerKind {
 pub const GIN_EPSILON: f32 = 0.1;
 
 /// One GNN layer with its weights.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GnnLayer {
     kind: LayerKind,
     /// Transform applied to the neighbourhood aggregate (and, for GIN, the

@@ -4,7 +4,6 @@ use crate::aggregator::Aggregator;
 use crate::layer::{GnnLayer, LayerKind};
 use crate::{GnnError, Result};
 use ripple_tensor::activation::Activation;
-use serde::{Deserialize, Serialize};
 
 /// An `L`-layer GNN model for vertex classification.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(model.input_dim(), 16);
 /// assert_eq!(model.output_dim(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GnnModel {
     kind: LayerKind,
     aggregator: Aggregator,

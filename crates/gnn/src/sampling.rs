@@ -9,7 +9,6 @@
 
 use rand::rngs::SmallRng;
 use rand::seq::index::sample;
-use rand::SeedableRng;
 use ripple_graph::VertexId;
 
 /// Selects at most `fanout` in-neighbours (and their parallel weights)
@@ -43,11 +42,6 @@ pub fn sample_neighbors(
     (ns, ws)
 }
 
-/// A deterministic seeded RNG for sampling experiments.
-pub fn sampling_rng(seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(seed)
-}
-
 /// Fraction of entries on which two label vectors agree. Used as the
 /// "inference accuracy" of sampled vertex-wise inference relative to the
 /// deterministic full-neighbourhood prediction (Fig 2a): with no trained
@@ -77,12 +71,13 @@ pub fn label_agreement(reference: &[usize], predicted: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn small_neighbourhoods_are_untouched() {
         let ns = vec![VertexId(1), VertexId(2)];
         let ws = vec![1.0, 2.0];
-        let mut rng = sampling_rng(0);
+        let mut rng = SmallRng::seed_from_u64(0);
         let (sn, sw) = sample_neighbors(&ns, &ws, 5, &mut rng);
         assert_eq!(sn, ns);
         assert_eq!(sw, ws);
@@ -92,7 +87,7 @@ mod tests {
     fn sampling_respects_fanout_and_keeps_pairs() {
         let ns: Vec<VertexId> = (0..100).map(VertexId).collect();
         let ws: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        let mut rng = sampling_rng(7);
+        let mut rng = SmallRng::seed_from_u64(7);
         let (sn, sw) = sample_neighbors(&ns, &ws, 10, &mut rng);
         assert_eq!(sn.len(), 10);
         assert_eq!(sw.len(), 10);
@@ -111,8 +106,8 @@ mod tests {
     fn sampling_is_seed_deterministic() {
         let ns: Vec<VertexId> = (0..50).map(VertexId).collect();
         let ws = vec![1.0; 50];
-        let a = sample_neighbors(&ns, &ws, 5, &mut sampling_rng(3));
-        let b = sample_neighbors(&ns, &ws, 5, &mut sampling_rng(3));
+        let a = sample_neighbors(&ns, &ws, 5, &mut SmallRng::seed_from_u64(3));
+        let b = sample_neighbors(&ns, &ws, 5, &mut SmallRng::seed_from_u64(3));
         assert_eq!(a, b);
     }
 

@@ -8,10 +8,9 @@ use crate::aggregator::Aggregator;
 use crate::layer::LayerKind;
 use crate::model::GnnModel;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// One of the paper's five evaluation workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// GraphConv with Sum aggregation.
     GcS,

@@ -3,10 +3,9 @@
 
 use crate::dynamic::DynamicGraph;
 use crate::ids::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a graph's in-degree distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     /// Number of vertices.
     pub num_vertices: usize,

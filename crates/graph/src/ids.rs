@@ -5,16 +5,13 @@
 //! (particularly in the distributed runtime, where a local index and a global
 //! vertex id are different things).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A global vertex identifier, dense in `0..n`.
 ///
 /// Vertex ids double as row indices into feature and embedding matrices, so
 /// they are kept dense; vertex deletion is out of scope (as in the paper).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VertexId(pub u32);
 
 impl VertexId {
@@ -44,9 +41,7 @@ impl From<VertexId> for u32 {
 }
 
 /// Identifier of a graph partition (worker) in the distributed runtime.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PartitionId(pub u32);
 
 impl PartitionId {

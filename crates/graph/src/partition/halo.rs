@@ -19,9 +19,6 @@ pub struct HaloInfo {
     /// For each partition `p`: the remote vertices that local vertices of `p`
     /// have out-edges to, grouped by the partition that owns them.
     outgoing: Vec<BTreeMap<PartitionId, BTreeSet<VertexId>>>,
-    /// For each partition `p`: the remote vertices with out-edges *into* `p`
-    /// (the paper replicates these so the local topology is complete).
-    incoming: Vec<BTreeSet<VertexId>>,
 }
 
 impl HaloInfo {
@@ -29,34 +26,14 @@ impl HaloInfo {
     pub fn compute(graph: &DynamicGraph, partitioning: &Partitioning) -> Self {
         let k = partitioning.num_parts();
         let mut outgoing: Vec<BTreeMap<PartitionId, BTreeSet<VertexId>>> = vec![BTreeMap::new(); k];
-        let mut incoming: Vec<BTreeSet<VertexId>> = vec![BTreeSet::new(); k];
         for (src, dst, _w) in graph.iter_edges() {
             let ps = partitioning.part_of(src);
             let pd = partitioning.part_of(dst);
             if ps != pd {
                 outgoing[ps.index()].entry(pd).or_default().insert(dst);
-                incoming[pd.index()].insert(src);
             }
         }
-        HaloInfo { outgoing, incoming }
-    }
-
-    /// Remote out-neighbour stubs of partition `p`, grouped by owning
-    /// partition. These are the vertices `p` must send mailbox messages for.
-    pub fn outgoing_halos(&self, p: PartitionId) -> &BTreeMap<PartitionId, BTreeSet<VertexId>> {
-        &self.outgoing[p.index()]
-    }
-
-    /// Remote vertices with edges into partition `p` (replicated topology
-    /// stubs).
-    pub fn incoming_halos(&self, p: PartitionId) -> &BTreeSet<VertexId> {
-        &self.incoming[p.index()]
-    }
-
-    /// Total number of outgoing halo stubs of partition `p` across all remote
-    /// partitions.
-    pub fn outgoing_halo_count(&self, p: PartitionId) -> usize {
-        self.outgoing[p.index()].values().map(BTreeSet::len).sum()
+        HaloInfo { outgoing }
     }
 
     /// Total number of halo replicas across all partitions — a proxy for the
@@ -100,15 +77,11 @@ mod tests {
         let halos = HaloInfo::compute(&g, &p);
         // Partition 0 has the cut edge 1 -> 2, so vertex 2 is an outgoing halo
         // of partition 0 owned by partition 1.
-        let out0 = halos.outgoing_halos(PartitionId(0));
+        let out0 = &halos.outgoing[0];
         assert_eq!(out0.len(), 1);
         assert!(out0[&PartitionId(1)].contains(&VertexId(2)));
-        assert_eq!(halos.outgoing_halo_count(PartitionId(0)), 1);
         // Partition 1 has no outgoing cut edges.
-        assert!(halos.outgoing_halos(PartitionId(1)).is_empty());
-        // Partition 1 sees vertex 1 as an incoming halo.
-        assert!(halos.incoming_halos(PartitionId(1)).contains(&VertexId(1)));
-        assert!(halos.incoming_halos(PartitionId(0)).is_empty());
+        assert!(halos.outgoing[1].is_empty());
         assert_eq!(halos.total_halo_replicas(), 1);
     }
 
@@ -139,7 +112,7 @@ mod tests {
         let halos = HaloInfo::compute(&g, &p);
         for part in 0..3u32 {
             let pid = PartitionId(part);
-            for (owner, verts) in halos.outgoing_halos(pid) {
+            for (owner, verts) in &halos.outgoing[pid.index()] {
                 assert_ne!(*owner, pid);
                 for v in verts {
                     assert_eq!(p.part_of(*v), *owner);

@@ -32,10 +32,9 @@ use crate::dynamic::DynamicGraph;
 use crate::ids::{PartitionId, VertexId};
 use crate::update::GraphUpdate;
 use crate::{GraphError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A complete assignment of every vertex to exactly one partition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partitioning {
     assignment: Vec<PartitionId>,
     num_parts: usize,

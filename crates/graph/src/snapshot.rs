@@ -208,11 +208,6 @@ impl CsrSnapshot {
         self.in_overlay.len() + self.out_overlay.len()
     }
 
-    /// Edge churn absorbed since the last compaction.
-    pub fn pending_churn(&self) -> usize {
-        self.churn
-    }
-
     /// Lifetime compaction counters.
     pub fn compaction_stats(&self) -> CompactionStats {
         self.stats
@@ -602,12 +597,12 @@ mod tests {
         snap.remove_edge(VertexId(0), VertexId(2)).unwrap();
         assert_matches(&snap, &g);
         assert!(snap.overlay_rows() > 0);
-        assert_eq!(snap.pending_churn(), 2);
+        assert_eq!(snap.churn, 2);
 
         snap.compact();
         assert_matches(&snap, &g);
         assert_eq!(snap.overlay_rows(), 0);
-        assert_eq!(snap.pending_churn(), 0);
+        assert_eq!(snap.churn, 0);
         assert_eq!(snap.compaction_stats().compactions, 1);
         assert!(snap.compaction_stats().rows_spliced >= 2);
 
@@ -634,7 +629,7 @@ mod tests {
         ));
         // Failed mutations leave nothing behind — no churn and, just as
         // important, no materialised overlay rows.
-        assert_eq!(snap.pending_churn(), 0);
+        assert_eq!(snap.churn, 0);
         assert_eq!(snap.overlay_rows(), 0);
     }
 

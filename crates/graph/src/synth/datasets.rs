@@ -10,10 +10,9 @@ use crate::dynamic::DynamicGraph;
 use crate::synth::powerlaw::{powerlaw_edges, PowerLawConfig};
 use crate::Result;
 use ripple_tensor::init;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's datasets a spec mimics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// ogbn-arxiv: sparse citation network (avg in-degree ≈ 6.9).
     Arxiv,
@@ -54,7 +53,7 @@ impl std::fmt::Display for DatasetKind {
 /// assert_eq!(graph.num_vertices(), 2_000);
 /// assert!(graph.avg_in_degree() > 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Which paper dataset this mimics.
     pub kind: DatasetKind,

@@ -6,11 +6,10 @@
 //! size is the main throughput/latency knob in the evaluation.
 
 use crate::ids::VertexId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a streaming update, without its payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UpdateKind {
     /// A directed edge was added.
     AddEdge,
@@ -31,7 +30,7 @@ impl fmt::Display for UpdateKind {
 }
 
 /// One streaming update to the graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GraphUpdate {
     /// Add a directed edge `src -> dst` with the given weight.
     AddEdge {
@@ -143,7 +142,7 @@ impl fmt::Display for GraphUpdate {
 /// Batching amortises per-batch overheads and is the throughput/latency
 /// trade-off studied throughout the paper's evaluation (batch sizes 1, 10,
 /// 100 and 1000).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdateBatch {
     updates: Vec<GraphUpdate>,
 }

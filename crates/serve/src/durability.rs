@@ -43,6 +43,8 @@
 //! so kills land *between* and *inside* the critical sections (including a
 //! deliberately torn half-written frame).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::scheduler::ServeError;
 use ripple_core::DeltaMessage;
 use ripple_gnn::EmbeddingStore;
@@ -375,13 +377,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        self.take(4).and_then(le_u32)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
     fn f32(&mut self) -> Option<f32> {
@@ -616,7 +616,6 @@ pub struct WalWriter {
     segment_bytes: u64,
     fsync: FsyncPolicy,
     fail: FailPoints,
-    segments_created: u64,
     syncs: u64,
 }
 
@@ -644,7 +643,7 @@ impl WalWriter {
                 let valid = if bytes.len() < WAL_HEADER_BYTES {
                     0
                 } else {
-                    WAL_HEADER_BYTES + valid_prefix_len(&bytes[WAL_HEADER_BYTES..])
+                    WAL_HEADER_BYTES + valid_prefix(&bytes[WAL_HEADER_BYTES..]).1
                 };
                 let file = OpenOptions::new()
                     .write(true)
@@ -679,7 +678,6 @@ impl WalWriter {
             segment_bytes: segment_bytes.max(1),
             fsync,
             fail,
-            segments_created: 0,
             syncs: 0,
         })
     }
@@ -720,7 +718,6 @@ impl WalWriter {
                 .map_err(|e| wal_err("writing WAL segment header", e))?;
             self.file = file;
             self.written = WAL_HEADER_BYTES as u64;
-            self.segments_created += 1;
         }
         let bytes = encode_frame(frame);
         if self.fail.fire(FP_WAL_TORN_APPEND) {
@@ -761,11 +758,6 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Number of segment rotations performed by this writer.
-    pub fn segments_created(&self) -> u64 {
-        self.segments_created
-    }
-
     /// Number of explicit `fdatasync` calls issued (group commit batches
     /// several appends behind one of these).
     pub fn syncs(&self) -> u64 {
@@ -773,24 +765,35 @@ impl WalWriter {
     }
 }
 
-/// Length of the longest prefix of `bytes` that parses as whole, checksummed
-/// frames.
-fn valid_prefix_len(bytes: &[u8]) -> usize {
+/// The little-endian `u32` in `bytes`, or `None` unless it is 4 bytes long.
+fn le_u32(bytes: &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(bytes.try_into().ok()?))
+}
+
+/// The longest prefix of `bytes` that parses as whole, checksummed frames:
+/// its frames in order and its length.
+fn valid_prefix(bytes: &[u8]) -> (Vec<WalFrame>, usize) {
+    let mut frames = Vec::new();
     let mut pos = 0;
     loop {
         let Some(header) = bytes.get(pos..pos + FRAME_HEADER_BYTES) else {
-            return pos;
+            return (frames, pos);
         };
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + FRAME_HEADER_BYTES..pos + FRAME_HEADER_BYTES + len)
-        else {
-            return pos;
+        let (Some(len), Some(crc)) = (le_u32(&header[0..4]), le_u32(&header[4..8])) else {
+            return (frames, pos);
         };
-        if crc32(payload) != crc || decode_payload(payload).is_none() {
-            return pos;
+        let end = pos + FRAME_HEADER_BYTES + len as usize;
+        let Some(payload) = bytes.get(pos + FRAME_HEADER_BYTES..end) else {
+            return (frames, pos);
+        };
+        if crc32(payload) != crc {
+            return (frames, pos);
         }
-        pos += FRAME_HEADER_BYTES + len;
+        let Some(frame) = decode_payload(payload) else {
+            return (frames, pos);
+        };
+        frames.push(frame);
+        pos = end;
     }
 }
 
@@ -824,16 +827,8 @@ pub fn read_wal(dir: &Path) -> crate::Result<WalScan> {
             break;
         }
         let body = &bytes[WAL_HEADER_BYTES..];
-        let valid = valid_prefix_len(body);
-        let mut pos = 0;
-        while pos < valid {
-            let len = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()) as usize;
-            let payload = &body[pos + FRAME_HEADER_BYTES..pos + FRAME_HEADER_BYTES + len];
-            // valid_prefix_len already proved this decodes.
-            scan.frames
-                .push(decode_payload(payload).expect("validated frame"));
-            pos += FRAME_HEADER_BYTES + len;
-        }
+        let (frames, valid) = valid_prefix(body);
+        scan.frames.extend(frames);
         if valid < body.len() {
             scan.dropped_tail_bytes += (body.len() - valid) as u64;
             break;
@@ -1147,7 +1142,7 @@ pub fn load_latest_checkpoint(dir: &Path) -> crate::Result<Option<Checkpoint>> {
             continue;
         }
         let (payload, crc_bytes) = rest.split_at(rest.len() - 4);
-        if crc32(payload) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
+        if le_u32(crc_bytes) != Some(crc32(payload)) {
             continue;
         }
         if let Some(ckpt) = decode_checkpoint(payload) {
@@ -1292,7 +1287,7 @@ mod tests {
             let mut bytes = encode_frame(&f);
             bytes[pos] ^= 0x40;
             assert_eq!(
-                valid_prefix_len(&bytes),
+                valid_prefix(&bytes).1,
                 0,
                 "flip at byte {pos} went undetected"
             );
@@ -1309,7 +1304,7 @@ mod tests {
         let last_len = encode_frame(&frames[2]).len();
         let boundary = bytes.len() - last_len;
         for cut in 0..bytes.len() {
-            let valid = valid_prefix_len(&bytes[..cut]);
+            let valid = valid_prefix(&bytes[..cut]).1;
             if cut < boundary + last_len {
                 assert!(valid <= boundary, "cut {cut} kept a torn frame");
             } else {
@@ -1343,14 +1338,10 @@ mod tests {
         for f in &frames {
             writer.append(f).unwrap();
         }
-        assert!(
-            writer.segments_created() >= 2,
-            "64-byte segments must rotate"
-        );
         let scan = read_wal(&dir).unwrap();
         assert_eq!(scan.frames, frames);
         assert_eq!(scan.dropped_tail_bytes, 0);
-        assert!(scan.segments >= 3);
+        assert!(scan.segments >= 3, "64-byte segments must rotate");
         let _ = fs::remove_dir_all(&dir);
     }
 

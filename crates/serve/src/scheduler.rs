@@ -32,9 +32,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::durability::{DurabilityConfig, RecoveryReport};
-use crate::index::{
-    IndexMaintainer, IndexParams, IndexReader, IndexStats, SharedIndexStats, VersionedIndex,
-};
+use crate::index::{IndexMaintainer, IndexParams, IndexReader, IndexStats, VersionedIndex};
 use crate::metrics::ServeMetrics;
 use crate::pipeline::{Msg, Peers, Pipeline, Running, Unsharded};
 use crate::versioned::SnapshotReader;
@@ -223,14 +221,6 @@ impl ServeConfigBuilder {
     #[must_use]
     pub fn concurrent_admission(mut self, max_inflight: usize) -> Self {
         self.config.max_inflight = max_inflight.max(1);
-        self
-    }
-
-    /// Sets the in-flight depth back to 1 (the default): the serial
-    /// pipeline, one window committed at a time.
-    #[must_use]
-    pub fn no_admission(mut self) -> Self {
-        self.config.max_inflight = 1;
         self
     }
 
@@ -674,15 +664,6 @@ impl<E: StreamingEngine> UpdateScheduler<E> {
     /// [`ServeConfig::index`]).
     pub fn index_reader(&self) -> Option<IndexReader> {
         self.pipeline.index.as_ref().map(IndexMaintainer::reader)
-    }
-
-    /// The shared index-maintenance counters (present iff
-    /// [`ServeConfig::index`]).
-    pub fn shared_index_stats(&self) -> Option<Arc<SharedIndexStats>> {
-        self.pipeline
-            .index
-            .as_ref()
-            .map(IndexMaintainer::shared_stats)
     }
 
     /// Absorbs one update into the coalescing window and, if the size
@@ -1223,14 +1204,6 @@ mod tests {
         assert_eq!(ServeConfig::default().max_inflight, 1, "serial by default");
         assert_eq!(depth(ServeConfig::builder().concurrent_admission(0)), 1);
         assert_eq!(depth(ServeConfig::builder().concurrent_admission(4)), 4);
-        assert_eq!(
-            depth(
-                ServeConfig::builder()
-                    .concurrent_admission(4)
-                    .no_admission()
-            ),
-            1
-        );
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //! can never deadlock; producer backpressure is enforced at the
 //! [`crate::ShardRouter`] against per-shard depth counters instead.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::durability::RecoveryReport;
 use crate::index::{IndexStats, VersionedIndex};
 use crate::metrics::ServeMetrics;
@@ -38,7 +40,6 @@ use crate::router::ShardRouter;
 use crate::scheduler::{FlushLog, ServeConfig, ServeError};
 use ripple_core::{RippleConfig, ShardEngine};
 use ripple_gnn::{EmbeddingStore, GnnModel};
-use ripple_graph::partition::halo::HaloInfo;
 use ripple_graph::partition::{HashPartitioner, Partitioner, Partitioning};
 use ripple_graph::{DynamicGraph, PartitionId};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -97,7 +98,6 @@ pub struct ShardedServeHandle {
     halo_in_flight: Arc<AtomicU64>,
     metrics: Arc<ServeMetrics>,
     partitioning: Arc<Partitioning>,
-    halo_replicas: usize,
     config: ServeConfig,
     /// The shard threads and what they publish, indexed by [`PartitionId`].
     shards: Vec<Running<ShardEngine>>,
@@ -162,13 +162,6 @@ impl ShardedServeHandle {
     /// The partitioning updates are routed by.
     pub fn partitioning(&self) -> &Arc<Partitioning> {
         &self.partitioning
-    }
-
-    /// Halo replicas of the bootstrap partitioning — vertices visible from
-    /// a shard that does not own them (the cross-shard coupling the tier
-    /// pays delta messages for).
-    pub fn halo_replicas(&self) -> usize {
-        self.halo_replicas
     }
 
     /// One flush round: forces every shard's window closed and returns the
@@ -250,25 +243,48 @@ impl ShardedServeHandle {
     /// [`ServeError::ShardFailed`] naming the first shard that stopped
     /// abnormally and carrying its typed failure (engine error, WAL error,
     /// or [`ServeError::SchedulerPanicked`] for a caught panic).
-    pub fn shutdown(self) -> Result<ShardedEngines, ServeError> {
+    pub fn shutdown(mut self) -> Result<ShardedEngines, ServeError> {
         // Drain in-flight halos first so the recovered engines are at
         // quiescence; a dead shard aborts the drain and surfaces its error
         // from the join below.
         let _ = self.quiesce();
-        for tx in &self.txs {
-            let _ = tx.send(Msg::Stop);
-        }
-        let mut engines = Vec::with_capacity(self.shards.len());
-        for (p, running) in self.shards.into_iter().enumerate() {
-            engines.push(running.stop().map_err(|e| ServeError::ShardFailed {
+        self.stop_all();
+        // Join every shard before reporting the first failure.
+        let stopped: Vec<_> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(Running::stop)
+            .collect();
+        let mut engines = Vec::with_capacity(stopped.len());
+        for (p, result) in stopped.into_iter().enumerate() {
+            engines.push(result.map_err(|e| ServeError::ShardFailed {
                 shard: p as u32,
                 error: Box::new(e),
             })?);
         }
         Ok(ShardedEngines {
             engines,
-            partitioning: self.partitioning,
+            partitioning: Arc::clone(&self.partitioning),
         })
+    }
+
+    /// Sends every shard its stop message. Each shard's peers hold a sender
+    /// to every queue, its own included, so no queue ever disconnects on
+    /// its own: a shard exits only when told to (or on a failure).
+    fn stop_all(&self) {
+        for tx in &self.txs {
+            let _ = tx.send(Msg::Stop);
+        }
+    }
+}
+
+impl Drop for ShardedServeHandle {
+    /// Stops and joins every shard thread still running, so a handle
+    /// dropped without [`ShardedServeHandle::shutdown`] leaves none behind.
+    fn drop(&mut self) {
+        self.stop_all();
+        for running in self.shards.drain(..) {
+            let _ = running.stop();
+        }
     }
 }
 
@@ -301,7 +317,6 @@ pub fn spawn_sharded(
             .partition(graph, shards)
             .map_err(|e| ServeError::InvalidConfig(format!("partitioning failed: {e}")))?,
     );
-    let halo_replicas = HaloInfo::compute(graph, &partitioning).total_halo_replicas();
 
     let metrics = Arc::new(ServeMetrics::new());
     let total_submitted = Arc::new(AtomicU64::new(0));
@@ -314,13 +329,12 @@ pub fn spawn_sharded(
         rxs.push(rx);
     }
 
+    // Build (and recover) every shard's pipeline before any thread starts:
+    // a shard that fails to build leaves nothing running, and recovery's
+    // re-shipped halos wait in queues that already exist.
     let mut depths = Vec::with_capacity(shards);
-    let mut alive = Vec::with_capacity(shards);
-    let mut submitted = Vec::with_capacity(shards);
-    let mut secondary_submitted = Vec::with_capacity(shards);
-    let mut running = Vec::with_capacity(shards);
-
-    for (p, rx) in rxs.into_iter().enumerate() {
+    let mut pipelines = Vec::with_capacity(shards);
+    for p in 0..shards {
         let part = PartitionId(p as u32);
         let engine = ShardEngine::new(
             graph,
@@ -357,25 +371,29 @@ pub fn spawn_sharded(
             peers,
         )?;
         depths.push(depth);
+        pipelines.push(pipeline);
+    }
+
+    let mut alive = Vec::with_capacity(shards);
+    let mut running = Vec::with_capacity(shards);
+    for (p, (pipeline, rx)) in pipelines.into_iter().zip(rxs).enumerate() {
         let alive_flag = Arc::new(AtomicBool::new(true));
         alive.push(Arc::clone(&alive_flag));
-        submitted.push(Arc::new(AtomicU64::new(0)));
-        secondary_submitted.push(Arc::new(AtomicU64::new(0)));
         let name = format!("ripple-serve-shard-{p}");
         running.push(pipeline.spawn(name, rx, Some(alive_flag)));
     }
+    let counters = || (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
 
     Ok(ShardedServeHandle {
         txs,
         depths,
         alive,
-        submitted,
-        secondary_submitted,
+        submitted: counters(),
+        secondary_submitted: counters(),
         total_submitted,
         halo_in_flight,
         metrics,
         partitioning,
-        halo_replicas,
         config,
         shards: running,
     })

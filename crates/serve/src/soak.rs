@@ -180,8 +180,8 @@ impl SoakReport {
         self.verification_failures == 0 && self.cycles >= min_cycles
     }
 
-    /// The `BENCH_soak.json` artifact (hand-rolled: the offline serde shim
-    /// has no serialiser).
+    /// The `BENCH_soak.json` artifact, written by hand (the workspace has no
+    /// serialiser).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"experiment\": \"serve_soak\",\n");

@@ -5,10 +5,8 @@
 //! the engine only ever needs forward application of these functions — no
 //! gradients.
 
-use serde::{Deserialize, Serialize};
-
 /// The non-linearity applied to a layer's output (`sigma` in Eqn. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// Rectified linear unit, the default for all paper workloads.
     #[default]

@@ -17,9 +17,10 @@
 //! * [`init`] — deterministic (seeded) Xavier/uniform initialisers so that
 //!   experiments are reproducible without trained weights.
 //! * [`activation`] — the element-wise non-linearities used by the models.
-//! * [`simd`] — runtime-dispatched AVX2/NEON micro-kernels (bit-identical
-//!   to the scalar references) plus software-prefetch helpers, selected via
-//!   one-time feature detection and the `RIPPLE_SIMD` knob.
+//! * [`simd`] — runtime-dispatched AVX2 micro-kernels on `x86_64`
+//!   (bit-identical to the scalar references, which every other target
+//!   runs) plus software-prefetch helpers, selected via one-time feature
+//!   detection and the `RIPPLE_SIMD` knob.
 //!
 //! The paper's performance story lives in *how little* work the incremental
 //! engine does; this crate's job is to make the work that remains

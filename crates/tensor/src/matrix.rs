@@ -7,7 +7,6 @@
 //! embedding vector), so the API is row-oriented.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.row(1), &[1.0, 2.0]);
 /// assert_eq!(m.shape(), (3, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -333,16 +332,6 @@ impl Matrix {
             .fold(0.0f32, f32::max))
     }
 
-    /// Returns `true` if every element of the two matrices differs by at most
-    /// `tol`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn approx_eq(&self, other: &Matrix, tol: f32) -> Result<bool> {
-        Ok(self.max_abs_diff(other)? <= tol)
-    }
-
     /// Heap memory retained by the matrix's buffer, in bytes. Reports the
     /// buffer **capacity**, not its current length, so scratch arenas that
     /// shrank via [`Matrix::resize_reuse`] still account for the memory they
@@ -478,8 +467,6 @@ mod tests {
         let mut b = a.clone();
         b.set(0, 1, 1.5).unwrap();
         assert!((a.max_abs_diff(&b).unwrap() - 0.5).abs() < 1e-6);
-        assert!(a.approx_eq(&b, 0.6).unwrap());
-        assert!(!a.approx_eq(&b, 0.4).unwrap());
         let c = Matrix::zeros(3, 3);
         assert!(a.max_abs_diff(&c).is_err());
     }

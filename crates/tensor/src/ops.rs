@@ -34,7 +34,7 @@
 //!
 //! [`gemm_block_into`], [`row_matmul_into`], [`row_sq_dist_into`] and
 //! [`score_rows_into`] dispatch once per call on
-//! [`crate::simd::active_tier`] to explicit AVX2/NEON micro-kernels that
+//! [`crate::simd::active_tier`] to explicit AVX2 micro-kernels that
 //! reproduce the scalar tiling and per-element accumulation order exactly
 //! (see [`crate::simd`] for why the tiers stay bit-identical);
 //! [`gather_rows_into`] additionally software-prefetches upcoming source
@@ -94,9 +94,6 @@ pub fn gemm_block_into(a_rows: &[f32], m: usize, b: &Matrix, out: &mut [f32]) ->
         // SAFETY: the dispatcher only returns Avx2 when the CPU supports it,
         // and the shape checks above establish the kernel's slice contract.
         SimdTier::Avx2 => unsafe { simd::x86::gemm_block(a_rows, m, k, n, b.as_slice(), out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; shapes checked above.
-        SimdTier::Neon => unsafe { simd::neon::gemm_block(a_rows, m, k, n, b.as_slice(), out) },
         _ => gemm_block_scalar(a_rows, m, k, n, b.as_slice(), out),
     }
     Ok(())
@@ -175,17 +172,10 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<()> {
     gemm_block_into(a.as_slice(), a.rows(), b, out.as_mut_slice())
 }
 
-/// Scalar column tail of one GEMM output row: columns `j0..n`. Shared by the
-/// scalar kernels and the NEON tier; the AVX2 tier runs the same per-column
-/// sequence in a masked 8-lane tile instead.
+/// Scalar column tail of one GEMM output row: columns `j0..n`. The AVX2 tier
+/// runs the same per-column sequence in a masked 8-lane tile instead.
 #[inline]
-pub(crate) fn gemm_row_tail(
-    a_row: &[f32],
-    b_data: &[f32],
-    n: usize,
-    j0: usize,
-    out_row: &mut [f32],
-) {
+fn gemm_row_tail(a_row: &[f32], b_data: &[f32], n: usize, j0: usize, out_row: &mut [f32]) {
     for (j, out_cell) in out_row.iter_mut().enumerate().skip(j0).take(n - j0) {
         let mut acc = 0.0f32;
         for (p, &a_ip) in a_row.iter().enumerate() {
@@ -265,9 +255,6 @@ pub fn row_matmul_into(x: &[f32], w: &Matrix, out: &mut [f32]) -> Result<()> {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 is only dispatched when detected; shapes checked above.
         SimdTier::Avx2 => unsafe { simd::x86::row_matmul(x, w.as_slice(), n, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; shapes checked above.
-        SimdTier::Neon => unsafe { simd::neon::row_matmul(x, w.as_slice(), n, out) },
         _ => row_matmul_scalar(x, w.as_slice(), n, out),
     }
     Ok(())
@@ -296,8 +283,7 @@ pub fn row_matmul(x: &[f32], w: &Matrix) -> Result<Vec<f32>> {
 /// ascending: subtract, multiply, then add (never a fused multiply-add).
 /// Because `(w − x)²` and `(x − w)²` round to the same bits, this equals a
 /// row-major `Σ (x − c)²` loop over each centroid. The AVX2 tier scores 8
-/// columns per lane group with a masked tile for the `n % 8` tail; NEON
-/// runs the scalar reference.
+/// columns per lane group with a masked tile for the `n % 8` tail.
 ///
 /// # Errors
 ///
@@ -404,8 +390,7 @@ pub fn gather_rows_into(m: &Matrix, indices: &[usize], out: &mut Matrix) -> Resu
 /// scalar reference: `mul` then `add` per dimension, `d` ascending, from a
 /// **−0.0** seed (the identity of `f32`'s `Sum`). The AVX2 tier scores eight
 /// rows per block, one row per lane, by transposing 8 rows × 8 dims of
-/// products in registers; dimension and id tails stay scalar. NEON runs the
-/// scalar reference.
+/// products in registers; dimension and id tails stay scalar.
 ///
 /// # Errors
 ///

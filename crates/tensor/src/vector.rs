@@ -8,7 +8,7 @@
 //!
 //! The element-wise mutators ([`add_assign`], [`sub_assign`], [`axpy`],
 //! [`scale`], [`scaled_copy`]) dispatch on [`crate::simd::active_tier`] to
-//! explicit AVX2/NEON lane loops. Each lane performs the identical
+//! explicit AVX2 lane loops. Each lane performs the identical
 //! `mul`/`add` rounding sequence as the scalar element it replaces (no FMA
 //! contraction), so every tier is bit-identical — `tests/simd_parity.rs`
 //! pins it. The *reductions* ([`dot`], [`l2_norm`]) stay scalar on every
@@ -37,9 +37,6 @@ pub fn add_assign(dst: &mut [f32], src: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 only dispatched when detected; lengths checked above.
         SimdTier::Avx2 => unsafe { simd::x86::add_assign(dst, src) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; lengths checked above.
-        SimdTier::Neon => unsafe { simd::neon::add_assign(dst, src) },
         _ => {
             for (d, s) in dst.iter_mut().zip(src.iter()) {
                 *d += *s;
@@ -59,9 +56,6 @@ pub fn sub_assign(dst: &mut [f32], src: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 only dispatched when detected; lengths checked above.
         SimdTier::Avx2 => unsafe { simd::x86::sub_assign(dst, src) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; lengths checked above.
-        SimdTier::Neon => unsafe { simd::neon::sub_assign(dst, src) },
         _ => {
             for (d, s) in dst.iter_mut().zip(src.iter()) {
                 *d -= *s;
@@ -85,9 +79,6 @@ pub fn axpy(dst: &mut [f32], alpha: f32, src: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 only dispatched when detected; lengths checked above.
         SimdTier::Avx2 => unsafe { simd::x86::axpy(dst, alpha, src) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; lengths checked above.
-        SimdTier::Neon => unsafe { simd::neon::axpy(dst, alpha, src) },
         _ => {
             for (d, s) in dst.iter_mut().zip(src.iter()) {
                 *d += alpha * *s;
@@ -102,9 +93,6 @@ pub fn scale(dst: &mut [f32], alpha: f32) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 only dispatched when detected.
         SimdTier::Avx2 => unsafe { simd::x86::scale(dst, alpha) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        SimdTier::Neon => unsafe { simd::neon::scale(dst, alpha) },
         _ => {
             for d in dst.iter_mut() {
                 *d *= alpha;
@@ -126,9 +114,6 @@ pub fn scaled_copy(dst: &mut [f32], src: &[f32], alpha: f32) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 only dispatched when detected; lengths checked above.
         SimdTier::Avx2 => unsafe { simd::x86::scaled_copy(dst, src, alpha) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; lengths checked above.
-        SimdTier::Neon => unsafe { simd::neon::scaled_copy(dst, src, alpha) },
         _ => {
             for (d, s) in dst.iter_mut().zip(src.iter()) {
                 *d = alpha * *s;

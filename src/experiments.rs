@@ -10,7 +10,6 @@
 
 use crate::prelude::*;
 use ripple_graph::synth::DatasetKind;
-use std::time::Duration;
 
 /// Experiment scale, mapped from the `RIPPLE_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,11 +303,6 @@ pub fn run_strategy_per_batch(prepared: &PreparedStream, strategy: Strategy) -> 
     runner.batch_stats().to_vec()
 }
 
-/// Formats a duration as milliseconds with three decimals.
-pub fn fmt_ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
 /// The shared sweep behind Fig 9 (2-layer, three graphs) and Fig 10 (3-layer,
 /// Products): for every workload, graph and batch size, replay the same
 /// stream through DRC, RC and Ripple and print throughput, median latency and
@@ -380,9 +374,9 @@ pub struct ScalingRow {
     pub speedup_vs_serial: f64,
 }
 
-/// The medium synthetic workload cell used by the thread-scaling sweep and
-/// the `parallel_scaling` Criterion bench: a power-law graph large enough
-/// that per-hop frontiers dwarf the pool's spawn cost.
+/// The medium synthetic workload cell used by the thread-scaling sweep: a
+/// power-law graph large enough that per-hop frontiers dwarf the pool's
+/// spawn cost.
 pub fn scaling_cell(scale: Scale) -> PreparedStream {
     let (n, deg, feats, batch, num_batches) = match scale {
         Scale::Tiny => (400, 5.0, 16, 50, 2),
@@ -439,7 +433,7 @@ pub fn print_scaling_rows(rows: &[ScalingRow]) {
 }
 
 /// Serialises the thread-scaling rows as the `BENCH_parallel.json` artifact
-/// consumed by CI (hand-rolled: the offline serde shim has no serialiser).
+/// consumed by CI, written by hand (the workspace has no serialiser).
 pub fn scaling_rows_to_json(scale: Scale, rows: &[ScalingRow]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"fig9_parallel_scaling\",\n");
@@ -470,7 +464,7 @@ pub fn print_header(title: &str, scale: Scale) {
     println!("{title}");
     println!("scale: {scale:?} (set RIPPLE_SCALE=tiny|small|medium to change)");
     println!(
-        "simd: {} (detected {}; set RIPPLE_SIMD=scalar|avx2|neon|auto to change), cores: {}",
+        "simd: {} (detected {}; set RIPPLE_SIMD=scalar|avx2|auto to change), cores: {}",
         simd::active_tier(),
         simd::detected_tier(),
         simd::detected_cores()
