@@ -190,6 +190,11 @@ impl<P> AdmissionController<P> {
         self.staged.last()
     }
 
+    /// The staged group, in staging (= `window_seq`) order.
+    pub(crate) fn staged(&self) -> &[StagedWindow<P>] {
+        &self.staged
+    }
+
     /// Takes the whole staged group for execution, in staging (=
     /// `window_seq`) order, emptying the in-flight set.
     pub fn take_group(&mut self) -> Vec<StagedWindow<P>> {

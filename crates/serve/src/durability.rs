@@ -38,12 +38,10 @@
 //! torn tail. Durable state from an older binary is never silently
 //! discarded as corruption — recovery fails loudly and names the file.
 //!
-//! Crash injection for the chaos harness goes through [`FailPoints`]: the
+//! Crash injection for the crash tests goes through [`FailPoints`]: the
 //! WAL append, checkpoint and post-publish paths consult a shared registry
 //! so kills land *between* and *inside* the critical sections (including a
 //! deliberately torn half-written frame).
-
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::scheduler::ServeError;
 use ripple_core::DeltaMessage;
@@ -83,13 +81,13 @@ pub enum FsyncPolicy {
     #[default]
     Always,
     /// Never sync explicitly; durability is limited to what the OS page
-    /// cache has written back. Survives process kills (the chaos harness's
+    /// cache has written back. Survives process kills (the crash tests'
     /// threat model) but not power loss.
     Never,
 }
 
 /// Shared, armable crash-injection registry. Cloning shares the registry;
-/// the chaos harness holds one side and the serving session's WAL,
+/// a crash test holds one side and the serving session's WAL,
 /// checkpoint and publish paths consult the other.
 ///
 /// A site armed with `after_hits = n` lets `n` calls pass and fires on call

@@ -57,7 +57,7 @@ use ripple_graph::VertexId;
 use ripple_tensor::ops::{row_matmul_into, row_sq_dist_into};
 use ripple_tensor::{vector, Matrix};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Sentinel assignment for rows that are not indexed: beyond the store,
 /// deleted, or owned by another shard.
@@ -301,7 +301,13 @@ fn fold_radius(radius: &mut f32, squared_dist: f32) {
 /// `+∞`).
 fn nearest_centroid(centroids_t: &Matrix, row: &[f32], dists: &mut Vec<f32>) -> (u32, f32) {
     dists.resize(centroids_t.cols(), 0.0);
-    row_sq_dist_into(row, centroids_t, dists).expect("rows are as wide as the centroid table");
+    if row_sq_dist_into(row, centroids_t, dists).is_err() {
+        // A row of another width than the centroids has no distance to
+        // them: like a row with no finite one, it lands in cluster 0 at
+        // `+∞`, which makes that cluster's radius (and so every bound on
+        // it) `+∞` too, so exact reads still scan it.
+        return (0, f32::INFINITY);
+    }
     let mut best = 0u32;
     let mut best_dist = f32::INFINITY;
     for (c, &dist) in dists.iter().enumerate() {
@@ -460,22 +466,22 @@ impl TopKIndex {
     /// `dot(centroid, query)` for every cluster, in cluster order: the one
     /// centroid scan behind both read modes' bounds.
     fn centroid_scores(&self, query: &[f32]) -> Vec<f32> {
-        let clusters = self.postings.len();
-        if self.dim > 0 && query.len() == self.dim && self.centroids_t.cols() == clusters {
+        if self.dim > 0 && query.len() == self.dim {
             // Hot path: one query × centroidsᵀ kernel scores every cluster
             // with a sequential inner loop over clusters — the accumulation
             // order per score is the same ascending-dimension sum as the
-            // scalar dot below, so both paths score bit-identically.
-            let mut scores = vec![0.0f32; clusters];
-            row_matmul_into(query, &self.centroids_t, &mut scores)
-                .expect("transposed centroid table tracks the centroid table");
-            scores
-        } else {
-            self.centroids
-                .chunks_exact(self.dim.max(1))
-                .map(|centroid| dot(centroid, query))
-                .collect()
+            // scalar dot below, so both paths score bit-identically. The
+            // kernel refuses a transposed table out of step with the
+            // centroid table; the scalar path then scores.
+            let mut scores = vec![0.0f32; self.postings.len()];
+            if row_matmul_into(query, &self.centroids_t, &mut scores).is_ok() {
+                return scores;
+            }
         }
+        self.centroids
+            .chunks_exact(self.dim.max(1))
+            .map(|centroid| dot(centroid, query))
+            .collect()
     }
 
     /// The member vertices of the `nprobe` clusters with the largest
@@ -699,6 +705,8 @@ impl TopKIndex {
 #[derive(Debug)]
 pub struct VersionedIndex {
     epoch: AtomicU64,
+    /// The latest published index. As in the store, the mutex guards only
+    /// an `Arc` clone / swap, so a poisoned lock is still read.
     current: Mutex<Arc<TopKIndex>>,
 }
 
@@ -714,7 +722,10 @@ impl VersionedIndex {
 
     /// The latest published index (a pointer clone under the mutex).
     fn current(&self) -> Arc<TopKIndex> {
-        self.current.lock().expect("index lock poisoned").clone()
+        self.current
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -901,8 +912,12 @@ impl IndexMaintainer {
                 // structural change: start from a clone of the live index.
                 drop(still_shared);
                 SharedIndexStats::bump(&self.stats.clone_fallbacks, 1);
-                let mut index: TopKIndex =
-                    (**self.shared.current.lock().expect("index lock poisoned")).clone();
+                let mut index: TopKIndex = (**self
+                    .shared
+                    .current
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner))
+                .clone();
                 match dirty {
                     Some(d) => self.repair(&mut index, store, d.iter().copied()),
                     None => {
@@ -940,7 +955,11 @@ impl IndexMaintainer {
         }
         let next = Arc::new(index);
         let previous = {
-            let mut current = self.shared.current.lock().expect("index lock poisoned");
+            let mut current = self
+                .shared
+                .current
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut *current, next)
         };
         self.shared.epoch.store(epoch, Ordering::Release);

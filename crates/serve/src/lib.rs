@@ -11,12 +11,11 @@
 //!   path is **one atomic load**; the publisher double-buffers so
 //!   steady-state epoch publication reuses the retired snapshot's table
 //!   instead of allocating a copy.
-//! * [`UpdateScheduler`] internals behind [`spawn`] — an MPSC update queue
-//!   with size- and time-window coalescing, same-edge churn dedup and
-//!   bounded-queue backpressure ([`BackpressurePolicy::Block`] or
-//!   [`BackpressurePolicy::Shed`]), driving any
-//!   [`ripple_core::StreamingEngine`] on a dedicated scheduler thread and
-//!   publishing a new epoch after each flushed batch.
+//! * [`spawn`] — an MPSC update queue with size- and time-window
+//!   coalescing, same-edge churn dedup and bounded-queue backpressure
+//!   ([`BackpressurePolicy::Block`] or [`BackpressurePolicy::Shed`]),
+//!   driving any [`ripple_core::StreamingEngine`] on a dedicated scheduler
+//!   thread and publishing a new epoch after each flushed batch.
 //! * [`QueryService`] — point embedding lookups, predicted labels and
 //!   batched top-k by embedding dot product, each stamped with the epoch and
 //!   staleness (updates enqueued but not yet visible) it was served at.
@@ -68,6 +67,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admission;
 pub mod durability;
@@ -79,7 +79,6 @@ pub mod query;
 pub mod router;
 pub mod scheduler;
 pub mod shard;
-pub mod soak;
 pub mod versioned;
 
 pub use admission::{AdmissionController, StagedWindow, WindowState};
@@ -94,10 +93,9 @@ pub use query::{QueryService, ReadMode, Stamped, TopKRequest};
 pub use router::ShardRouter;
 pub use scheduler::{
     spawn, BackpressurePolicy, FlushLog, FlushRecord, ServeConfig, ServeConfigBuilder, ServeError,
-    ServeHandle, Submission, UpdateClient, UpdateScheduler,
+    ServeHandle, Submission, UpdateClient,
 };
 pub use shard::{spawn_sharded, ShardedEngines, ShardedServeHandle};
-pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use versioned::{
     BufferStats, EpochSnapshot, SnapshotPublisher, SnapshotReader, VersionedStore,
 };

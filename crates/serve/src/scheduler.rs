@@ -29,13 +29,10 @@
 //! runs too: the single-engine tier is one shard with no halos and no
 //! peers.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::durability::{DurabilityConfig, RecoveryReport};
-use crate::index::{IndexMaintainer, IndexParams, IndexReader, IndexStats, VersionedIndex};
+use crate::index::{IndexParams, IndexStats, VersionedIndex};
 use crate::metrics::ServeMetrics;
 use crate::pipeline::{Msg, Peers, Pipeline, Running, Unsharded};
-use crate::versioned::SnapshotReader;
 use ripple_core::{DeltaMessage, RippleError, StreamingEngine};
 use ripple_graph::{GraphUpdate, UpdateBatch, VertexId};
 use std::collections::HashMap;
@@ -601,108 +598,6 @@ impl Coalescer {
     }
 }
 
-/// The single-engine tier's state machine: the commit pipeline (see
-/// `crate::pipeline`) over one [`StreamingEngine`], with no halos and no
-/// peers. [`spawn`] runs it on a dedicated thread; tests can drive it
-/// synchronously via [`UpdateScheduler::absorb`] /
-/// [`UpdateScheduler::flush`].
-///
-/// Every window commits through one path: it is staged with the admission
-/// controller, then the staged group drains (see [`crate::admission`]). The
-/// serial pipeline is that path at depth 1.
-#[derive(Debug)]
-pub struct UpdateScheduler<E> {
-    pipeline: Pipeline<Unsharded<E>>,
-}
-
-impl<E: StreamingEngine> UpdateScheduler<E> {
-    /// Wraps an engine, publishing its bootstrap store as epoch 0.
-    ///
-    /// With [`ServeConfig::durability`] set, session start first recovers
-    /// whatever the durability directory holds: the latest valid checkpoint
-    /// is restored into the engine, the WAL tail beyond it is replayed
-    /// window by window, and publishing resumes from the recovered epoch —
-    /// bit-identical to a session that never crashed, because the engines
-    /// are deterministic given the same window sequence. Torn tail frames
-    /// were already dropped by the scan; the WAL is then reopened for
-    /// appending on a clean frame boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Wal`] if the durability directory cannot be scanned or
-    /// reopened; [`ServeError::Engine`] if checkpoint restore or WAL replay
-    /// fails in the engine.
-    pub fn new(
-        engine: E,
-        config: ServeConfig,
-        metrics: Arc<ServeMetrics>,
-    ) -> crate::Result<(Self, SnapshotReader)> {
-        let durability = config.durability.clone();
-        let (pipeline, reader) = Pipeline::new(
-            Unsharded(engine),
-            &config,
-            durability,
-            None,
-            metrics,
-            Peers::default(),
-        )?;
-        Ok((UpdateScheduler { pipeline }, reader))
-    }
-
-    /// What recovery did at session start (present iff
-    /// [`ServeConfig::durability`]).
-    pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.pipeline.recovery.clone()
-    }
-
-    /// The shared flush log (present iff [`ServeConfig::record_batches`]).
-    pub fn flush_log(&self) -> Option<FlushLog> {
-        self.pipeline.flush_log.clone()
-    }
-
-    /// A reader handle onto the maintained top-k index (present iff
-    /// [`ServeConfig::index`]).
-    pub fn index_reader(&self) -> Option<IndexReader> {
-        self.pipeline.index.as_ref().map(IndexMaintainer::reader)
-    }
-
-    /// Absorbs one update into the coalescing window and, if the size
-    /// window closed, stages it. Returns the published epoch if a commit
-    /// happened.
-    ///
-    /// Epochs publish only when the staged group drains (on a footprint
-    /// conflict, a full in-flight set, a time window, or an explicit
-    /// flush); at depth 1 that is every closed window, and above it the
-    /// returned epoch is `None` while windows ride in the group.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Engine`] if the window is invalid for the engine (a
-    /// vertex outside its id space, a feature of the wrong width; refused
-    /// before it is logged) or the engine fails; [`ServeError::Wal`] if the
-    /// durability layer fails. The scheduler is poisoned either way.
-    pub fn absorb(&mut self, update: GraphUpdate, enqueued: Instant) -> crate::Result<Option<u64>> {
-        self.pipeline.absorb(QueuedUpdate {
-            update,
-            enqueued,
-            secondary: false,
-        })
-    }
-
-    /// Flushes: stages the pending window (if any), then commits everything
-    /// in flight — an explicit flush promises full visibility. With nothing
-    /// pending or staged this publishes nothing and returns the current
-    /// epoch.
-    pub fn flush(&mut self) -> crate::Result<u64> {
-        self.pipeline.flush()
-    }
-
-    /// Consumes the scheduler, returning the engine.
-    pub fn into_engine(self) -> E {
-        self.pipeline.engine.0
-    }
-}
-
 /// Handle onto a running serving session: produces clients and query
 /// services, exposes metrics, and shuts the scheduler down.
 #[derive(Debug)]
@@ -793,36 +688,47 @@ impl<E> ServeHandle<E> {
 
 /// Spawns the serving scheduler for `engine` on a dedicated thread and
 /// returns the session handle. The engine's current store is published as
-/// epoch 0 — or, with [`ServeConfig::durability`] set, recovery runs first
-/// and the recovered store is published at the recovered epoch — so queries
-/// work immediately.
+/// epoch 0 — or, with [`ServeConfig::durability`] set, recovery runs first:
+/// the latest valid checkpoint is restored into the engine, the WAL tail
+/// beyond it is replayed window by window (bit-identical to a session that
+/// never crashed, because the engines are deterministic given the same
+/// windows), and the recovered store is published at the recovered epoch —
+/// so queries work immediately.
 ///
 /// # Errors
 ///
-/// [`ServeError::Wal`] / [`ServeError::Engine`] if durability recovery
-/// fails (see [`UpdateScheduler::new`]). A session without durability
-/// cannot fail to spawn.
+/// [`ServeError::Wal`] if the durability directory cannot be scanned or
+/// reopened; [`ServeError::Engine`] if checkpoint restore or WAL replay
+/// fails in the engine. A session without durability cannot fail to spawn.
 pub fn spawn<E>(engine: E, config: ServeConfig) -> crate::Result<ServeHandle<E>>
 where
     E: StreamingEngine + Send + 'static,
 {
     let metrics = Arc::new(ServeMetrics::new());
-    let (queue_capacity, policy) = (config.queue_capacity, config.policy);
-    let (scheduler, _reader) = UpdateScheduler::new(engine, config, Arc::clone(&metrics))?;
-    let (tx, rx) = mpsc::sync_channel(queue_capacity.max(1));
+    let (pipeline, _reader) = Pipeline::new(
+        Unsharded(engine),
+        &config,
+        config.durability.clone(),
+        None,
+        Arc::clone(&metrics),
+        Peers::default(),
+    )?;
+    let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
     let name = "ripple-serve-scheduler".to_string();
     Ok(ServeHandle {
         tx,
         submitted: Arc::new(AtomicU64::new(0)),
         metrics,
-        policy,
-        running: scheduler.pipeline.spawn(name, rx, None),
+        policy: config.policy,
+        running: pipeline.spawn(name, rx, None),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::IndexMaintainer;
+    use crate::versioned::SnapshotReader;
     use ripple_core::{RippleConfig, RippleEngine};
     use ripple_gnn::layer_wise::full_inference;
     use ripple_gnn::recompute::{RecomputeConfig, RecomputeEngine};
@@ -856,21 +762,34 @@ mod tests {
         RippleEngine::new(graph, model, store, RippleConfig::default()).unwrap()
     }
 
+    /// The single-engine tier's pipeline over `engine`, driven synchronously
+    /// (no thread): [`Pipeline::absorb`] and [`Pipeline::flush`] commit on
+    /// the caller's thread.
+    fn pipeline<E: StreamingEngine>(
+        engine: E,
+        config: ServeConfig,
+        metrics: &Arc<ServeMetrics>,
+    ) -> (Pipeline<Unsharded<E>>, SnapshotReader) {
+        let durability = config.durability.clone();
+        let peers = Peers::default();
+        let metrics = Arc::clone(metrics);
+        Pipeline::new(Unsharded(engine), &config, durability, None, metrics, peers).unwrap()
+    }
+
+    fn queued(update: GraphUpdate, enqueued: Instant) -> QueuedUpdate {
+        QueuedUpdate {
+            update,
+            enqueued,
+            secondary: false,
+        }
+    }
+
     #[test]
     fn coalescer_keeps_last_feature_rewrite_in_place() {
         let metrics = ServeMetrics::new();
         let mut w = Coalescer::default();
         let now = Instant::now();
-        let push = |w: &mut Coalescer, u: GraphUpdate| {
-            w.push(
-                QueuedUpdate {
-                    update: u,
-                    enqueued: now,
-                    secondary: false,
-                },
-                &metrics,
-            )
-        };
+        let push = |w: &mut Coalescer, u: GraphUpdate| w.push(queued(u, now), &metrics);
         push(&mut w, GraphUpdate::update_feature(VertexId(1), vec![1.0]));
         push(&mut w, GraphUpdate::add_edge(VertexId(1), VertexId(2)));
         push(&mut w, GraphUpdate::update_feature(VertexId(1), vec![2.0]));
@@ -892,16 +811,7 @@ mod tests {
         let metrics = ServeMetrics::new();
         let mut w = Coalescer::default();
         let now = Instant::now();
-        let mut push = |u: GraphUpdate| {
-            w.push(
-                QueuedUpdate {
-                    update: u,
-                    enqueued: now,
-                    secondary: false,
-                },
-                &metrics,
-            )
-        };
+        let mut push = |u: GraphUpdate| w.push(queued(u, now), &metrics);
         push(GraphUpdate::add_edge(VertexId(0), VertexId(1)));
         push(GraphUpdate::delete_edge(VertexId(0), VertexId(1)));
         // Delete of an edge that predates the window must survive.
@@ -943,23 +853,22 @@ mod tests {
 
         // Serve path: the same window absorbed through the coalescer.
         let metrics = Arc::new(ServeMetrics::new());
-        let (mut scheduler, _reader) = UpdateScheduler::new(
+        let (mut scheduler, _reader) = pipeline(
             engine(graph, model, store),
             ServeConfig {
                 max_batch: 100,
                 ..Default::default()
             },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
+            &metrics,
+        );
         let now = Instant::now();
         for u in raw {
-            scheduler.absorb(u, now).unwrap();
+            scheduler.absorb(queued(u, now)).unwrap();
         }
         let epoch = scheduler.flush().unwrap();
         assert_eq!(epoch, 1);
         assert!(metrics.coalesced() >= 3);
-        let served = scheduler.into_engine();
+        let served = scheduler.engine.0;
         let diff = served
             .store()
             .max_diff_all_layers(reference.store())
@@ -974,19 +883,18 @@ mod tests {
     fn size_window_triggers_flush_inside_absorb() {
         let (graph, model, store, updates) = bootstrap(5);
         let metrics = Arc::new(ServeMetrics::new());
-        let (mut scheduler, mut reader) = UpdateScheduler::new(
+        let (mut scheduler, mut reader) = pipeline(
             engine(graph, model, store),
             ServeConfig {
                 max_batch: 4,
                 ..Default::default()
             },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
+            &metrics,
+        );
         let now = Instant::now();
         let mut flushes = 0;
         for u in updates.iter().take(12).cloned() {
-            if scheduler.absorb(u, now).unwrap().is_some() {
+            if scheduler.absorb(queued(u, now)).unwrap().is_some() {
                 flushes += 1;
             }
         }
@@ -1001,21 +909,26 @@ mod tests {
     fn fully_cancelled_window_still_publishes_an_epoch() {
         let (graph, model, store, _) = bootstrap(7);
         let metrics = Arc::new(ServeMetrics::new());
-        let (mut scheduler, mut reader) = UpdateScheduler::new(
+        let (mut scheduler, mut reader) = pipeline(
             engine(graph, model, store),
             ServeConfig {
                 max_batch: 100,
                 ..Default::default()
             },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
+            &metrics,
+        );
         let now = Instant::now();
         scheduler
-            .absorb(GraphUpdate::add_edge(VertexId(0), VertexId(99)), now)
+            .absorb(queued(
+                GraphUpdate::add_edge(VertexId(0), VertexId(99)),
+                now,
+            ))
             .unwrap();
         scheduler
-            .absorb(GraphUpdate::delete_edge(VertexId(0), VertexId(99)), now)
+            .absorb(queued(
+                GraphUpdate::delete_edge(VertexId(0), VertexId(99)),
+                now,
+            ))
             .unwrap();
         let epoch = scheduler.flush().unwrap();
         assert_eq!(epoch, 1);
@@ -1279,11 +1192,11 @@ mod tests {
     /// Asserts every served row equals the engine's final-layer row bit
     /// for bit at `epoch`.
     fn assert_serves_the_final_layer(
-        scheduler: &UpdateScheduler<RecomputeEngine>,
+        scheduler: &Pipeline<Unsharded<RecomputeEngine>>,
         queries: &mut crate::QueryService,
         epoch: u64,
     ) {
-        let store = scheduler.pipeline.engine.0.current_store();
+        let store = scheduler.engine.0.current_store();
         let table = store.embeddings(store.num_layers());
         let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for v in 0..table.rows() {
@@ -1313,11 +1226,10 @@ mod tests {
             .concurrent_admission(4)
             .build()
             .unwrap();
-        let (mut scheduler, reader) =
-            UpdateScheduler::new(engine, config, Arc::clone(&metrics)).unwrap();
+        let (mut scheduler, reader) = pipeline(engine, config, &metrics);
         let mut queries = crate::QueryService::new(
             reader,
-            scheduler.index_reader(),
+            scheduler.index.as_ref().map(IndexMaintainer::reader),
             Arc::new(AtomicU64::new(0)),
             Arc::clone(&metrics),
         );
@@ -1328,7 +1240,7 @@ mod tests {
         // publication that skipped rows would be served stale.
         for chunk in updates.chunks(6).take(4) {
             for update in chunk {
-                if let Some(epoch) = scheduler.absorb(update.clone(), now).unwrap() {
+                if let Some(epoch) = scheduler.absorb(queued(update.clone(), now)).unwrap() {
                     assert_serves_the_final_layer(&scheduler, &mut queries, epoch);
                 }
             }

@@ -30,8 +30,6 @@
 //! can never deadlock; producer backpressure is enforced at the
 //! [`crate::ShardRouter`] against per-shard depth counters instead.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::durability::RecoveryReport;
 use crate::index::{IndexStats, VersionedIndex};
 use crate::metrics::ServeMetrics;

@@ -48,7 +48,7 @@ use ripple_gnn::EmbeddingStore;
 use ripple_graph::VertexId;
 use ripple_tensor::Matrix;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One published, immutable snapshot of the served final-layer table.
 #[derive(Debug)]
@@ -121,7 +121,8 @@ pub struct VersionedStore {
     /// cached handle with a single atomic load.
     epoch: AtomicU64,
     /// The latest published snapshot. The mutex guards only the `Arc` clone
-    /// / swap (a pointer operation), never the table contents.
+    /// / swap (a pointer operation), never the table contents, so a panic
+    /// cannot leave it half-written and a poisoned lock is still read.
     current: Mutex<Arc<EpochSnapshot>>,
 }
 
@@ -175,7 +176,10 @@ impl VersionedStore {
 
     /// The latest published snapshot (a pointer clone under the mutex).
     fn current(&self) -> Arc<EpochSnapshot> {
-        self.current.lock().expect("snapshot lock poisoned").clone()
+        self.current
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -303,7 +307,11 @@ impl SnapshotPublisher {
             (None, slot) => *slot = None,
         }
         let previous = {
-            let mut current = self.shared.current.lock().expect("snapshot lock poisoned");
+            let mut current = self
+                .shared
+                .current
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             std::mem::replace(&mut *current, snapshot)
         };
         // Readers check this counter first; Release pairs with their Acquire

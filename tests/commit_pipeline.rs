@@ -9,14 +9,17 @@
 //!   and 4 (where the unsharded tier merges disjoint windows into one
 //!   engine pass and the shard runs them one by one).
 //! * **No durable poison pill.** A window the engine would reject — a
-//!   feature vector of the wrong width, or a vertex outside the served id
-//!   space — is refused before its WAL append. The session stops with a
-//!   typed error, and a respawn on the same directory recovers the valid
-//!   prefix bit for bit and keeps serving.
+//!   feature vector of the wrong width, a vertex outside the served id
+//!   space, a delete of a missing edge or an add of an existing one — is
+//!   refused before its WAL append. The session stops with a typed error,
+//!   and a respawn on the same directory recovers the valid prefix bit for
+//!   bit and keeps serving. The edge check sees windows that are logged
+//!   but not yet applied: at depth 4 a window may delete an edge that a
+//!   still-staged window adds.
 
 use ripple::core::ShardEngine;
 use ripple::prelude::*;
-use ripple::serve::{DurabilityConfig, FlushRecord, FsyncPolicy, PartitionId};
+use ripple::serve::{DurabilityConfig, FlushLog, FlushRecord, FsyncPolicy, PartitionId};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -151,9 +154,26 @@ fn unsharded_tier_is_one_shard_with_no_halos() {
     }
 }
 
-/// Invalid updates a client can submit against a 120-vertex, 6-wide graph.
-fn poison_pills(graph: &DynamicGraph) -> Vec<(&'static str, GraphUpdate)> {
+/// Invalid updates a client can submit against a 120-vertex, 6-wide graph
+/// once the `valid` prefix has committed.
+fn poison_pills(graph: &DynamicGraph, valid: &[GraphUpdate]) -> Vec<(&'static str, GraphUpdate)> {
     let n = graph.num_vertices() as u32;
+    // An edge that is (or is not) in the graph and that no edge update of
+    // the prefix starts from, so the prefix leaves it as it was.
+    let edge = |present: bool| {
+        let untouched = |u: &VertexId| {
+            !valid
+                .iter()
+                .any(|x| x.sink_vertex().is_some() && x.hop0_vertex() == *u)
+        };
+        (0..n)
+            .map(VertexId)
+            .filter(untouched)
+            .flat_map(|u| (0..n).map(move |v| (u, VertexId(v))))
+            .find(|&(u, v)| u != v && graph.has_edge(u, v) == present)
+            .expect("the graph has edges and non-edges")
+    };
+    let (missing, existing) = (edge(false), edge(true));
     vec![
         (
             "narrow-feature",
@@ -167,7 +187,46 @@ fn poison_pills(graph: &DynamicGraph) -> Vec<(&'static str, GraphUpdate)> {
             "unknown-endpoint",
             GraphUpdate::add_edge(VertexId(1), VertexId(n + 2)),
         ),
+        (
+            "missing-edge-delete",
+            GraphUpdate::delete_edge(missing.0, missing.1),
+        ),
+        (
+            "duplicate-edge-add",
+            GraphUpdate::add_edge(existing.0, existing.1),
+        ),
     ]
+}
+
+/// Ground truth of a sharded run: each shard's recorded windows (batch
+/// plus received halos) replayed through a fresh shard engine, gathered
+/// into one store.
+fn replay_shards(
+    graph: &DynamicGraph,
+    model: &GnnModel,
+    store: &EmbeddingStore,
+    logs: &[FlushLog],
+) -> EmbeddingStore {
+    let partitioning = Arc::new(HashPartitioner::new().partition(graph, logs.len()).unwrap());
+    let mut reference = store.clone();
+    for (p, log) in logs.iter().enumerate() {
+        let mut shard = ShardEngine::new(
+            graph,
+            model.clone(),
+            store.clone(),
+            RippleConfig::default(),
+            Arc::clone(&partitioning),
+            PartitionId(p as u32),
+        )
+        .unwrap();
+        for record in log.snapshot() {
+            if !record.batch.is_empty() || !record.halos.is_empty() {
+                shard.process_window(&record.batch, &record.halos).unwrap();
+            }
+        }
+        assert!(shard.gather_into(&mut reference));
+    }
+    reference
 }
 
 fn assert_rejected_as_invalid(error: &ServeError, case: &str) {
@@ -180,7 +239,7 @@ fn assert_rejected_as_invalid(error: &ServeError, case: &str) {
 fn invalid_update_is_refused_before_the_wal_on_the_single_tier() {
     let (graph, model, store, updates) = bootstrap(5);
     let (valid, more) = updates.split_at(10);
-    for (case, pill) in poison_pills(&graph) {
+    for (case, pill) in poison_pills(&graph, valid) {
         let dir = scratch_dir(&format!("pill-single-{case}"));
         let config = durable_config(&dir, 1, 1);
         let handle = spawn_serve(engine(&graph, &model, &store), config.clone()).unwrap();
@@ -236,8 +295,7 @@ fn invalid_update_is_refused_before_the_wal_on_the_single_tier() {
 fn invalid_update_is_refused_before_the_wal_on_two_shards() {
     let (graph, model, store, updates) = bootstrap(9);
     let (valid, more) = updates.split_at(10);
-    let partitioning = Arc::new(HashPartitioner::new().partition(&graph, 2).unwrap());
-    for (case, pill) in poison_pills(&graph) {
+    for (case, pill) in poison_pills(&graph, valid) {
         let dir = scratch_dir(&format!("pill-sharded-{case}"));
         let config = durable_config(&dir, 1, 1);
         let spawn = || {
@@ -263,26 +321,7 @@ fn invalid_update_is_refused_before_the_wal_on_two_shards() {
             other => panic!("{case}: expected a failed shard, got {other:?}"),
         }
 
-        // Ground truth: each shard's recorded windows (batch plus received
-        // halos) replayed through a fresh shard engine.
-        let mut reference = store.clone();
-        for (p, log) in logs.iter().enumerate() {
-            let mut shard = ShardEngine::new(
-                &graph,
-                model.clone(),
-                store.clone(),
-                RippleConfig::default(),
-                Arc::clone(&partitioning),
-                PartitionId(p as u32),
-            )
-            .unwrap();
-            for record in log.snapshot() {
-                if !record.batch.is_empty() || !record.halos.is_empty() {
-                    shard.process_window(&record.batch, &record.halos).unwrap();
-                }
-            }
-            assert!(shard.gather_into(&mut reference));
-        }
+        let reference = replay_shards(&graph, &model, &store, &logs);
 
         let handle = spawn().unwrap_or_else(|e| panic!("{case}: respawn must recover, got {e}"));
         assert_eq!(handle.recovery_reports().len(), 2, "{case}");
@@ -301,4 +340,86 @@ fn invalid_update_is_refused_before_the_wal_on_two_shards() {
         handle.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// At depth 4 a window deletes an edge that a still-staged window adds
+/// (logged, not yet applied), then re-adds and deletes it again. The edge
+/// check sees the staged group, so every window is accepted, and both
+/// tiers end bit-identical to a serial replay of their windows.
+#[test]
+fn staged_add_then_delete_is_accepted_at_depth_4() {
+    let (graph, model, store, updates) = bootstrap(13);
+    let (prefix, _) = updates.split_at(8);
+    let n = graph.num_vertices() as u32;
+    // An edge absent from the graph that no update of the stream touches.
+    let touched = |u: u32, v: u32| {
+        updates
+            .iter()
+            .any(|x| x.hop0_vertex() == VertexId(u) && x.sink_vertex() == Some(VertexId(v)))
+    };
+    let (a, b) = (0..n)
+        .flat_map(|u| (0..n).map(move |v| (u, v)))
+        .find(|&(u, v)| u != v && !graph.has_edge(VertexId(u), VertexId(v)) && !touched(u, v))
+        .map(|(u, v)| (VertexId(u), VertexId(v)))
+        .expect("a sparse graph has a missing edge");
+    let churn = [
+        GraphUpdate::add_edge(a, b),
+        GraphUpdate::delete_edge(a, b),
+        GraphUpdate::add_edge(a, b),
+        GraphUpdate::delete_edge(a, b),
+    ];
+    let delete_windows = |records: &[FlushRecord]| {
+        let delete = [GraphUpdate::delete_edge(a, b)];
+        records
+            .iter()
+            .filter(|r| r.batch.updates() == delete)
+            .count()
+    };
+
+    let dir = scratch_dir("staged-add-delete-single");
+    let handle = spawn_serve(engine(&graph, &model, &store), durable_config(&dir, 1, 4)).unwrap();
+    let client = handle.client();
+    client.submit_all(prefix.iter().cloned());
+    handle.flush().expect("prefix commits");
+    // The first add stages alone, so the delete behind it is checked
+    // against a group holding an unapplied add.
+    client.submit_all(churn.iter().cloned());
+    handle.flush().expect("the deletes are accepted");
+    let log = handle.flush_log().unwrap().snapshot();
+    let served = handle.shutdown().unwrap();
+    assert_eq!(delete_windows(&log), 2);
+    let mut reference = engine(&graph, &model, &store);
+    for record in &log {
+        reference.process_batch(&record.batch).unwrap();
+    }
+    assert!(
+        served.store() == reference.store() && served.graph() == reference.graph(),
+        "single tier diverged from its serial replay"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = scratch_dir("staged-add-delete-sharded");
+    let handle = spawn_sharded(
+        &graph,
+        &model,
+        &store,
+        RippleConfig::default(),
+        durable_config(&dir, 1, 4),
+        2,
+    )
+    .unwrap();
+    let router = handle.client();
+    router.submit_all(prefix.iter().cloned());
+    handle.quiesce().expect("prefix commits");
+    router.submit_all(churn.iter().cloned());
+    handle.quiesce().expect("the deletes are accepted");
+    let logs = handle.flush_logs();
+    let served = handle.shutdown().unwrap().gather_store();
+    let deletes: usize = logs.iter().map(|log| delete_windows(&log.snapshot())).sum();
+    assert!(deletes >= 2, "{deletes} delete windows");
+    assert!(
+        served == replay_shards(&graph, &model, &store, &logs),
+        "two shards diverged from their serial replay"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,6 +17,7 @@
 //! tail, never a valid prefix frame.
 
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 use ripple::core::{DeltaMessage, ShardEngine};
 use ripple::prelude::*;
 use ripple::serve::durability::{encode_frame, read_wal, recover};
@@ -263,6 +264,144 @@ proptest! {
         prop_assert_eq!(handle.flush(), Some(last_epoch + 1));
         handle.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Serves `windows` one flush each, then arms `site` and keeps flushing
+/// always-valid feature rewrites until it fires. Returns the typed failure
+/// the crash stopped the session with.
+fn serve_into_crash(
+    handle: ServeHandle<RippleEngine>,
+    fail: &FailPoints,
+    site: &'static str,
+    windows: &[Vec<GraphUpdate>],
+    feature_dim: usize,
+) -> ServeError {
+    let client = handle.client();
+    for window in windows {
+        client.submit_all(window.iter().cloned());
+        handle
+            .flush()
+            .expect("the session is alive until the fail point is armed");
+    }
+    fail.arm(site, 0);
+    for v in 0..64u32 {
+        client.submit(GraphUpdate::update_feature(
+            VertexId(v % 8),
+            vec![0.25; feature_dim],
+        ));
+        if handle.flush().is_none() {
+            break;
+        }
+    }
+    let crash = handle
+        .shutdown()
+        .expect_err("the armed fail point must fire");
+    fail.disarm_all();
+    crash
+}
+
+/// Hub churn valid against `graph` when applied in order: feature
+/// rewrites, and adds and deletes of out-edges, all on the hubs `0..8`.
+fn hub_churn(graph: &DynamicGraph, seed: u64, windows: usize) -> Vec<Vec<GraphUpdate>> {
+    const HUBS: u32 = 8;
+    let n = graph.num_vertices() as u32;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut edges: Vec<(u32, u32)> = (0..HUBS)
+        .flat_map(|u| {
+            graph
+                .out_neighbors(VertexId(u))
+                .iter()
+                .map(move |v| (u, v.0))
+        })
+        .collect();
+    let mut update = || match rng.gen_range(0u32..4) {
+        0 => GraphUpdate::update_feature(
+            VertexId(rng.gen_range(0..HUBS)),
+            (0..graph.feature_dim())
+                .map(|_| rng.gen_range(-1.0f32..1.0))
+                .collect(),
+        ),
+        1 if !edges.is_empty() => {
+            let (u, v) = edges.swap_remove(rng.gen_range(0..edges.len()));
+            GraphUpdate::delete_edge(VertexId(u), VertexId(v))
+        }
+        _ => loop {
+            let edge @ (u, v) = (rng.gen_range(0..HUBS), rng.gen_range(0..n));
+            if u != v && !edges.contains(&edge) {
+                edges.push(edge);
+                break GraphUpdate::add_edge(VertexId(u), VertexId(v));
+            }
+        },
+    };
+    (0..windows)
+        .map(|_| (0..6).map(|_| update()).collect())
+        .collect()
+}
+
+/// The newest logged `window_seq` (0 for an empty log).
+fn last_logged(dir: &Path) -> u64 {
+    read_wal(dir)
+        .unwrap()
+        .frames
+        .last()
+        .map_or(0, |f| f.window_seq)
+}
+
+/// A second crash on a directory a recovered session has written to, for
+/// every ordered pair of crash sites under both fsync policies: the first
+/// session crashes at `s1`; the second recovers, logs hub churn valid
+/// against the recovered graph and crashes at `s2`; a third recovers. Both
+/// crashed sessions cross the checkpoint cadence, and the last recovery
+/// lands the whole compute spine bit-identical to a never-crashed replay
+/// of every durable window.
+#[test]
+fn second_crash_after_recovery_recovers_bit_identically() {
+    let (graph, model, store, updates) = bootstrap(31);
+    let first: Vec<Vec<GraphUpdate>> = updates.chunks(5).take(4).map(<[_]>::to_vec).collect();
+    let dim = graph.feature_dim();
+    for fsync in [FsyncPolicy::Never, FsyncPolicy::Always] {
+        for (i, s1) in SITES.into_iter().enumerate() {
+            for (j, s2) in SITES.into_iter().enumerate() {
+                let case = format!("{fsync:?}: {s1} then {s2}");
+                let dir = scratch_dir(&format!("two-crash-{fsync:?}-{i}-{j}"));
+                let fail = FailPoints::new();
+                let config = durable_config_with(&dir, 3, &fail, fsync, 0);
+
+                let handle = spawn_serve(engine(&graph, &model, &store), config.clone()).unwrap();
+                let crash = serve_into_crash(handle, &fail, s1, &first, dim);
+                assert!(matches!(crash, ServeError::Wal(_)), "{case}: {crash}");
+
+                // The churn is valid against the durable prefix, which is
+                // what recovery must restore.
+                let durable = reference_replay(&graph, &model, &store, &dir);
+                let churn = hub_churn(durable.graph(), (i * 5 + j) as u64, 4);
+                let handle = spawn_serve(engine(&graph, &model, &store), config.clone()).unwrap();
+                let first_recovery = handle.recovery_report().unwrap();
+                assert!(
+                    first_recovery.from_checkpoint,
+                    "{case}: session 1 checkpointed"
+                );
+                let resumed = first_recovery.resumed_window_seq;
+                let crash = serve_into_crash(handle, &fail, s2, &churn, dim);
+                assert!(matches!(crash, ServeError::Wal(_)), "{case}: {crash}");
+                assert!(
+                    last_logged(&dir) > resumed,
+                    "{case}: the second kill must land after the recovered session logged"
+                );
+
+                let reference = reference_replay(&graph, &model, &store, &dir);
+                let handle = spawn_serve(engine(&graph, &model, &store), config).unwrap();
+                let report = handle.recovery_report().unwrap();
+                assert!(
+                    report.checkpoint_seq > resumed,
+                    "{case}: the recovered session checkpointed"
+                );
+                let recovered = handle.shutdown().unwrap();
+                assert_bit_identical(&recovered, &reference, &case);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }
 

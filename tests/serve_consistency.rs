@@ -212,7 +212,15 @@ fn linearizable_epoch_scenario(reader_threads: usize, seed: u64, top_k: Option<R
     handle.flush().expect("scheduler alive");
     let deadline = Instant::now() + Duration::from_secs(60);
     while metrics.applied() < offered {
-        assert!(Instant::now() < deadline, "scheduler failed to drain");
+        assert!(
+            Instant::now() < deadline,
+            "seed {seed}: scheduler failed to drain in 60 s: {} of {offered} updates applied, \
+             {} epochs published, readers saw up to epoch {} over {} reads",
+            metrics.applied(),
+            metrics.epochs(),
+            seen.load(Ordering::Relaxed),
+            metrics.reads()
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     stop.store(true, Ordering::Relaxed);
@@ -308,8 +316,10 @@ fn linearizable_epoch_scenario(reader_threads: usize, seed: u64, top_k: Option<R
     // than one distinct epoch observed).
     assert!(
         epochs_seen.len() >= 2,
-        "readers only saw epochs {epochs_seen:?} of {} published — no concurrency exercised",
-        records.len()
+        "seed {seed}: readers only saw epochs {epochs_seen:?} of {} published over {checked} \
+         observations (per reader: {:?}) — no concurrency exercised",
+        records.len(),
+        observations.iter().map(Vec::len).collect::<Vec<_>>()
     );
 }
 
@@ -488,7 +498,15 @@ fn sharded_linearizable_epoch_scenario(
     handle.quiesce().expect("tier alive");
     let deadline = Instant::now() + Duration::from_secs(60);
     while metrics.applied() < metrics.enqueued() {
-        assert!(Instant::now() < deadline, "sharded tier failed to drain");
+        assert!(
+            Instant::now() < deadline,
+            "seed {seed}: sharded tier failed to drain in 60 s: {} of {} updates applied, \
+             {} epochs published over {shards} shards, {} reads served",
+            metrics.applied(),
+            metrics.enqueued(),
+            metrics.epochs(),
+            served_reads.load(Ordering::Relaxed)
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     stop.store(true, Ordering::Relaxed);
