@@ -11,7 +11,7 @@ use crate::metrics::StreamSummary;
 use crate::{Result, RippleError};
 use ripple_gnn::recompute::{vertex_wise_recompute_batch, BatchStats, RecomputeEngine};
 use ripple_gnn::{EmbeddingStore, GnnModel};
-use ripple_graph::{DynamicGraph, UpdateBatch, VertexId};
+use ripple_graph::{DynamicGraph, UpdateBatch};
 
 /// A strategy that consumes update batches and keeps predictions fresh.
 pub trait StreamingEngine {
@@ -31,88 +31,6 @@ pub trait StreamingEngine {
 
     /// The current graph (after all processed batches).
     fn current_graph(&self) -> &DynamicGraph;
-
-    /// The engine's topology epoch: how many update batches its topology
-    /// snapshot has absorbed. Engines without an epoch-versioned snapshot
-    /// (the recompute baselines) report 0; the serving layer publishes this
-    /// next to the embedding epoch so readers can expose topology staleness.
-    fn topology_epoch(&self) -> u64 {
-        0
-    }
-
-    /// The vertices whose store rows changed in the last processed batch
-    /// (sorted, deduplicated), or `None` when the engine does not track
-    /// them. The serving layer uses this for O(affected) dirty-row epoch
-    /// publication; `None` falls back to a full-table refresh.
-    fn dirty_rows(&self) -> Option<&[ripple_graph::VertexId]> {
-        None
-    }
-
-    /// Replaces the engine's graph and embedding store with externally
-    /// restored state (a durability checkpoint) and resumes the topology
-    /// epoch at `topology_epoch`. Per-batch scratch state is reset; the
-    /// model and configuration are the ones the engine was built with.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the restored parts do not fit the engine's
-    /// model, or (the default) if the engine does not support restoration.
-    fn restore_state(
-        &mut self,
-        graph: DynamicGraph,
-        store: EmbeddingStore,
-        topology_epoch: u64,
-    ) -> Result<()> {
-        let _ = (graph, store, topology_epoch);
-        Err(RippleError::Mismatch(format!(
-            "the {} engine does not support checkpoint restore",
-            self.strategy_name()
-        )))
-    }
-
-    /// The model the engine evaluates, when it exposes one. The admission
-    /// layer needs it to compute window footprints (cone depth, self
-    /// dependence); engines that return `None` simply never merge windows.
-    fn model(&self) -> Option<&GnnModel> {
-        None
-    }
-
-    /// Applies a group of **pairwise footprint-disjoint** windows and
-    /// returns the union of the rows they dirtied (sorted, deduplicated),
-    /// or `None` when the engine does not track dirty rows.
-    ///
-    /// The observable result — store rows, graph, topology epoch — must be
-    /// bit-identical to calling [`StreamingEngine::process_batch`] once per
-    /// window in order, and the topology epoch must advance once per
-    /// non-empty window either way. The default does exactly that sequential
-    /// replay; the Ripple engine overrides it with a single merged pass over
-    /// the concatenated batch, which is where disjoint windows actually
-    /// share propagation work (see `ripple_core::footprint`). Callers are
-    /// responsible for the disjointness precondition: merged execution of
-    /// conflicting windows is **not** bit-identical (a later window's edge
-    /// snapshots would predate an earlier window's writes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first engine error; windows before it are applied.
-    fn process_windows(&mut self, windows: &[UpdateBatch]) -> Result<Option<Vec<VertexId>>> {
-        let mut dirty: Option<Vec<VertexId>> = Some(Vec::new());
-        for batch in windows {
-            if batch.is_empty() {
-                continue;
-            }
-            self.process_batch(batch)?;
-            match (self.dirty_rows(), &mut dirty) {
-                (Some(rows), Some(acc)) => acc.extend_from_slice(rows),
-                _ => dirty = None,
-            }
-        }
-        if let Some(acc) = &mut dirty {
-            acc.sort_unstable();
-            acc.dedup();
-        }
-        Ok(dirty)
-    }
 }
 
 impl<T: StreamingEngine + ?Sized> StreamingEngine for Box<T> {
@@ -131,31 +49,6 @@ impl<T: StreamingEngine + ?Sized> StreamingEngine for Box<T> {
     fn current_graph(&self) -> &DynamicGraph {
         (**self).current_graph()
     }
-
-    fn topology_epoch(&self) -> u64 {
-        (**self).topology_epoch()
-    }
-
-    fn dirty_rows(&self) -> Option<&[ripple_graph::VertexId]> {
-        (**self).dirty_rows()
-    }
-
-    fn restore_state(
-        &mut self,
-        graph: DynamicGraph,
-        store: EmbeddingStore,
-        topology_epoch: u64,
-    ) -> Result<()> {
-        (**self).restore_state(graph, store, topology_epoch)
-    }
-
-    fn model(&self) -> Option<&GnnModel> {
-        (**self).model()
-    }
-
-    fn process_windows(&mut self, windows: &[UpdateBatch]) -> Result<Option<Vec<VertexId>>> {
-        (**self).process_windows(windows)
-    }
 }
 
 impl StreamingEngine for RippleEngine {
@@ -173,31 +66,6 @@ impl StreamingEngine for RippleEngine {
 
     fn current_graph(&self) -> &DynamicGraph {
         self.graph()
-    }
-
-    fn topology_epoch(&self) -> u64 {
-        RippleEngine::topology_epoch(self)
-    }
-
-    fn dirty_rows(&self) -> Option<&[ripple_graph::VertexId]> {
-        Some(RippleEngine::dirty_rows(self))
-    }
-
-    fn restore_state(
-        &mut self,
-        graph: DynamicGraph,
-        store: EmbeddingStore,
-        topology_epoch: u64,
-    ) -> Result<()> {
-        RippleEngine::restore_state(self, graph, store, topology_epoch)
-    }
-
-    fn model(&self) -> Option<&GnnModel> {
-        Some(RippleEngine::model(self))
-    }
-
-    fn process_windows(&mut self, windows: &[UpdateBatch]) -> Result<Option<Vec<VertexId>>> {
-        RippleEngine::process_windows(self, windows).map(Some)
     }
 }
 
@@ -504,29 +372,6 @@ mod tests {
         assert!(par.store() == serial.store(), "parallel store diverged");
         assert_eq!(par.topology_epoch(), serial.topology_epoch());
         assert_eq!(par_dirty, serial_dirty);
-
-        // Box forwarding reaches the override, and the trait-default
-        // sequential fallback (an engine without dirty tracking) stays
-        // correct while reporting `None` for the union dirty set.
-        let mut boxed: Box<dyn StreamingEngine> = Box::new(
-            RippleEngine::new(
-                graph.clone(),
-                model.clone(),
-                store.clone(),
-                RippleConfig::default(),
-            )
-            .unwrap(),
-        );
-        let boxed_dirty = boxed.process_windows(&windows).unwrap().unwrap();
-        assert!(boxed.current_store() == serial.store());
-        assert_eq!(boxed.topology_epoch(), serial.topology_epoch());
-        assert_eq!(boxed_dirty, serial_dirty);
-
-        let mut rc = RecomputeEngine::new(graph, model, store, RecomputeConfig::rc()).unwrap();
-        let rc_dirty = rc.process_windows(&windows).unwrap();
-        assert!(rc_dirty.is_none(), "rc does not track dirty rows");
-        let diff = rc.current_store().max_final_diff(serial.store()).unwrap();
-        assert!(diff < 2e-3, "fallback replay diverged: {diff}");
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub(crate) trait Route {
 
 /// The single-engine route: the engine owns every vertex and keeps every
 /// deposit in its own mailboxes.
-struct Local;
+pub(crate) struct Local;
 
 impl Route for Local {
     fn owns(&self, _: VertexId) -> bool {

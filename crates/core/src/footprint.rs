@@ -10,7 +10,7 @@
 //! one window's cone, and re-evaluation reads only a vertex's own aggregate
 //! row, own previous-layer embedding and own in-degree — so they can be
 //! admitted into one merged engine pass and still commit bit-identically to
-//! sequential execution (see [`crate::StreamingEngine::process_windows`]).
+//! sequential execution (see [`crate::RippleEngine::process_windows`]).
 //!
 //! Intersection tests are two-tier, after the exemplar's footprint machinery:
 //! a 64-bit occupancy mask (`bit = v mod 64`) answers most disjoint pairs in

@@ -26,15 +26,17 @@
 //! together and exchanges the outboxes at every hop boundary, which is how
 //! the distributed BSP engine (`ripple-dist`) runs its workers.
 //!
-//! A single engine is thus one shard with no halos. Linearity of the
-//! aggregators makes sharding exact at quiescence: deltas sum in any window
-//! order, and a forwarded delta is the `new − old` of an actual
-//! re-evaluation, so once every in-flight message has been applied the union
-//! of the shards' owned rows equals the single-engine state (up to float
-//! accumulation order) — pinned by the parity tests below,
-//! `tests/engine_golden.rs` and `tests/serve_consistency.rs`.
+//! A single engine is thus one shard with no halos: [`ShardEngine::whole`]
+//! wraps one as the shard of a one-part partitioning, whose windows take
+//! the single-engine route. Linearity of the aggregators makes sharding
+//! exact at quiescence: deltas sum in any window order, and a forwarded
+//! delta is the `new − old` of an actual re-evaluation, so once every
+//! in-flight message has been applied the union of the shards' owned rows
+//! equals the single-engine state (up to float accumulation order) — pinned
+//! by the parity tests below, `tests/engine_golden.rs` and
+//! `tests/serve_consistency.rs`.
 
-use crate::engine::{RippleConfig, RippleEngine, Route};
+use crate::engine::{Local, RippleConfig, RippleEngine, Route};
 use crate::mailbox::MailboxSet;
 use crate::message::{DeltaMessage, HaloStubs};
 use crate::{Result, RippleError};
@@ -142,6 +144,31 @@ impl ShardEngine {
         })
     }
 
+    /// Wraps a whole-graph engine as the one shard of a one-part
+    /// partitioning. The engine is kept as it is: its graph is not rebuilt,
+    /// so its adjacency order, and every replay against it, stay the
+    /// engine's own. [`ShardEngine::into_engine`] unwraps it again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failure to build the one-part partitioning.
+    pub fn whole(engine: RippleEngine) -> Result<Self> {
+        let n = engine.graph().num_vertices();
+        let partitioning = Arc::new(Partitioning::from_assignment(vec![PartitionId(0); n], 1)?);
+        Ok(ShardEngine {
+            part: PartitionId(0),
+            engine,
+            outbox: HaloStubs::new(1),
+            owned: partitioning.vertices_in(PartitionId(0)),
+            partitioning,
+        })
+    }
+
+    /// The wrapped engine, with everything this shard has applied.
+    pub fn into_engine(self) -> RippleEngine {
+        self.engine
+    }
+
     /// Splits each hop's frontier across `threads` pool workers (clamped to
     /// at least 1). Results are bit-identical for any thread count.
     #[must_use]
@@ -244,9 +271,37 @@ impl ShardEngine {
         halos: &[DeltaMessage],
     ) -> Result<(BatchStats, Vec<(PartitionId, DeltaMessage)>)> {
         self.check_routing(batch, halos)?;
-        let (engine, mut route) = self.split();
-        let stats = engine.run_batch(batch, halos, &mut route)?;
+        // One part owns every vertex: it takes the single-engine route,
+        // which deposits without an owner lookup.
+        let stats = if self.partitioning.num_parts() == 1 {
+            self.engine.run_batch(batch, halos, &mut Local)?
+        } else {
+            let (engine, mut route) = self.split();
+            engine.run_batch(batch, halos, &mut route)?
+        };
         Ok((stats, self.outbox.drain()))
+    }
+
+    /// Applies a group of **pairwise footprint-disjoint** windows as one
+    /// merged pass of the wrapped engine (see
+    /// [`RippleEngine::process_windows`]) and returns the union of the rows
+    /// they dirtied. Only a one-part shard merges: it owns every vertex, so
+    /// no halo arrives and none leaves.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RippleError::Mismatch`] on a shard of a multi-part
+    /// partitioning, with the shard untouched; otherwise as
+    /// [`RippleEngine::process_windows`].
+    pub fn process_windows(&mut self, windows: &[UpdateBatch]) -> Result<Vec<VertexId>> {
+        if self.partitioning.num_parts() != 1 {
+            return Err(RippleError::Mismatch(format!(
+                "only a one-part shard merges windows, shard {} has {} peers",
+                self.part,
+                self.partitioning.num_parts() - 1
+            )));
+        }
+        self.engine.process_windows(windows)
     }
 
     /// Runs one BSP batch across every shard of a partitioning: shard `i`
@@ -678,6 +733,44 @@ mod tests {
             PartitionId(7),
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_whole_engine_is_one_shard_with_no_halos() {
+        let (graph, model, store, batches) = bootstrap(29, 2);
+        let engine = || {
+            RippleEngine::new(
+                graph.clone(),
+                model.clone(),
+                store.clone(),
+                RippleConfig::default(),
+            )
+            .unwrap()
+        };
+        let mut serial = engine();
+        let mut whole = ShardEngine::whole(engine()).unwrap();
+        assert_eq!(whole.partitioning().num_parts(), 1);
+        for batch in &batches {
+            serial.process_batch(batch).unwrap();
+            let (_, outgoing) = whole.process_window(batch, &[]).unwrap();
+            assert!(outgoing.is_empty(), "one part ships no halo");
+            assert_eq!(whole.dirty_rows(), serial.dirty_rows());
+        }
+        let whole = whole.into_engine();
+        assert!(
+            whole.store() == serial.store(),
+            "stores must be bit-identical"
+        );
+        assert!(whole.graph() == serial.graph());
+        assert_eq!(whole.topology_epoch(), serial.topology_epoch());
+
+        // Only a one-part shard merges windows.
+        let mut shards = make_shards(&graph, &model, &store, 2);
+        assert!(matches!(
+            shards[0].process_windows(&batches[..1]),
+            Err(RippleError::Mismatch(_))
+        ));
+        assert_eq!(shards[0].topology_epoch(), 0);
     }
 
     #[test]

@@ -87,8 +87,12 @@ impl Partitioning {
     /// vertex's owner; an edge change to its source's owner, then to its
     /// destination's owner when that differs. A vertex outside the
     /// assignment (an invalid update) maps to `id % num_parts`, so it still
-    /// reaches one engine, which rejects it with a typed error.
+    /// reaches one engine, which rejects it with a typed error. One part
+    /// owns everything, so it answers without a lookup.
     pub fn update_owners(&self, update: &GraphUpdate) -> (PartitionId, Option<PartitionId>) {
+        if self.num_parts == 1 {
+            return (PartitionId(0), None);
+        }
         let owner = |v: VertexId| {
             self.assignment
                 .get(v.index())

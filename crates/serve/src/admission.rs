@@ -9,7 +9,7 @@
 //! into an empty group and drains at once, so its footprint is never
 //! compared with anything and is not computed.
 //!
-//! At depth 2 and above, the single-engine scheduler computes each
+//! At depth 2 and above, a one-part session computes each
 //! window's [`Footprint`] (the vertices its updates plus their k-hop
 //! affected cones can touch) against the current topology and checks it
 //! against every in-flight reservation. Windows whose footprints are
@@ -42,11 +42,11 @@
 //! (merged-pass bit-identity, per-window epoch reconstruction from the
 //! merged dirty set, group fsync) leans on it.
 //!
-//! The sharded tier uses the same controller as a plain **group commit**:
-//! its windows stage with [`Footprint::empty`] and a drained group still
-//! executes window by window, in order, so no footprint is needed and no
-//! window ever conflicts. The depth there only sets how many windows share
-//! one fsync.
+//! A session of more parts uses the same controller as a plain **group
+//! commit**: its windows stage with [`Footprint::empty`] and a drained
+//! group still executes window by window, in order, so no footprint is
+//! needed and no window ever conflicts. The depth there only sets how many
+//! windows share one fsync.
 
 use ripple_core::Footprint;
 use std::time::{Duration, Instant};

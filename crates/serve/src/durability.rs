@@ -884,7 +884,7 @@ pub struct CheckpointRef<'a> {
     pub graph: &'a DynamicGraph,
     /// The engine's embedding store.
     pub store: &'a EmbeddingStore,
-    /// Per-sender halo dedup watermarks (empty on the single-engine tier).
+    /// Per-sender halo dedup watermarks.
     pub halo_watermarks: &'a [(PartitionId, u64)],
 }
 

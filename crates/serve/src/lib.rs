@@ -14,7 +14,7 @@
 //! * [`spawn`] — an MPSC update queue with size- and time-window
 //!   coalescing, same-edge churn dedup and bounded-queue backpressure
 //!   ([`BackpressurePolicy::Block`] or [`BackpressurePolicy::Shed`]),
-//!   driving any [`ripple_core::StreamingEngine`] on a dedicated scheduler
+//!   driving a [`ripple_core::RippleEngine`] on a dedicated scheduler
 //!   thread and publishing a new epoch after each flushed batch.
 //! * [`QueryService`] — point embedding lookups, predicted labels and
 //!   batched top-k by embedding dot product, each stamped with the epoch and
@@ -33,11 +33,12 @@
 //!   query handle.
 //! * A **sharded serving tier** behind the same API — [`spawn_sharded`]
 //!   hash-partitions the graph into [`ripple_core::ShardEngine`]s, each on
-//!   its own scheduler thread with its own epoch sequence; a
-//!   [`ShardRouter`] hash-routes updates and the shards exchange halo
-//!   delta messages like the distributed engine's halo stubs. The
-//!   [`ServeFrontend`] trait abstracts over both topologies, so examples
-//!   and consistency suites run unchanged against either.
+//!   its own scheduler thread with its own epoch sequence; the
+//!   [`UpdateClient`] hash-routes updates and the shards exchange halo
+//!   delta messages like the distributed engine's halo stubs. It is the
+//!   same session as [`spawn`]'s, which is one shard with no halos: both
+//!   return a [`ServeHandle`], so examples and consistency suites run
+//!   unchanged against either.
 //!
 //! # Example
 //!
@@ -71,7 +72,6 @@
 
 pub mod admission;
 pub mod durability;
-pub mod frontend;
 pub mod index;
 pub mod metrics;
 mod pipeline;
@@ -86,16 +86,15 @@ pub use durability::{
     DurabilityConfig, FailPoints, FsyncPolicy, RecoveryReport, FP_AFTER_PUBLISH, FP_CKPT_MID,
     FP_WAL_AFTER_APPEND, FP_WAL_BEFORE_APPEND, FP_WAL_TORN_APPEND,
 };
-pub use frontend::{ServeClient, ServeFrontend};
 pub use index::{IndexParams, IndexReader, IndexStats, TopKIndex};
 pub use metrics::{MetricsReport, ServeMetrics};
 pub use query::{QueryService, ReadMode, Stamped, TopKRequest};
-pub use router::ShardRouter;
+pub use router::UpdateClient;
 pub use scheduler::{
-    spawn, BackpressurePolicy, FlushLog, FlushRecord, ServeConfig, ServeConfigBuilder, ServeError,
-    ServeHandle, Submission, UpdateClient,
+    BackpressurePolicy, FlushLog, FlushRecord, ServeConfig, ServeConfigBuilder, ServeError,
+    Submission,
 };
-pub use shard::{spawn_sharded, ShardedEngines, ShardedServeHandle};
+pub use shard::{spawn, spawn_sharded, ServeHandle, ShardedEngines};
 pub use versioned::{
     BufferStats, EpochSnapshot, SnapshotPublisher, SnapshotReader, VersionedStore,
 };

@@ -1,7 +1,7 @@
-//! The one commit pipeline behind both serving tiers.
+//! The one commit pipeline behind every serving session.
 //!
-//! A [`Pipeline`] owns one engine and everything between its queue and its
-//! readers. Every window goes through the same two steps:
+//! A [`Pipeline`] owns one [`ShardEngine`] and everything between its queue
+//! and its readers. Every window goes through the same two steps:
 //!
 //! 1. **stage** — the coalescing window closes; the batch is validated
 //!    against the engine's vertex range, feature width and edge set (an
@@ -14,29 +14,27 @@
 //!    record, outgoing halos); then the publish fail point fires and, when
 //!    the group crossed the cadence, one checkpoint is cut.
 //!
-//! The single-engine tier is this pipeline over [`Unsharded`] with no halos
-//! and no peers; each shard of the sharded tier is this pipeline over a
-//! [`ShardEngine`] whose [`Peers`] hold the halo mailbox, the dedup
-//! watermarks, the in-flight accounting and the senders to every shard.
+//! Each part of a session runs one pipeline, whose [`Peers`] hold the halo
+//! mailbox, the dedup watermarks, the in-flight accounting and the senders
+//! to every part. A one-part session is the same pipeline with no halos.
 //!
 //! A drained group executes as one merged engine pass only when its
-//! windows carry real footprints: the unsharded tier over an engine with a
-//! model and dirty-row tracking, at depth > 1, with more than one window
-//! staged. Otherwise it runs window by window (engine pass, index and store
+//! windows carry real footprints: a one-part session at depth > 1, with
+//! more than one window staged ([`ShardEngine::process_windows`]).
+//! Otherwise it runs window by window (engine pass, index and store
 //! publish, ship), and the depth only sets how many windows share one
 //! fsync. Depth 1 is that second case with one window per group.
 
 use crate::admission::{AdmissionController, StagedWindow};
 use crate::durability::{
-    recover, write_checkpoint_ref, Checkpoint, CheckpointRef, DurabilityConfig, HaloSource,
-    RecoveryReport, WalFrame, WalWriter, FP_AFTER_PUBLISH,
+    recover, write_checkpoint_ref, CheckpointRef, DurabilityConfig, HaloSource, RecoveryReport,
+    WalFrame, WalWriter, FP_AFTER_PUBLISH,
 };
 use crate::index::{IndexMaintainer, SharedIndexStats, VersionedIndex};
 use crate::metrics::ServeMetrics;
 use crate::scheduler::{Coalescer, FlushLog, FlushRecord, QueuedUpdate, ServeConfig, ServeError};
 use crate::versioned::{SnapshotPublisher, SnapshotReader, VersionedStore};
-use ripple_core::{DeltaMessage, Footprint, RippleError, ShardEngine, StreamingEngine};
-use ripple_gnn::EmbeddingStore;
+use ripple_core::{DeltaMessage, Footprint, RippleError, ShardEngine};
 use ripple_graph::{DynamicGraph, GraphUpdate, PartitionId, UpdateBatch, VertexId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,8 +43,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Queue protocol between a pipeline thread and its producers: the tier's
-/// clients and, on the sharded tier, peer shards.
+/// Queue protocol between a pipeline thread and its producers: the
+/// session's clients and its peer parts.
 pub(crate) enum Msg {
     /// One raw update.
     Update(QueuedUpdate),
@@ -66,125 +64,8 @@ pub(crate) enum Msg {
     Stop,
 }
 
-/// How a drained group of an engine's windows executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Grouping {
-    /// Footprinted above depth 1; a group runs as one merged engine pass.
-    Merge,
-    /// No footprints; a group shares one fsync and runs window by window.
-    GroupCommit,
-    /// No footprints and no group: depth 1 whatever the configured depth.
-    Serial,
-}
-
-/// What the pipeline needs from its engine (static dispatch): implemented
-/// by [`ShardEngine`] and by [`Unsharded`].
-pub(crate) trait WindowEngine {
-    fn grouping(&self) -> Grouping;
-    fn graph(&self) -> &DynamicGraph;
-    fn store(&self) -> &EmbeddingStore;
-    fn topology_epoch(&self) -> u64;
-    /// Replaces graph, store and topology epoch with checkpointed state.
-    fn restore(&mut self, ckpt: Checkpoint) -> Result<(), RippleError>;
-    /// The window's footprint against the live topology.
-    fn footprint(&self, _batch: &UpdateBatch) -> Footprint {
-        Footprint::empty()
-    }
-    /// Runs one engine pass: a single window (its batch plus the halos
-    /// received from peers) or, for a [`Grouping::Merge`] engine, a group
-    /// of pairwise footprint-disjoint windows. Returns the rows the pass
-    /// dirtied (`None`: untracked, so publish a full refresh) and the
-    /// outgoing cross-shard deltas.
-    fn process_windows(&mut self, batches: &[UpdateBatch], halos: &[DeltaMessage]) -> Pass;
-}
-
-/// What one engine pass dirtied and shipped.
-pub(crate) type Pass =
-    Result<(Option<Vec<VertexId>>, Vec<(PartitionId, DeltaMessage)>), RippleError>;
-
-/// Any [`StreamingEngine`] as the engine of the single-engine tier: one
-/// shard with no halos.
-#[derive(Debug)]
-pub(crate) struct Unsharded<E>(pub(crate) E);
-
-impl<E: StreamingEngine> WindowEngine for Unsharded<E> {
-    /// Merging needs the model (to footprint windows) and per-batch dirty
-    /// rows (to split the merged dirty set back per window); an engine
-    /// without either serves at depth 1.
-    fn grouping(&self) -> Grouping {
-        if self.0.model().is_some() && self.0.dirty_rows().is_some() {
-            Grouping::Merge
-        } else {
-            Grouping::Serial
-        }
-    }
-
-    fn graph(&self) -> &DynamicGraph {
-        self.0.current_graph()
-    }
-
-    fn store(&self) -> &EmbeddingStore {
-        self.0.current_store()
-    }
-
-    fn topology_epoch(&self) -> u64 {
-        self.0.topology_epoch()
-    }
-
-    fn restore(&mut self, ckpt: Checkpoint) -> Result<(), RippleError> {
-        self.0
-            .restore_state(ckpt.graph, ckpt.store, ckpt.topology_epoch)
-    }
-
-    fn footprint(&self, batch: &UpdateBatch) -> Footprint {
-        match self.0.model() {
-            Some(model) => Footprint::for_batch(self.0.current_graph(), model, batch),
-            None => Footprint::empty(),
-        }
-    }
-
-    /// No peers, so no halos arrive and none leave.
-    fn process_windows(&mut self, batches: &[UpdateBatch], _: &[DeltaMessage]) -> Pass {
-        Ok((self.0.process_windows(batches)?, Vec::new()))
-    }
-}
-
-impl WindowEngine for ShardEngine {
-    /// A shard group runs the engine once per window already.
-    fn grouping(&self) -> Grouping {
-        Grouping::GroupCommit
-    }
-
-    fn graph(&self) -> &DynamicGraph {
-        ShardEngine::graph(self)
-    }
-
-    fn store(&self) -> &EmbeddingStore {
-        ShardEngine::store(self)
-    }
-
-    fn topology_epoch(&self) -> u64 {
-        ShardEngine::topology_epoch(self)
-    }
-
-    fn restore(&mut self, ckpt: Checkpoint) -> Result<(), RippleError> {
-        self.restore_state(ckpt.graph, ckpt.store, ckpt.topology_epoch)
-    }
-
-    fn process_windows(&mut self, batches: &[UpdateBatch], halos: &[DeltaMessage]) -> Pass {
-        let [batch] = batches else {
-            return Err(RippleError::Mismatch(
-                "a shard pass is one window".to_string(),
-            ));
-        };
-        let (_stats, outgoing) = self.process_window(batch, halos)?;
-        Ok((Some(self.dirty_rows().to_vec()), outgoing))
-    }
-}
-
-/// Shard-only state: the peers of a sharded tier and the halo bookkeeping.
-/// The unsharded tier's is empty: no senders, no watermarks, nothing ever
-/// pending or in flight.
+/// The peers of one part and its halo bookkeeping. A one-part session's
+/// only peer is itself, and nothing is ever pending or in flight.
 #[derive(Debug, Default)]
 pub(crate) struct Peers {
     /// This shard's partition id (stamps outgoing halo batches).
@@ -196,9 +77,9 @@ pub(crate) struct Peers {
     /// Of those, the batches this shard received and has not committed
     /// yet; released all at once if the pipeline stops on an error.
     held: u64,
-    /// This shard's queue-depth counter, which the router enforces
+    /// This shard's queue-depth counter, which the client enforces
     /// backpressure against.
-    depth: Option<Arc<AtomicUsize>>,
+    depth: Arc<AtomicUsize>,
     /// Per sender, the highest `window_seq` whose halo batch this shard
     /// has logged. Watermarks track *logged* batches only, so a
     /// checkpoint's watermarks never get ahead of its store.
@@ -227,7 +108,7 @@ impl Peers {
             watermarks: vec![0; senders.len()],
             senders,
             in_flight,
-            depth: Some(depth),
+            depth,
             ..Peers::default()
         }
     }
@@ -355,10 +236,10 @@ fn validate<'a>(
     Ok(())
 }
 
-/// One engine's commit pipeline (see the [module docs](self)).
+/// One part's commit pipeline (see the [module docs](self)).
 #[derive(Debug)]
-pub(crate) struct Pipeline<E> {
-    pub(crate) engine: E,
+pub(crate) struct Pipeline {
+    pub(crate) engine: ShardEngine,
     publisher: SnapshotPublisher,
     /// The IVF top-k index (present iff [`ServeConfig::index`]).
     pub(crate) index: Option<IndexMaintainer>,
@@ -368,7 +249,7 @@ pub(crate) struct Pipeline<E> {
     window: Coalescer,
     applied_seq: u64,
     /// Of `applied_seq`, the secondary route copies of cross-shard edge
-    /// updates (always 0 on the unsharded tier).
+    /// updates (always 0 at one part).
     applied_secondary: u64,
     /// Monotone sequence of logged windows (see [`FlushRecord::window_seq`]).
     window_seq: u64,
@@ -376,12 +257,14 @@ pub(crate) struct Pipeline<E> {
     wal: Option<(WalWriter, DurabilityConfig)>,
     pub(crate) recovery: Option<RecoveryReport>,
     pub(crate) flush_log: Option<FlushLog>,
-    grouping: Grouping,
+    /// Whether drained groups run as one merged engine pass: a one-part
+    /// session above depth 1.
+    merges: bool,
     admission: AdmissionController<WindowCommit>,
     peers: Peers,
 }
 
-impl<E: WindowEngine> Pipeline<E> {
+impl Pipeline {
     /// Wraps `engine`, first recovering whatever `durability`'s directory
     /// holds: the latest valid checkpoint is restored and the WAL tail
     /// beyond it replayed window by window (re-shipping each replayed
@@ -396,7 +279,7 @@ impl<E: WindowEngine> Pipeline<E> {
     /// [`ServeError::Wal`] if the directory cannot be scanned or reopened;
     /// [`ServeError::Engine`] if checkpoint restore or WAL replay fails.
     pub(crate) fn new(
-        mut engine: E,
+        mut engine: ShardEngine,
         config: &ServeConfig,
         durability: Option<DurabilityConfig>,
         owned: Option<Vec<bool>>,
@@ -426,13 +309,14 @@ impl<E: WindowEngine> Pipeline<E> {
                     applied_secondary = ckpt.applied_secondary;
                     epoch = ckpt.epoch;
                     peers.advance(ckpt.halo_watermarks.iter().copied());
-                    engine.restore(ckpt).map_err(ServeError::Engine)?;
+                    engine
+                        .restore_state(ckpt.graph, ckpt.store, ckpt.topology_epoch)
+                        .map_err(ServeError::Engine)?;
                 }
                 for frame in recovered.frames {
                     let mut outgoing = Vec::new();
                     if !frame.batch.is_empty() || !frame.halos.is_empty() {
-                        let batch = std::slice::from_ref(&frame.batch);
-                        let pass = engine.process_windows(batch, &frame.halos);
+                        let pass = engine.process_window(&frame.batch, &frame.halos);
                         outgoing = pass.map_err(ServeError::Engine)?.1;
                     }
                     peers.advance(frame.halo_sources.iter().map(|s| (s.from, s.window_seq)));
@@ -462,11 +346,7 @@ impl<E: WindowEngine> Pipeline<E> {
         let index = config
             .index
             .map(|params| IndexMaintainer::bootstrap_at(engine.store(), owned, params, epoch).0);
-        let grouping = engine.grouping();
-        let depth = match grouping {
-            Grouping::Serial => 1,
-            Grouping::Merge | Grouping::GroupCommit => config.max_inflight,
-        };
+        let merges = engine.partitioning().num_parts() == 1 && config.max_inflight > 1;
         let pipeline = Pipeline {
             engine,
             publisher,
@@ -481,8 +361,8 @@ impl<E: WindowEngine> Pipeline<E> {
             wal,
             recovery,
             flush_log: config.record_batches.then(FlushLog::new),
-            grouping,
-            admission: AdmissionController::new(depth),
+            merges,
+            admission: AdmissionController::new(config.max_inflight),
             peers,
         };
         Ok((pipeline, reader))
@@ -567,8 +447,8 @@ impl<E: WindowEngine> Pipeline<E> {
     /// topology only where groups merge: at depth 1 a window always stages
     /// into an empty group, so its footprint is never compared.
     fn footprint(&self, batch: &UpdateBatch) -> Footprint {
-        if self.grouping == Grouping::Merge && self.admission.max_inflight() > 1 {
-            self.engine.footprint(batch)
+        if self.merges {
+            Footprint::for_batch(self.engine.graph(), self.engine.model(), batch)
         } else {
             Footprint::empty()
         }
@@ -688,7 +568,7 @@ impl<E: WindowEngine> Pipeline<E> {
             wal.sync()?;
         }
         // A merged group is one engine pass; otherwise each window is.
-        let merged = self.grouping == Grouping::Merge && group.len() > 1;
+        let merged = self.merges && group.len() > 1;
         let pass_len = if merged { group.len() } else { 1 };
         let first_seq = group.first().map_or(0, StagedWindow::seq);
         let last_seq = group.last().map_or(0, StagedWindow::seq);
@@ -703,11 +583,15 @@ impl<E: WindowEngine> Pipeline<E> {
             // Only a single-window pass can carry halos.
             let mut halos = std::mem::take(&mut pass[0].payload.frame.halos);
             let has_halos = !halos.is_empty();
-            let (pass_dirty, mut outgoing) = if batches.iter().any(|b| !b.is_empty()) || has_halos {
-                let run = self.engine.process_windows(&batches, &halos);
-                run.map_err(ServeError::Engine)?
+            let (pass_dirty, mut outgoing) = if merged {
+                let dirty = self.engine.process_windows(&batches);
+                (dirty.map_err(ServeError::Engine)?, Vec::new())
+            } else if !batches[0].is_empty() || has_halos {
+                let pass = self.engine.process_window(&batches[0], &halos);
+                let (_stats, outgoing) = pass.map_err(ServeError::Engine)?;
+                (self.engine.dirty_rows().to_vec(), outgoing)
             } else {
-                (None, Vec::new())
+                (Vec::new(), Vec::new())
             };
             let last = pass.len() - 1;
             for (i, (window, batch)) in pass.iter_mut().zip(batches).enumerate() {
@@ -725,24 +609,25 @@ impl<E: WindowEngine> Pipeline<E> {
                 } else {
                     predicted
                 };
-                debug_assert!(
-                    self.grouping == Grouping::Serial || topology_epoch == predicted,
+                debug_assert_eq!(
+                    topology_epoch, predicted,
                     "predicted topology epoch drifted"
                 );
-                let dirty: Option<&[VertexId]> = match &pass_dirty {
+                let dirty: &[VertexId] = if !ran_engine {
                     // Nothing reached the engine: the store is unchanged.
-                    _ if !ran_engine => Some(&[]),
+                    &[]
+                } else if merged {
                     // This window's share of the merged dirty set. Rows
                     // outside it keep their previous-epoch values in the
                     // snapshot — exactly the serial schedule's state,
                     // because disjointness means no later group member
                     // wrote inside this window's footprint.
-                    Some(rows) if merged => {
-                        scratch.clear();
-                        window.footprint().intersect_sorted_into(rows, &mut scratch);
-                        Some(&scratch)
-                    }
-                    rows => rows.as_deref(),
+                    scratch.clear();
+                    let footprint = window.footprint();
+                    footprint.intersect_sorted_into(&pass_dirty, &mut scratch);
+                    &scratch
+                } else {
+                    &pass_dirty
                 };
                 let commit = &mut window.payload;
                 self.applied_seq = commit.frame.applied_seq;
@@ -753,9 +638,9 @@ impl<E: WindowEngine> Pipeline<E> {
                 // always come from the store, so skew costs at most recall.
                 if let Some(index) = &mut self.index {
                     if paired {
-                        index.publish(self.engine.store(), dirty);
+                        index.publish(self.engine.store(), Some(dirty));
                     } else {
-                        index.publish_unpaired(self.engine.store(), dirty);
+                        index.publish_unpaired(self.engine.store(), Some(dirty));
                     }
                 }
                 epoch = self.publisher.publish_stamped(
@@ -763,7 +648,7 @@ impl<E: WindowEngine> Pipeline<E> {
                     self.applied_seq,
                     self.applied_secondary,
                     topology_epoch,
-                    dirty,
+                    Some(dirty),
                 );
                 debug_assert_eq!(epoch, commit.frame.epoch, "predicted epoch drifted");
                 let published_at = Instant::now();
@@ -829,7 +714,7 @@ impl<E: WindowEngine> Pipeline<E> {
     /// arrives, flushing on the size and time windows. The time window
     /// bounds pending updates, pending halos and the oldest staged window
     /// alike: nothing accepted waits longer than `max_delay` to publish.
-    fn run(mut self, rx: Receiver<Msg>) -> crate::Result<E> {
+    fn run(mut self, rx: Receiver<Msg>) -> crate::Result<ShardEngine> {
         loop {
             let deadline = [
                 self.window.deadline(self.max_delay),
@@ -855,9 +740,7 @@ impl<E: WindowEngine> Pipeline<E> {
             };
             match wake {
                 Some(Msg::Update(queued)) => {
-                    if let Some(depth) = &self.peers.depth {
-                        depth.fetch_sub(1, Ordering::AcqRel);
-                    }
+                    self.peers.depth.fetch_sub(1, Ordering::AcqRel);
                     self.absorb(queued)?;
                 }
                 Some(Msg::Halos {
@@ -883,10 +766,10 @@ impl<E: WindowEngine> Pipeline<E> {
     }
 }
 
-/// A spawned pipeline as its tier's handle sees it. The handle keeps the
-/// shared published state, not readers, so it never pins an epoch.
+/// A spawned pipeline as its session's handle sees it. The handle keeps
+/// the shared published state, not readers, so it never pins an epoch.
 #[derive(Debug)]
-pub(crate) struct Running<E> {
+pub(crate) struct Running {
     pub(crate) snapshots: Arc<VersionedStore>,
     pub(crate) index: Option<Arc<VersionedIndex>>,
     pub(crate) index_stats: Option<Arc<SharedIndexStats>>,
@@ -895,10 +778,10 @@ pub(crate) struct Running<E> {
     /// The thread parks its terminal error here before exiting, so callers
     /// get the typed failure instead of a bare "thread gone".
     pub(crate) failure: Arc<Mutex<Option<ServeError>>>,
-    pub(crate) join: JoinHandle<crate::Result<E>>,
+    pub(crate) join: JoinHandle<crate::Result<ShardEngine>>,
 }
 
-impl<E> Running<E> {
+impl Running {
     /// The terminal error the thread stopped on, if it stopped abnormally.
     pub(crate) fn failure(&self) -> Option<ServeError> {
         self.failure
@@ -909,7 +792,7 @@ impl<E> Running<E> {
 
     /// Joins the thread (a stop message must be on its way), returning its
     /// engine or the typed failure it stopped on.
-    pub(crate) fn stop(self) -> crate::Result<E> {
+    pub(crate) fn stop(self) -> crate::Result<ShardEngine> {
         let Running { failure, join, .. } = self;
         // `spawn` catches panics inside the thread, so a join error is a
         // panic that escaped the harness (e.g. in thread teardown).
@@ -920,17 +803,12 @@ impl<E> Running<E> {
     }
 }
 
-impl<E: WindowEngine + Send + 'static> Pipeline<E> {
+impl Pipeline {
     /// Runs the pipeline on a thread named `name`, draining `rx`. A panic
     /// is caught and reported as [`ServeError::SchedulerPanicked`]; on any
-    /// exit, after the failure slot is filled, `alive` (if given) is
-    /// cleared so blocked routers observe the dead shard.
-    pub(crate) fn spawn(
-        self,
-        name: String,
-        rx: Receiver<Msg>,
-        alive: Option<Arc<AtomicBool>>,
-    ) -> Running<E> {
+    /// exit, after the failure slot is filled, `alive` is cleared so
+    /// blocked clients observe the dead part.
+    pub(crate) fn spawn(self, name: String, rx: Receiver<Msg>, alive: Arc<AtomicBool>) -> Running {
         let failure: Arc<Mutex<Option<ServeError>>> = Arc::default();
         let slot = Arc::clone(&failure);
         let snapshots = Arc::clone(self.publisher.reader().shared());
@@ -949,9 +827,7 @@ impl<E: WindowEngine + Send + 'static> Pipeline<E> {
                 if let Err(e) = &result {
                     *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(e.clone());
                 }
-                if let Some(alive) = alive {
-                    alive.store(false, Ordering::Release);
-                }
+                alive.store(false, Ordering::Release);
                 result
             })
             .expect("spawning a serving pipeline thread");

@@ -28,17 +28,19 @@
 //!
 //! # Sharded sessions
 //!
-//! Against a sharded session ([`crate::spawn_sharded`]) the service owns one
-//! reader per shard and epochs form a **vector clock**: each shard publishes
-//! its own epoch sequence. A point read resolves the owning shard from the
-//! partitioning and is stamped with that shard's scalar epoch (plus
-//! [`Stamped::shard`]); a whole-graph read such as [`QueryService::top_k`]
-//! touches every shard and is stamped with the *minimum* epoch across shards
-//! plus the full per-shard vector in [`Stamped::epochs`]. Staleness for
-//! whole-graph reads sums the per-shard backlogs, **deduplicated** by
-//! logical update: a cross-shard edge update is delivered to both endpoint
-//! owners, and the duplicate (secondary) deliveries pending at their shards
-//! are subtracted so one not-yet-visible update counts once.
+//! The service owns one reader per part of its session. Against a session
+//! of more than one part ([`crate::spawn_sharded`]) epochs form a **vector
+//! clock**: each shard publishes its own epoch sequence. A point read
+//! resolves the owning shard from the partitioning and is stamped with that
+//! shard's scalar epoch (plus [`Stamped::shard`]); a whole-graph read such
+//! as [`QueryService::top_k`] touches every shard and is stamped with the
+//! *minimum* epoch across shards plus the full per-shard vector in
+//! [`Stamped::epochs`]. Staleness for whole-graph reads sums the per-shard
+//! backlogs, **deduplicated** by logical update: a cross-shard edge update
+//! is delivered to both endpoint owners, and the duplicate (secondary)
+//! deliveries pending at their shards are subtracted so one not-yet-visible
+//! update counts once. A one-part session's stamps carry neither a shard
+//! nor an epoch vector.
 
 use crate::index::{IndexReader, TopKIndex};
 use crate::metrics::ServeMetrics;
@@ -74,11 +76,11 @@ pub struct Stamped<T> {
     /// embedding epoch. Minimum across shards for a whole-graph read.
     pub topology_epoch: u64,
     /// The shard that served a point read against a sharded session;
-    /// `None` for single-engine sessions and for whole-graph reads.
+    /// `None` for one-part sessions and for whole-graph reads.
     pub shard: Option<PartitionId>,
     /// The per-shard epoch vector of a whole-graph read against a sharded
     /// session (`epochs[p]` is shard `p`'s epoch at read time); `None` for
-    /// single-engine sessions and point reads.
+    /// one-part sessions and point reads.
     pub epochs: Option<Vec<u64>>,
 }
 
@@ -208,65 +210,60 @@ impl TopKRequest {
     }
 }
 
-/// Which serving topology a [`QueryService`] reads from: one engine behind
-/// one publisher, or one publisher per shard.
-#[derive(Debug, Clone)]
-enum ServeTopology {
-    Single {
-        reader: SnapshotReader,
-        /// The session's IVF index reader (`None` when spawned with
-        /// [`crate::ServeConfigBuilder::no_index`]).
-        index: Option<IndexReader>,
-        submitted: Arc<AtomicU64>,
-    },
-    Sharded {
-        /// One reader per shard, indexed by [`PartitionId`].
-        readers: Vec<SnapshotReader>,
-        /// One IVF index reader per shard (each covering that shard's owned
-        /// rows), or `None` when the session serves without an index.
-        indexes: Option<Vec<IndexReader>>,
-        /// Per-shard accepted-update counters, indexed like `readers`.
-        submitted: Vec<Arc<AtomicU64>>,
-        /// Per-shard counts of *secondary* (duplicate) deliveries of
-        /// cross-shard edge updates, used to dedup merged staleness.
-        secondary_submitted: Vec<Arc<AtomicU64>>,
-        partitioning: Arc<Partitioning>,
-        /// Each shard's owned vertex ids, ascending, indexed like `readers`
-        /// — the exact scan's id list per shard, built once.
-        owned: Arc<[Vec<u32>]>,
-    },
+/// Who owns which row in a session of more than one part, built once per
+/// session and shared by every [`QueryService`] it hands out.
+#[derive(Debug)]
+pub(crate) struct Owners {
+    /// The partitioning point reads route by.
+    partitioning: Arc<Partitioning>,
+    /// Each part's owned vertex ids, ascending, indexed by [`PartitionId`]
+    /// — the exact scan's id list per part.
+    owned: Vec<Vec<u32>>,
+}
+
+impl Owners {
+    /// The owners under `partitioning`, or `None` at one part: there every
+    /// row is the one part's, and reads carry no shard stamps.
+    pub(crate) fn of(partitioning: &Arc<Partitioning>) -> Option<Arc<Owners>> {
+        if partitioning.num_parts() == 1 {
+            return None;
+        }
+        let mut owned = vec![Vec::new(); partitioning.num_parts()];
+        for (v, part) in partitioning.assignment().iter().enumerate() {
+            owned[part.index()].push(v as u32);
+        }
+        Some(Arc::new(Owners {
+            partitioning: Arc::clone(partitioning),
+            owned,
+        }))
+    }
 }
 
 /// Per-thread query handle over the latest published snapshot(s).
 #[derive(Debug, Clone)]
 pub struct QueryService {
-    topology: ServeTopology,
+    /// One reader per part, indexed by [`PartitionId`].
+    readers: Vec<SnapshotReader>,
+    /// One IVF index reader per part (each covering that part's owned
+    /// rows), or `None` when the session serves without an index.
+    indexes: Option<Vec<IndexReader>>,
+    /// Per-part accepted-update counters, indexed like `readers`.
+    submitted: Vec<Arc<AtomicU64>>,
+    /// Per-part counts of *secondary* (duplicate) deliveries of cross-shard
+    /// edge updates, used to dedup merged staleness.
+    secondary_submitted: Vec<Arc<AtomicU64>>,
+    /// `None` at one part.
+    owners: Option<Arc<Owners>>,
     metrics: Arc<ServeMetrics>,
 }
 
 impl QueryService {
     pub(crate) fn new(
-        reader: SnapshotReader,
-        index: Option<IndexReader>,
-        submitted: Arc<AtomicU64>,
-        metrics: Arc<ServeMetrics>,
-    ) -> Self {
-        QueryService {
-            topology: ServeTopology::Single {
-                reader,
-                index,
-                submitted,
-            },
-            metrics,
-        }
-    }
-
-    pub(crate) fn new_sharded(
         readers: Vec<SnapshotReader>,
         indexes: Option<Vec<IndexReader>>,
         submitted: Vec<Arc<AtomicU64>>,
         secondary_submitted: Vec<Arc<AtomicU64>>,
-        partitioning: Arc<Partitioning>,
+        owners: Option<Arc<Owners>>,
         metrics: Arc<ServeMetrics>,
     ) -> Self {
         debug_assert_eq!(readers.len(), submitted.len());
@@ -274,76 +271,43 @@ impl QueryService {
         if let Some(indexes) = &indexes {
             debug_assert_eq!(readers.len(), indexes.len());
         }
-        let mut owned = vec![Vec::new(); readers.len()];
-        for (v, part) in partitioning.assignment().iter().enumerate() {
-            owned[part.index()].push(v as u32);
-        }
         QueryService {
-            topology: ServeTopology::Sharded {
-                readers,
-                indexes,
-                submitted,
-                secondary_submitted,
-                partitioning,
-                owned: owned.into(),
-            },
+            readers,
+            indexes,
+            submitted,
+            secondary_submitted,
+            owners,
             metrics,
         }
     }
 
-    /// The owning shard's snapshot, submitted counter and id for `v`;
-    /// `None` if `v` is outside the partitioned id space.
+    /// The owning part's snapshot, submitted counter and (sharded) id for
+    /// `v`; `None` if `v` is outside the partitioned id space.
     fn point_view(
         &mut self,
         v: VertexId,
     ) -> Option<(Arc<EpochSnapshot>, u64, Option<PartitionId>)> {
-        match &mut self.topology {
-            ServeTopology::Single {
-                reader, submitted, ..
-            } => {
-                let pending = submitted.load(Ordering::Relaxed);
-                Some((Arc::clone(reader.snapshot()), pending, None))
-            }
-            ServeTopology::Sharded {
-                readers,
-                submitted,
-                partitioning,
-                ..
-            } => {
-                let part = *partitioning.assignment().get(v.index())?;
-                let pending = submitted[part.index()].load(Ordering::Relaxed);
-                Some((
-                    Arc::clone(readers[part.index()].snapshot()),
-                    pending,
-                    Some(part),
-                ))
-            }
-        }
+        let shard = match &self.owners {
+            Some(owners) => Some(*owners.partitioning.assignment().get(v.index())?),
+            None => None,
+        };
+        let p = shard.map_or(0, PartitionId::index);
+        let pending = self.submitted[p].load(Ordering::Relaxed);
+        Some((Arc::clone(self.readers[p].snapshot()), pending, shard))
     }
 
     /// The epoch this handle currently serves (refreshing first). For a
     /// sharded session this is the minimum epoch across shards — the epoch
     /// every shard has reached.
     pub fn epoch(&mut self) -> u64 {
-        match &mut self.topology {
-            ServeTopology::Single { reader, .. } => reader.epoch(),
-            ServeTopology::Sharded { readers, .. } => readers
-                .iter_mut()
-                .map(SnapshotReader::epoch)
-                .min()
-                .unwrap_or(0),
-        }
+        let epochs = self.readers.iter_mut().map(SnapshotReader::epoch);
+        epochs.min().unwrap_or(0)
     }
 
-    /// The per-shard epoch vector (refreshing first); a single-engine
-    /// session reports one entry.
+    /// The per-shard epoch vector (refreshing first); a one-part session
+    /// reports one entry.
     pub fn epoch_vector(&mut self) -> Vec<u64> {
-        match &mut self.topology {
-            ServeTopology::Single { reader, .. } => vec![reader.epoch()],
-            ServeTopology::Sharded { readers, .. } => {
-                readers.iter_mut().map(SnapshotReader::epoch).collect()
-            }
-        }
+        self.readers.iter_mut().map(SnapshotReader::epoch).collect()
     }
 
     /// The per-shard epochs of the session's IVF index (refreshing first),
@@ -351,12 +315,8 @@ impl QueryService {
     /// serving without an index. An exact read prunes on a shard only when
     /// its index epoch equals its snapshot epoch.
     pub fn index_epochs(&mut self) -> Option<Vec<u64>> {
-        match &mut self.topology {
-            ServeTopology::Single { index, .. } => index.as_mut().map(|i| vec![i.epoch()]),
-            ServeTopology::Sharded { indexes, .. } => indexes
-                .as_mut()
-                .map(|list| list.iter_mut().map(IndexReader::epoch).collect()),
-        }
+        let indexes = self.indexes.as_mut()?;
+        Some(indexes.iter_mut().map(IndexReader::epoch).collect())
     }
 
     /// The final-layer embedding of `v`.
@@ -480,147 +440,88 @@ impl QueryService {
                 "query width {got} does not match embedding width {want}"
             ))
         };
+        let snapshots: Vec<Arc<EpochSnapshot>> = self
+            .readers
+            .iter_mut()
+            .map(|r| Arc::clone(r.snapshot()))
+            .collect();
+        let width = snapshots[0].table().cols();
+        if width != query.len() {
+            return Err(width_mismatch(width, query.len()));
+        }
+        let mut top = TopK::new(k.min(snapshots[0].table().rows()));
         // Exact reads only: whether every shard pruned, and rows scored.
         let mut exact = None;
-        let (top, stamped_parts) = match &mut self.topology {
-            ServeTopology::Single {
-                reader,
-                index,
-                submitted,
-            } => {
-                let pending = submitted.load(Ordering::Relaxed);
-                let snapshot = Arc::clone(reader.snapshot());
-                let table = snapshot.table();
-                if table.cols() != query.len() {
-                    return Err(width_mismatch(table.cols(), query.len()));
-                }
-                let mut top = TopK::new(k.min(table.rows()));
-                match mode {
-                    ReadMode::Exact => {
-                        let index = index.as_mut().map(|i| &**i.index());
-                        let rows = table.rows();
-                        exact = Some(scan_exact(
-                            table,
-                            snapshot.epoch(),
-                            index,
-                            0..rows as u32,
-                            rows,
-                            query,
-                            &mut top,
-                        )?);
-                    }
-                    ReadMode::Approx { nprobe } => {
-                        let index = index.as_mut().ok_or_else(no_index)?;
-                        // Cluster-grouped order as returned: the selector's
-                        // (score desc, id asc) order is total, so input order
-                        // is free.
-                        let candidates = index.index().candidates(query, nprobe);
-                        scan(table, candidates, query, &mut top)?;
-                    }
-                }
-                let parts = (
-                    snapshot.epoch(),
-                    snapshot.applied_seq(),
-                    pending.saturating_sub(snapshot.applied_seq()),
-                    snapshot.topology_epoch(),
-                    None,
-                );
-                (top, parts)
-            }
-            ServeTopology::Sharded {
-                readers,
-                indexes,
-                submitted,
-                secondary_submitted,
-                partitioning,
-                owned,
-            } => {
-                let snapshots: Vec<Arc<EpochSnapshot>> = readers
-                    .iter_mut()
-                    .map(|r| Arc::clone(r.snapshot()))
-                    .collect();
-                let width = snapshots[0].table().cols();
-                if width != query.len() {
-                    return Err(width_mismatch(width, query.len()));
-                }
-                let mut top = TopK::new(k.min(partitioning.assignment().len()));
-                match mode {
-                    // Score each vertex against its owning shard's snapshot
-                    // — only the owner's rows are authoritative. Each shard
-                    // prunes by its own index into the one shared selector:
-                    // a kept row from any shard is a valid floor for all.
-                    ReadMode::Exact => {
-                        let (mut pruned, mut scored) = (true, 0);
-                        for (p, (snapshot, ids)) in snapshots.iter().zip(owned.iter()).enumerate() {
-                            let table = snapshot.table();
-                            let index = indexes.as_mut().map(|list| &**list[p].index());
+        match mode {
+            // Score each vertex against its owning shard's snapshot — only
+            // the owner's rows are authoritative. Each shard prunes by its
+            // own index into the one shared selector: a kept row from any
+            // shard is a valid floor for all.
+            ReadMode::Exact => {
+                let (mut pruned, mut scored) = (true, 0);
+                for (p, snapshot) in snapshots.iter().enumerate() {
+                    let table = snapshot.table();
+                    let index = self.indexes.as_mut().map(|list| &**list[p].index());
+                    let epoch = snapshot.epoch();
+                    let (shard_pruned, rows) = match &self.owners {
+                        None => {
+                            let rows = table.rows();
+                            let ids = 0..rows as u32;
+                            scan_exact(table, epoch, index, ids, rows, query, &mut top)?
+                        }
+                        Some(owners) => {
+                            let ids = &owners.owned[p];
                             let covered = ids.partition_point(|&v| (v as usize) < table.rows());
-                            let (shard_pruned, rows) = scan_exact(
-                                table,
-                                snapshot.epoch(),
-                                index,
-                                ids.iter().copied(),
-                                covered,
-                                query,
-                                &mut top,
-                            )?;
-                            pruned &= shard_pruned;
-                            scored += rows;
+                            let ids = ids.iter().copied();
+                            scan_exact(table, epoch, index, ids, covered, query, &mut top)?
                         }
-                        exact = Some((pruned, scored));
-                    }
-                    ReadMode::Approx { nprobe } => {
-                        let indexes = indexes.as_mut().ok_or_else(no_index)?;
-                        // Each shard's index covers exactly its owned rows,
-                        // so the merged candidate set is duplicate-free and
-                        // scoring stays owner-authoritative.
-                        for (snapshot, index) in snapshots.iter().zip(indexes.iter_mut()) {
-                            let table = snapshot.table();
-                            let candidates = index.index().candidates(query, nprobe);
-                            scan(table, candidates, query, &mut top)?;
-                        }
-                    }
+                    };
+                    pruned &= shard_pruned;
+                    scored += rows;
                 }
-                let epochs: Vec<u64> = snapshots.iter().map(|s| s.epoch()).collect();
-                let applied: u64 = snapshots.iter().map(|s| s.applied_seq()).sum();
-                // Dedup the merged backlog: an edge update owned by two
-                // shards is pending at both, but it is one logical update —
-                // subtract the pending *secondary* deliveries per shard.
-                let staleness: u64 = snapshots
-                    .iter()
-                    .zip(submitted.iter().zip(secondary_submitted.iter()))
-                    .map(|(s, (sub, sec))| {
-                        let pending = sub.load(Ordering::Relaxed).saturating_sub(s.applied_seq());
-                        let pending_secondary = sec
-                            .load(Ordering::Relaxed)
-                            .saturating_sub(s.applied_secondary());
-                        pending.saturating_sub(pending_secondary)
-                    })
-                    .sum();
-                let topology_epoch = snapshots
-                    .iter()
-                    .map(|s| s.topology_epoch())
-                    .min()
-                    .unwrap_or(0);
-                let parts = (
-                    epochs.iter().copied().min().unwrap_or(0),
-                    applied,
-                    staleness,
-                    topology_epoch,
-                    Some(epochs),
-                );
-                (top, parts)
+                exact = Some((pruned, scored));
             }
-        };
-        let (epoch, applied_seq, staleness, topology_epoch, epochs) = stamped_parts;
+            ReadMode::Approx { nprobe } => {
+                let indexes = self.indexes.as_mut().ok_or_else(no_index)?;
+                // Each shard's index covers exactly its owned rows, so the
+                // merged candidate set is duplicate-free and scoring stays
+                // owner-authoritative. Cluster-grouped order as returned:
+                // the selector's (score desc, id asc) order is total, so
+                // input order is free.
+                for (snapshot, index) in snapshots.iter().zip(indexes.iter_mut()) {
+                    let candidates = index.index().candidates(query, nprobe);
+                    scan(snapshot.table(), candidates, query, &mut top)?;
+                }
+            }
+        }
+        let epochs: Vec<u64> = snapshots.iter().map(|s| s.epoch()).collect();
+        // Dedup the merged backlog: an edge update owned by two shards is
+        // pending at both, but it is one logical update — subtract the
+        // pending *secondary* deliveries per shard.
+        let counters = self.submitted.iter().zip(&self.secondary_submitted);
+        let staleness: u64 = snapshots
+            .iter()
+            .zip(counters)
+            .map(|(s, (sub, sec))| {
+                let pending = sub.load(Ordering::Relaxed).saturating_sub(s.applied_seq());
+                let pending_secondary = sec
+                    .load(Ordering::Relaxed)
+                    .saturating_sub(s.applied_secondary());
+                pending.saturating_sub(pending_secondary)
+            })
+            .sum();
         let stamped = Stamped {
             value: top.into_sorted(),
-            epoch,
-            applied_seq,
+            epoch: epochs.iter().copied().min().unwrap_or(0),
+            applied_seq: snapshots.iter().map(|s| s.applied_seq()).sum(),
             staleness,
-            topology_epoch,
+            topology_epoch: snapshots
+                .iter()
+                .map(|s| s.topology_epoch())
+                .min()
+                .unwrap_or(0),
             shard: None,
-            epochs,
+            epochs: self.owners.is_some().then_some(epochs),
         };
         self.metrics.record_read(start.elapsed());
         if let Some((pruned, rows)) = exact {
@@ -913,15 +814,32 @@ mod tests {
     use crate::versioned::VersionedStore;
     use ripple_gnn::{Aggregator, EmbeddingStore, GnnModel, LayerKind};
 
+    /// A one-part service over `reader`, with `submitted` accepted updates.
+    fn single(
+        reader: SnapshotReader,
+        index: Option<IndexReader>,
+        submitted: Arc<AtomicU64>,
+        metrics: Arc<ServeMetrics>,
+    ) -> QueryService {
+        let secondary = Arc::new(AtomicU64::new(0));
+        let index = index.map(|i| vec![i]);
+        let submitted = vec![submitted];
+        QueryService::new(
+            vec![reader],
+            index,
+            submitted,
+            vec![secondary],
+            None,
+            metrics,
+        )
+    }
+
     fn service(store: &EmbeddingStore, submitted: u64) -> (QueryService, crate::SnapshotPublisher) {
         let (publisher, reader) = VersionedStore::bootstrap(store);
         let (_maintainer, index) = IndexMaintainer::bootstrap(store, None, IndexParams::default());
         let counter = Arc::new(AtomicU64::new(submitted));
         let metrics = Arc::new(ServeMetrics::new());
-        (
-            QueryService::new(reader, Some(index), counter, metrics),
-            publisher,
-        )
+        (single(reader, Some(index), counter, metrics), publisher)
     }
 
     fn store() -> EmbeddingStore {
@@ -1006,7 +924,7 @@ mod tests {
         ));
         // Approximate reads against an index-less session are rejected too.
         let (publisher, reader) = VersionedStore::bootstrap(&store());
-        let mut bare = QueryService::new(
+        let mut bare = single(
             reader,
             None,
             Arc::new(AtomicU64::new(0)),
@@ -1109,7 +1027,7 @@ mod tests {
                 IndexMaintainer::bootstrap(&base, Some(owned), IndexParams::default()).1
             })
             .collect();
-        let q = QueryService::new_sharded(
+        let q = QueryService::new(
             vec![reader0, reader1],
             Some(indexes),
             submitted
@@ -1120,7 +1038,7 @@ mod tests {
                 .iter()
                 .map(|&s| Arc::new(AtomicU64::new(s)))
                 .collect(),
-            partitioning,
+            Owners::of(&partitioning),
             Arc::new(ServeMetrics::new()),
         );
         (q, publisher0, publisher1)
@@ -1342,7 +1260,7 @@ mod tests {
         let (_maintainer, index) = IndexMaintainer::bootstrap(&base, None, IndexParams::default());
         let metrics = Arc::new(ServeMetrics::new());
         let counter = Arc::new(AtomicU64::new(0));
-        let mut q = QueryService::new(
+        let mut q = single(
             reader.clone(),
             Some(index),
             Arc::clone(&counter),
@@ -1357,7 +1275,7 @@ mod tests {
         assert!(metrics.exact_rows_scored() <= 4);
 
         // An index-less session always scans every row.
-        let mut bare = QueryService::new(reader, None, counter, Arc::clone(&metrics));
+        let mut bare = single(reader, None, counter, Arc::clone(&metrics));
         assert_eq!(bare.top_k(&request).unwrap().value, paired.value);
         assert_eq!(
             (metrics.exact_pruned_reads(), metrics.exact_full_scans()),
@@ -1418,13 +1336,13 @@ mod tests {
 
         let metrics = Arc::new(ServeMetrics::new());
         let counter = Arc::new(AtomicU64::new(0));
-        let mut pruned = QueryService::new(
+        let mut pruned = single(
             reader.clone(),
             Some(index),
             Arc::clone(&counter),
             Arc::clone(&metrics),
         );
-        let mut full = QueryService::new(reader, None, counter, Arc::new(ServeMetrics::new()));
+        let mut full = single(reader, None, counter, Arc::new(ServeMetrics::new()));
         // Whichever side holds the NaN row, one of these queries makes its
         // cluster the low-bound one a pruned read would skip.
         for query in [
@@ -1455,7 +1373,7 @@ mod tests {
         let mut base = EmbeddingStore::zeroed(&model, n);
         *base.embeddings_mut(2) = ripple_tensor::init::uniform(n, 3, -1.0, 1.0, 11);
         let (publisher, reader) = VersionedStore::bootstrap(&base);
-        let mut q = QueryService::new(
+        let mut q = single(
             reader,
             None,
             Arc::new(AtomicU64::new(0)),

@@ -1,27 +1,26 @@
-//! The router client of the sharded serving tier: hash-routes updates to
-//! their owning shards' queues.
+//! The producer handle of a serving session: routes each update to the
+//! queues of the parts that own it.
 //!
-//! A [`ShardRouter`] is the sharded counterpart of [`crate::UpdateClient`].
-//! It routes by [`Partitioning::update_owners`]: feature updates go to the
-//! owner of the rewritten vertex; edge updates go to the owner of **both**
-//! endpoints (once, when one shard owns both) — each owner applies the
-//! topology change to its halo-restricted graph, and only the source's owner
-//! emits the resulting value deltas. An id beyond the partitioned space is
-//! routed by hash, so its owner's pipeline refuses it before logging it,
-//! exactly like the single-engine tier does.
+//! An [`UpdateClient`] routes by [`Partitioning::update_owners`]: feature
+//! updates go to the owner of the rewritten vertex; edge updates go to the
+//! owner of **both** endpoints (once, when one part owns both) — each owner
+//! applies the topology change to its halo-restricted graph, and only the
+//! source's owner emits the resulting value deltas. An id beyond the
+//! partitioned space is routed by hash, so its owner's pipeline refuses it
+//! before logging it. At one part every update has one route.
 //!
-//! Shard queues are unbounded (halo sends between workers must never
-//! block), so producer backpressure lives here: every shard carries a depth
-//! counter, and a submission first clears [`ServeConfig::queue_capacity`]
-//! on *every* route — blocking or shedding per the configured policy —
-//! before enqueueing anywhere. A cross-shard edge update is therefore
-//! accepted by all of its owners or by none.
+//! Part queues are unbounded (halo sends between parts must never block),
+//! so producer backpressure lives here: every part carries a depth counter,
+//! and a submission first clears [`ServeConfig::queue_capacity`] on *every*
+//! route — blocking or shedding per the configured policy — before
+//! enqueueing anywhere. A cross-shard edge update is therefore accepted by
+//! all of its owners or by none.
 
 use crate::metrics::ServeMetrics;
 use crate::pipeline::Msg;
 use crate::scheduler::{BackpressurePolicy, QueuedUpdate, Submission};
 use ripple_graph::partition::Partitioning;
-use ripple_graph::GraphUpdate;
+use ripple_graph::{GraphUpdate, PartitionId};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -33,21 +32,21 @@ use crate::scheduler::ServeConfig;
 /// How long a blocked submission sleeps between depth re-checks.
 const BLOCK_BACKOFF: Duration = Duration::from_micros(50);
 
-/// Cloneable producer handle hash-routing updates into a sharded session.
+/// Cloneable producer handle submitting updates into a serving session.
 #[derive(Debug, Clone)]
-pub struct ShardRouter {
+pub struct UpdateClient {
     txs: Vec<Sender<Msg>>,
     depths: Vec<Arc<AtomicUsize>>,
     alive: Vec<Arc<AtomicBool>>,
-    /// Per-shard accepted-update counters (an update counts at every shard
-    /// it routes to — the staleness denominator of that shard's reads).
+    /// Per-part accepted-update counters (an update counts at every part
+    /// it routes to — the staleness denominator of that part's reads).
     submitted: Vec<Arc<AtomicU64>>,
-    /// Per-shard count of **secondary** route copies: the second delivery
+    /// Per-part count of **secondary** route copies: the second delivery
     /// of a cross-shard edge update. Merged reads subtract these so one
     /// logical update pending at both owners counts once in their
     /// deduplicated staleness.
     secondary_submitted: Vec<Arc<AtomicU64>>,
-    /// Raw accepted submissions across the tier (each counted once).
+    /// Raw accepted submissions across the session (each counted once).
     total_submitted: Arc<AtomicU64>,
     partitioning: Arc<Partitioning>,
     metrics: Arc<ServeMetrics>,
@@ -55,7 +54,7 @@ pub struct ShardRouter {
     queue_capacity: usize,
 }
 
-impl ShardRouter {
+impl UpdateClient {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         txs: Vec<Sender<Msg>>,
@@ -69,7 +68,7 @@ impl ShardRouter {
         policy: BackpressurePolicy,
         queue_capacity: usize,
     ) -> Self {
-        ShardRouter {
+        UpdateClient {
             txs,
             depths,
             alive,
@@ -83,19 +82,13 @@ impl ShardRouter {
         }
     }
 
-    /// Number of shards this router fans out over.
-    pub fn num_shards(&self) -> usize {
-        self.txs.len()
-    }
-
     /// Submits one update, honouring the configured backpressure policy
-    /// across every shard it routes to.
+    /// across every part it routes to.
     pub fn submit(&self, update: GraphUpdate) -> Submission {
         let (first, second) = self.partitioning.update_owners(&update);
-        let targets = [Some(first), second];
         // Clear backpressure on every route before enqueueing anywhere, so
         // a cross-shard update is accepted by all owners or by none.
-        for part in targets.iter().flatten() {
+        for part in std::iter::once(first).chain(second) {
             let i = part.index();
             match self.policy {
                 BackpressurePolicy::Shed => {
@@ -119,32 +112,51 @@ impl ShardRouter {
             }
         }
         let enqueued = Instant::now();
-        for (route, part) in targets.iter().flatten().enumerate() {
-            let i = part.index();
-            // The second route of an edge update is the duplicate delivery;
-            // mark it so flushes and staleness stamps can dedup by logical
-            // update.
-            let secondary = route == 1;
-            let queued = QueuedUpdate {
-                update: update.clone(),
-                enqueued,
-                secondary,
-            };
-            // Count the slot before sending: the worker decrements as it
-            // dequeues, and the counter must never underflow.
-            self.depths[i].fetch_add(1, Ordering::AcqRel);
-            if self.txs[i].send(Msg::Update(queued)).is_err() {
-                self.depths[i].fetch_sub(1, Ordering::AcqRel);
-                return Submission::Closed;
+        // The second route of an edge update is the duplicate delivery; it
+        // takes the update itself, the first route a copy.
+        let sent = match second {
+            Some(second) => {
+                self.enqueue(first, update.clone(), enqueued, false)
+                    && self.enqueue(second, update, enqueued, true)
             }
-            self.submitted[i].fetch_add(1, Ordering::Relaxed);
-            if secondary {
-                self.secondary_submitted[i].fetch_add(1, Ordering::Relaxed);
-            }
-            self.metrics.record_enqueued();
+            None => self.enqueue(first, update, enqueued, false),
+        };
+        if !sent {
+            return Submission::Closed;
         }
         let seq = self.total_submitted.fetch_add(1, Ordering::Relaxed) + 1;
         Submission::Enqueued { seq }
+    }
+
+    /// Sends one route's copy of an update to `part`'s queue; `false` once
+    /// that part has stopped. A `secondary` copy is marked so flushes and
+    /// staleness stamps can dedup by logical update.
+    fn enqueue(
+        &self,
+        part: PartitionId,
+        update: GraphUpdate,
+        enqueued: Instant,
+        secondary: bool,
+    ) -> bool {
+        let i = part.index();
+        let queued = QueuedUpdate {
+            update,
+            enqueued,
+            secondary,
+        };
+        // Count the slot before sending: the worker decrements as it
+        // dequeues, and the counter must never underflow.
+        self.depths[i].fetch_add(1, Ordering::AcqRel);
+        if self.txs[i].send(Msg::Update(queued)).is_err() {
+            self.depths[i].fetch_sub(1, Ordering::AcqRel);
+            return false;
+        }
+        self.submitted[i].fetch_add(1, Ordering::Relaxed);
+        if secondary {
+            self.secondary_submitted[i].fetch_add(1, Ordering::Relaxed);
+        }
+        self.metrics.record_enqueued();
+        true
     }
 
     /// Submits every update of a batch in order; stops at the first

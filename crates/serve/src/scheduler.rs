@@ -1,10 +1,11 @@
-//! The update-coalescing scheduler: an MPSC queue in front of any
-//! [`StreamingEngine`].
+//! The update-coalescing scheduler: its configuration, its outcomes and
+//! errors, and the coalescing window every part of a session runs.
 //!
-//! Producers submit [`GraphUpdate`]s through cloneable [`UpdateClient`]
-//! handles into a **bounded** queue (backpressure: block or shed). A
-//! dedicated scheduler thread drains the queue into a coalescing window and
-//! flushes it into the engine when either window closes:
+//! Producers submit [`GraphUpdate`]s through cloneable
+//! [`crate::UpdateClient`] handles into a **bounded** queue per part
+//! (backpressure: block or shed). Each part's thread drains its queue into
+//! a coalescing window and flushes it into the engine when either window
+//! closes:
 //!
 //! * **size window** — the window holds [`ServeConfig::max_batch`] raw
 //!   updates;
@@ -25,20 +26,16 @@
 //!
 //! Everything after the queue — validation, admission, WAL, engine, index
 //! and store publication, checkpoints, recovery — is the crate's one commit
-//! pipeline (`pipeline.rs`), which every shard of [`crate::spawn_sharded`]
-//! runs too: the single-engine tier is one shard with no halos and no
-//! peers.
+//! pipeline (`pipeline.rs`), which every part of every session runs: a
+//! [`crate::spawn`]ed session is one part with no halos.
 
-use crate::durability::{DurabilityConfig, RecoveryReport};
-use crate::index::{IndexParams, IndexStats, VersionedIndex};
+use crate::durability::DurabilityConfig;
+use crate::index::IndexParams;
 use crate::metrics::ServeMetrics;
-use crate::pipeline::{Msg, Peers, Pipeline, Running, Unsharded};
-use ripple_core::{DeltaMessage, RippleError, StreamingEngine};
+use ripple_core::{DeltaMessage, RippleError};
 use ripple_graph::{GraphUpdate, UpdateBatch, VertexId};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -67,7 +64,7 @@ pub enum BackpressurePolicy {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ServeConfig {
-    /// Bounded queue capacity between producers and the scheduler thread.
+    /// Bounded queue capacity between producers and each part's thread.
     pub queue_capacity: usize,
     /// Size window: flush once this many raw updates are pending.
     pub max_batch: usize,
@@ -91,10 +88,9 @@ pub struct ServeConfig {
     /// In-flight admission depth (see [`crate::admission`]): how many
     /// closed windows one staged group may hold before it commits. The
     /// default 1 is the serial pipeline, one window committed at a time.
-    /// Above 1, the single-engine tier merges footprint-disjoint windows
-    /// into one engine pass (an engine without [`StreamingEngine::model`]
-    /// or [`StreamingEngine::dirty_rows`] still serves at depth 1); the
-    /// sharded tier commits that many windows behind one fsync.
+    /// Above 1, a one-part session merges footprint-disjoint windows into
+    /// one engine pass; a session of more parts commits that many windows
+    /// behind one fsync.
     pub max_inflight: usize,
 }
 
@@ -211,10 +207,10 @@ impl ServeConfigBuilder {
     }
 
     /// Sets the in-flight admission depth ([`ServeConfig::max_inflight`]),
-    /// clamped to at least 1. On the single-engine tier, footprint-disjoint
-    /// windows stage together and execute as one merged engine pass; on the
-    /// sharded tier, up to `max_inflight` windows share one fsync. Either
-    /// way windows commit in `window_seq` order.
+    /// clamped to at least 1. At one part, footprint-disjoint windows stage
+    /// together and execute as one merged engine pass; at more parts, up to
+    /// `max_inflight` windows share one fsync. Either way windows commit in
+    /// `window_seq` order.
     #[must_use]
     pub fn concurrent_admission(mut self, max_inflight: usize) -> Self {
         self.config.max_inflight = max_inflight.max(1);
@@ -270,7 +266,7 @@ impl ServeConfigBuilder {
     }
 }
 
-/// Outcome of [`UpdateClient::submit`].
+/// Outcome of [`crate::UpdateClient::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Submission {
     /// Accepted; `seq` is the accepted-update counter after this submission
@@ -379,69 +375,9 @@ pub(crate) struct QueuedUpdate {
     pub(crate) update: GraphUpdate,
     pub(crate) enqueued: Instant,
     /// Whether this is the **second** routed copy of a cross-shard edge
-    /// update (always `false` on the single-engine path). Secondary copies
-    /// are excluded from the deduplicated staleness of merged reads.
+    /// update (always `false` at one part). Secondary copies are excluded
+    /// from the deduplicated staleness of merged reads.
     pub(crate) secondary: bool,
-}
-
-/// Cloneable producer handle submitting updates into the scheduler queue.
-#[derive(Debug, Clone)]
-pub struct UpdateClient {
-    tx: SyncSender<Msg>,
-    submitted: Arc<AtomicU64>,
-    metrics: Arc<ServeMetrics>,
-    policy: BackpressurePolicy,
-}
-
-impl UpdateClient {
-    /// Submits one update, honouring the configured backpressure policy.
-    pub fn submit(&self, update: GraphUpdate) -> Submission {
-        let queued = QueuedUpdate {
-            update,
-            enqueued: Instant::now(),
-            secondary: false,
-        };
-        let sent = match self.policy {
-            BackpressurePolicy::Block => self.tx.send(Msg::Update(queued)).map_err(|_| false),
-            BackpressurePolicy::Shed => {
-                self.tx.try_send(Msg::Update(queued)).map_err(|e| match e {
-                    TrySendError::Full(_) => true,
-                    TrySendError::Disconnected(_) => false,
-                })
-            }
-        };
-        match sent {
-            Ok(()) => {
-                let seq = self.submitted.fetch_add(1, Ordering::Relaxed) + 1;
-                self.metrics.record_enqueued();
-                Submission::Enqueued { seq }
-            }
-            Err(true) => {
-                self.metrics.record_shed();
-                Submission::Shed
-            }
-            Err(false) => Submission::Closed,
-        }
-    }
-
-    /// Submits every update of a batch in order; stops at the first
-    /// non-enqueued outcome and returns it together with the number of
-    /// accepted updates.
-    pub fn submit_all<I: IntoIterator<Item = GraphUpdate>>(
-        &self,
-        updates: I,
-    ) -> (usize, Submission) {
-        let mut accepted = 0;
-        let mut last = Submission::Enqueued { seq: 0 };
-        for update in updates {
-            last = self.submit(update);
-            match last {
-                Submission::Enqueued { .. } => accepted += 1,
-                _ => return (accepted, last),
-            }
-        }
-        (accepted, last)
-    }
 }
 
 /// One flushed window, as recorded when [`ServeConfig::record_batches`] is
@@ -459,7 +395,7 @@ pub struct FlushRecord {
     /// whole window cancelled out).
     pub batch: UpdateBatch,
     /// Halo deltas received from peer shards and absorbed in this window
-    /// (always empty for a single-engine session). Replaying `batch` and
+    /// (always empty at one part). Replaying `batch` and
     /// `halos` together reproduces the shard's published store bit for bit.
     pub halos: Vec<DeltaMessage>,
     /// Raw accepted updates covered by this window.
@@ -598,144 +534,22 @@ impl Coalescer {
     }
 }
 
-/// Handle onto a running serving session: produces clients and query
-/// services, exposes metrics, and shuts the scheduler down.
-#[derive(Debug)]
-pub struct ServeHandle<E> {
-    tx: SyncSender<Msg>,
-    submitted: Arc<AtomicU64>,
-    metrics: Arc<ServeMetrics>,
-    policy: BackpressurePolicy,
-    /// The scheduler thread and what it publishes; each query service
-    /// starts at the current epoch.
-    running: Running<Unsharded<E>>,
-}
-
-impl<E> ServeHandle<E> {
-    /// A new producer handle.
-    pub fn client(&self) -> UpdateClient {
-        UpdateClient {
-            tx: self.tx.clone(),
-            submitted: Arc::clone(&self.submitted),
-            metrics: Arc::clone(&self.metrics),
-            policy: self.policy,
-        }
-    }
-
-    /// A new query handle (each reader thread should own one).
-    pub fn query_service(&self) -> crate::QueryService {
-        crate::QueryService::new(
-            self.running.snapshots.reader(),
-            self.running.index.as_ref().map(VersionedIndex::reader),
-            Arc::clone(&self.submitted),
-            Arc::clone(&self.metrics),
-        )
-    }
-
-    /// The shared serving metrics.
-    pub fn metrics(&self) -> Arc<ServeMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// A snapshot of the index-maintenance counters (`None` when the
-    /// session runs without an index).
-    pub fn index_stats(&self) -> Option<IndexStats> {
-        self.running.index_stats.as_ref().map(|s| s.snapshot())
-    }
-
-    /// Forces the current window closed and waits for the resulting epoch
-    /// (the current epoch if nothing was pending). Returns `None` once the
-    /// scheduler has stopped.
-    pub fn flush(&self) -> Option<u64> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.tx.send(Msg::Flush(ack_tx)).ok()?;
-        ack_rx.recv().ok()
-    }
-
-    /// The flush log (present iff [`ServeConfig::record_batches`]); cloned
-    /// so it stays readable after [`ServeHandle::shutdown`].
-    pub fn flush_log(&self) -> Option<FlushLog> {
-        self.running.flush_log.clone()
-    }
-
-    /// What recovery did at session start (present iff the session was
-    /// spawned with [`ServeConfig::durability`]).
-    pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.running.recovery.clone()
-    }
-
-    /// The terminal error the scheduler thread stopped on, if it has
-    /// stopped abnormally (engine failure, WAL failure, or panic).
-    pub fn failure(&self) -> Option<ServeError> {
-        self.running.failure()
-    }
-
-    /// Flushes the remaining window, stops the scheduler thread and returns
-    /// the engine (with every accepted update applied).
-    ///
-    /// # Errors
-    ///
-    /// The typed terminal failure when the scheduler stopped abnormally:
-    /// [`ServeError::Engine`] for an engine failure, [`ServeError::Wal`]
-    /// for a durability failure, [`ServeError::SchedulerPanicked`] for a
-    /// caught panic.
-    pub fn shutdown(self) -> Result<E, ServeError> {
-        // The scheduler may already be gone (engine error); join either way.
-        let _ = self.tx.send(Msg::Stop);
-        self.running.stop().map(|engine| engine.0)
-    }
-}
-
-/// Spawns the serving scheduler for `engine` on a dedicated thread and
-/// returns the session handle. The engine's current store is published as
-/// epoch 0 — or, with [`ServeConfig::durability`] set, recovery runs first:
-/// the latest valid checkpoint is restored into the engine, the WAL tail
-/// beyond it is replayed window by window (bit-identical to a session that
-/// never crashed, because the engines are deterministic given the same
-/// windows), and the recovered store is published at the recovered epoch —
-/// so queries work immediately.
-///
-/// # Errors
-///
-/// [`ServeError::Wal`] if the durability directory cannot be scanned or
-/// reopened; [`ServeError::Engine`] if checkpoint restore or WAL replay
-/// fails in the engine. A session without durability cannot fail to spawn.
-pub fn spawn<E>(engine: E, config: ServeConfig) -> crate::Result<ServeHandle<E>>
-where
-    E: StreamingEngine + Send + 'static,
-{
-    let metrics = Arc::new(ServeMetrics::new());
-    let (pipeline, _reader) = Pipeline::new(
-        Unsharded(engine),
-        &config,
-        config.durability.clone(),
-        None,
-        Arc::clone(&metrics),
-        Peers::default(),
-    )?;
-    let (tx, rx) = mpsc::sync_channel(config.queue_capacity.max(1));
-    let name = "ripple-serve-scheduler".to_string();
-    Ok(ServeHandle {
-        tx,
-        submitted: Arc::new(AtomicU64::new(0)),
-        metrics,
-        policy: config.policy,
-        running: pipeline.spawn(name, rx, None),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexMaintainer;
+    use crate::index::VersionedIndex;
+    use crate::pipeline::{Peers, Pipeline};
     use crate::versioned::SnapshotReader;
-    use ripple_core::{RippleConfig, RippleEngine};
+    use crate::{spawn, Submission, UpdateClient};
+    use ripple_core::{RippleConfig, RippleEngine, ShardEngine};
     use ripple_gnn::layer_wise::full_inference;
-    use ripple_gnn::recompute::{RecomputeConfig, RecomputeEngine};
     use ripple_gnn::{EmbeddingStore, GnnModel, Workload};
+    use ripple_graph::partition::Partitioning;
     use ripple_graph::stream::{build_stream, StreamConfig};
     use ripple_graph::synth::DatasetSpec;
-    use ripple_graph::DynamicGraph;
+    use ripple_graph::{DynamicGraph, PartitionId};
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+    use std::sync::mpsc;
 
     fn bootstrap(seed: u64) -> (DynamicGraph, GnnModel, EmbeddingStore, Vec<GraphUpdate>) {
         let full = DatasetSpec::custom(120, 4.0, 6, 4).generate(seed).unwrap();
@@ -762,18 +576,22 @@ mod tests {
         RippleEngine::new(graph, model, store, RippleConfig::default()).unwrap()
     }
 
-    /// The single-engine tier's pipeline over `engine`, driven synchronously
-    /// (no thread): [`Pipeline::absorb`] and [`Pipeline::flush`] commit on
-    /// the caller's thread.
-    fn pipeline<E: StreamingEngine>(
-        engine: E,
+    /// A one-part pipeline over `engine`, driven synchronously (no
+    /// thread): [`Pipeline::absorb`] and [`Pipeline::flush`] commit on the
+    /// caller's thread. Its one peer is a queue nobody reads: one part
+    /// ships no halo.
+    fn pipeline(
+        engine: RippleEngine,
         config: ServeConfig,
         metrics: &Arc<ServeMetrics>,
-    ) -> (Pipeline<Unsharded<E>>, SnapshotReader) {
+    ) -> (Pipeline, SnapshotReader) {
         let durability = config.durability.clone();
-        let peers = Peers::default();
+        let (tx, _rx) = mpsc::channel();
+        let depth = Arc::new(AtomicUsize::new(0));
+        let peers = Peers::new(PartitionId(0), vec![tx], Arc::default(), depth);
         let metrics = Arc::clone(metrics);
-        Pipeline::new(Unsharded(engine), &config, durability, None, metrics, peers).unwrap()
+        let engine = ShardEngine::whole(engine).unwrap();
+        Pipeline::new(engine, &config, durability, None, metrics, peers).unwrap()
     }
 
     fn queued(update: GraphUpdate, enqueued: Instant) -> QueuedUpdate {
@@ -868,7 +686,7 @@ mod tests {
         let epoch = scheduler.flush().unwrap();
         assert_eq!(epoch, 1);
         assert!(metrics.coalesced() >= 3);
-        let served = scheduler.engine.0;
+        let served = scheduler.engine;
         let diff = served
             .store()
             .max_diff_all_layers(reference.store())
@@ -1068,13 +886,21 @@ mod tests {
     fn shed_policy_rejects_when_the_queue_is_full() {
         // Build a client over a queue with no consumer: capacity 2, shed.
         let metrics = Arc::new(ServeMetrics::new());
-        let (tx, _rx) = mpsc::sync_channel(2);
-        let client = UpdateClient {
-            tx,
-            submitted: Arc::new(AtomicU64::new(0)),
-            metrics: Arc::clone(&metrics),
-            policy: BackpressurePolicy::Shed,
-        };
+        let (tx, _rx) = mpsc::channel();
+        let counter = || vec![Arc::new(AtomicU64::new(0))];
+        let partitioning = Partitioning::from_assignment(vec![PartitionId(0); 2], 1).unwrap();
+        let client = UpdateClient::new(
+            vec![tx],
+            vec![Arc::new(AtomicUsize::new(0))],
+            vec![Arc::new(AtomicBool::new(true))],
+            counter(),
+            counter(),
+            Arc::new(AtomicU64::new(0)),
+            Arc::new(partitioning),
+            Arc::clone(&metrics),
+            BackpressurePolicy::Shed,
+            2,
+        );
         let u = || GraphUpdate::add_edge(VertexId(0), VertexId(1));
         assert!(matches!(
             client.submit(u()),
@@ -1164,7 +990,7 @@ mod tests {
         let (graph, model, store, updates) = bootstrap(17);
         let handle = spawn(engine(graph, model, store), ServeConfig::default()).unwrap();
         let (snapshot, index) = {
-            let running = &handle.running;
+            let running = &handle.shards[0];
             let mut index = running.index.as_ref().map(VersionedIndex::reader).unwrap();
             let mut snapshots = running.snapshots.reader();
             assert_eq!(snapshots.epoch(), 0);
@@ -1187,67 +1013,5 @@ mod tests {
         );
         assert!(index.upgrade().is_none(), "epoch-0 index still pinned");
         handle.shutdown().unwrap();
-    }
-
-    /// Asserts every served row equals the engine's final-layer row bit
-    /// for bit at `epoch`.
-    fn assert_serves_the_final_layer(
-        scheduler: &Pipeline<Unsharded<RecomputeEngine>>,
-        queries: &mut crate::QueryService,
-        epoch: u64,
-    ) {
-        let store = scheduler.engine.0.current_store();
-        let table = store.embeddings(store.num_layers());
-        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for v in 0..table.rows() {
-            let served = queries.read_embedding(VertexId(v as u32)).unwrap();
-            assert_eq!(served.epoch, epoch);
-            assert_eq!(
-                served.topology_epoch, 0,
-                "the engine keeps no topology epoch"
-            );
-            assert_eq!(
-                bits(&served.value),
-                bits(table.row(v)),
-                "vertex {v} at epoch {epoch}"
-            );
-        }
-    }
-
-    #[test]
-    fn engine_without_footprints_serves_at_depth_one() {
-        let (graph, model, store, updates) = bootstrap(19);
-        let engine = RecomputeEngine::new(graph, model, store, RecomputeConfig::rc()).unwrap();
-        assert!(StreamingEngine::model(&engine).is_none());
-        assert!(StreamingEngine::dirty_rows(&engine).is_none());
-        let metrics = Arc::new(ServeMetrics::new());
-        let config = ServeConfig::builder()
-            .max_batch(4)
-            .concurrent_admission(4)
-            .build()
-            .unwrap();
-        let (mut scheduler, reader) = pipeline(engine, config, &metrics);
-        let mut queries = crate::QueryService::new(
-            reader,
-            scheduler.index.as_ref().map(IndexMaintainer::reader),
-            Arc::new(AtomicU64::new(0)),
-            Arc::clone(&metrics),
-        );
-        let now = Instant::now();
-        // Six updates per flush: one size-closed window plus a tail, which
-        // a depth-4 group would have committed together. Reading after
-        // every publication keeps the retired table reclaimable, so a
-        // publication that skipped rows would be served stale.
-        for chunk in updates.chunks(6).take(4) {
-            for update in chunk {
-                if let Some(epoch) = scheduler.absorb(queued(update.clone(), now)).unwrap() {
-                    assert_serves_the_final_layer(&scheduler, &mut queries, epoch);
-                }
-            }
-            let epoch = scheduler.flush().unwrap();
-            assert_serves_the_final_layer(&scheduler, &mut queries, epoch);
-        }
-        assert_eq!(metrics.epochs(), 8, "every window committed alone");
-        assert_eq!(metrics.admitted_concurrent(), 0);
     }
 }

@@ -1,42 +1,49 @@
-//! The sharded serving tier: hash-partitioned [`ShardEngine`]s, each behind
-//! its own scheduler thread and snapshot publisher.
+//! Serving sessions: one [`ShardEngine`] per part, each behind its own
+//! pipeline thread and snapshot publisher.
 //!
-//! [`spawn_sharded`] partitions the bootstrap graph with the workspace's
-//! [`HashPartitioner`], builds one halo-restricted [`ShardEngine`] per
-//! partition, and runs each on a dedicated worker thread
-//! (`ripple-serve-shard-{p}`). Every worker runs the crate's one commit
-//! pipeline (`pipeline.rs`), the same one the single-engine tier runs, plus
-//! what only a shard has: a halo mailbox of delta messages received from
-//! peer shards. A flush closes the window, applies the coalesced batch
-//! *and* the pending halos through the shard engine, publishes the shard's
-//! next epoch, and ships the outgoing cross-shard deltas the window
-//! produced to their owners' mailboxes.
+//! There is one session type, [`ServeHandle`], and one constructor behind
+//! both entry points:
 //!
-//! A shard uses the admission controller of [`crate::admission`] as plain
-//! **group commit**: a closed window is WAL-appended unsynced and staged,
-//! and once [`ServeConfig::max_inflight`] windows are staged (or on a flush
-//! or time window) the group fsyncs once and each window executes and
-//! publishes in `window_seq` order. A shard group already runs the engine
-//! once per window, so windows stage without a footprint and never
-//! conflict; depth 1 is the serial pipeline.
+//! * [`spawn`] serves one [`RippleEngine`] as a one-part session: the engine
+//!   is wrapped as it is ([`ShardEngine::whole`]), so it is one shard with no
+//!   halos, and [`ServeHandle::shutdown`] unwraps it again;
+//! * [`spawn_sharded`] partitions the bootstrap graph with the workspace's
+//!   [`HashPartitioner`] and builds one halo-restricted [`ShardEngine`] per
+//!   part.
 //!
-//! Epochs therefore form a per-shard **vector clock**, surfaced to readers
+//! Every part runs on a dedicated worker thread (`ripple-serve-shard-{p}`)
+//! through the crate's one commit pipeline (`pipeline.rs`), plus a halo
+//! mailbox of delta messages received from peer parts. A flush closes the
+//! window, applies the coalesced batch *and* the pending halos through the
+//! shard engine, publishes the part's next epoch, and ships the outgoing
+//! cross-shard deltas the window produced to their owners' mailboxes.
+//!
+//! Epochs therefore form a per-part **vector clock**, surfaced to readers
 //! through [`crate::QueryService`] stamps. At quiescence
-//! ([`ShardedServeHandle::quiesce`]) the gathered shard stores match the
-//! unsharded engine within float tolerance — the same linearity argument
-//! that makes the BSP distributed engine exact, run asynchronously.
+//! ([`ServeHandle::quiesce`]) the gathered shard stores match the unsharded
+//! engine within float tolerance — the same linearity argument that makes
+//! the BSP distributed engine exact, run asynchronously.
 //!
-//! Shard workers drain **unbounded** channels so halo sends between peers
-//! can never deadlock; producer backpressure is enforced at the
-//! [`crate::ShardRouter`] against per-shard depth counters instead.
+//! What a client sees is decided by the part count alone: a one-part
+//! session's read stamps carry no shard and no epoch vector, its failures
+//! come back unwrapped rather than as [`ServeError::ShardFailed`], and its
+//! index covers every row. A [`spawn`]ed session keeps its WAL and
+//! checkpoints directly under [`crate::DurabilityConfig::dir`]; a
+//! [`spawn_sharded`] one keeps part `p`'s under
+//! [`crate::DurabilityConfig::shard_dir`] at any part count.
+//!
+//! Part workers drain **unbounded** channels so halo sends between peers can
+//! never deadlock; producer backpressure is enforced at the
+//! [`UpdateClient`] against per-part depth counters instead.
 
-use crate::durability::RecoveryReport;
+use crate::durability::{DurabilityConfig, RecoveryReport};
 use crate::index::{IndexStats, VersionedIndex};
 use crate::metrics::ServeMetrics;
 use crate::pipeline::{Msg, Peers, Pipeline, Running};
-use crate::router::ShardRouter;
+use crate::query::Owners;
+use crate::router::UpdateClient;
 use crate::scheduler::{FlushLog, ServeConfig, ServeError};
-use ripple_core::{RippleConfig, ShardEngine};
+use ripple_core::{RippleConfig, RippleEngine, ShardEngine};
 use ripple_gnn::{EmbeddingStore, GnnModel};
 use ripple_graph::partition::{HashPartitioner, Partitioner, Partitioning};
 use ripple_graph::{DynamicGraph, PartitionId};
@@ -44,7 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 
-/// The per-shard engines recovered by [`ShardedServeHandle::shutdown`].
+/// The per-shard engines recovered by [`ServeHandle::shutdown`].
 #[derive(Debug)]
 pub struct ShardedEngines {
     engines: Vec<ShardEngine>,
@@ -78,33 +85,45 @@ impl ShardedEngines {
     }
 }
 
-/// Handle onto a running sharded serving session (see [`spawn_sharded`]).
+/// The one part of a [`spawn`]ed session, unwrapped.
+fn whole_engine(engines: ShardedEngines) -> RippleEngine {
+    // `spawn` builds exactly one part.
+    let mut engines = engines.into_engines();
+    engines.swap_remove(0).into_engine()
+}
+
+/// Handle onto a running serving session (see the [module docs](self)).
 ///
-/// The sharded counterpart of [`crate::ServeHandle`]; both implement
-/// [`crate::ServeFrontend`], so examples and consistency suites run
-/// unchanged against either topology.
+/// `E` only sets what [`ServeHandle::shutdown`] returns: the
+/// [`RippleEngine`] a [`spawn`]ed session was given, or the
+/// [`ShardedEngines`] of a [`spawn_sharded`] one. Dropping the handle stops
+/// and joins every part's thread.
 #[derive(Debug)]
-pub struct ShardedServeHandle {
+pub struct ServeHandle<E> {
     txs: Vec<Sender<Msg>>,
     depths: Vec<Arc<AtomicUsize>>,
     alive: Vec<Arc<AtomicBool>>,
     submitted: Vec<Arc<AtomicU64>>,
-    /// Per-shard secondary (duplicate-delivery) submission counters,
-    /// paired with `submitted` for deduplicated staleness stamps.
+    /// Per-part secondary (duplicate-delivery) submission counters, paired
+    /// with `submitted` for deduplicated staleness stamps.
     secondary_submitted: Vec<Arc<AtomicU64>>,
     total_submitted: Arc<AtomicU64>,
     halo_in_flight: Arc<AtomicU64>,
     metrics: Arc<ServeMetrics>,
     partitioning: Arc<Partitioning>,
+    /// Who owns which row, built once; `None` at one part.
+    owners: Option<Arc<Owners>>,
     config: ServeConfig,
-    /// The shard threads and what they publish, indexed by [`PartitionId`].
-    shards: Vec<Running<ShardEngine>>,
+    /// The part threads and what they publish, indexed by [`PartitionId`].
+    pub(crate) shards: Vec<Running>,
+    /// Turns the stopped parts into what `shutdown` returns.
+    finish: fn(ShardedEngines) -> E,
 }
 
-impl ShardedServeHandle {
-    /// A new producer handle that hash-routes updates to their owners.
-    pub fn client(&self) -> ShardRouter {
-        ShardRouter::new(
+impl<E> ServeHandle<E> {
+    /// A new producer handle (cheap; every writer thread should own one).
+    pub fn client(&self) -> UpdateClient {
+        UpdateClient::new(
             self.txs.clone(),
             self.depths.clone(),
             self.alive.clone(),
@@ -118,10 +137,10 @@ impl ShardedServeHandle {
         )
     }
 
-    /// A new query handle reading every shard's epoch sequence (each reader
+    /// A new query handle reading every part's epoch sequence (each reader
     /// thread should own one).
     pub fn query_service(&self) -> crate::QueryService {
-        crate::QueryService::new_sharded(
+        crate::QueryService::new(
             self.shards.iter().map(|s| s.snapshots.reader()).collect(),
             self.shards
                 .iter()
@@ -129,17 +148,19 @@ impl ShardedServeHandle {
                 .collect(),
             self.submitted.clone(),
             self.secondary_submitted.clone(),
-            Arc::clone(&self.partitioning),
+            self.owners.clone(),
             Arc::clone(&self.metrics),
         )
     }
 
-    /// The shared serving metrics (aggregated across shards).
+    /// The shared serving metrics, aggregated across parts: an edge update
+    /// owned by two parts counts twice in both `enqueued` and `applied`,
+    /// keeping the two in balance.
     pub fn metrics(&self) -> Arc<ServeMetrics> {
         Arc::clone(&self.metrics)
     }
 
-    /// Index maintenance counters summed across shards, or `None` when the
+    /// Index maintenance counters summed across parts, or `None` when the
     /// session was spawned with [`crate::ServeConfigBuilder::no_index`].
     pub fn index_stats(&self) -> Option<IndexStats> {
         let stats = self.shards.iter().map(|s| s.index_stats.as_ref());
@@ -152,7 +173,7 @@ impl ShardedServeHandle {
         )
     }
 
-    /// Number of shards behind this session.
+    /// Number of parts behind this session (1 for a [`spawn`]ed one).
     pub fn num_shards(&self) -> usize {
         self.txs.len()
     }
@@ -162,11 +183,11 @@ impl ShardedServeHandle {
         &self.partitioning
     }
 
-    /// One flush round: forces every shard's window closed and returns the
-    /// minimum per-shard epoch afterwards. Returns `None` once any shard
-    /// has stopped. Cross-shard deltas produced by these flushes may still
-    /// be in flight afterwards — use [`ShardedServeHandle::quiesce`] to
-    /// drain them.
+    /// One flush round: forces every part's window closed and waits for
+    /// the resulting epochs (the current ones if nothing was pending), then
+    /// returns their minimum. Returns `None` once any part has stopped.
+    /// Cross-shard deltas produced by these flushes may still be in flight
+    /// afterwards — use [`ServeHandle::quiesce`] to drain them.
     pub fn flush(&self) -> Option<u64> {
         let mut acks = Vec::with_capacity(self.txs.len());
         for tx in &self.txs {
@@ -182,18 +203,19 @@ impl ShardedServeHandle {
     }
 
     /// Flushes repeatedly until no cross-shard delta is in flight and every
-    /// shard queue is empty, then returns the minimum per-shard epoch.
+    /// part's queue is empty, then returns the minimum per-part epoch.
     /// Converges in at most `num_layers` rounds once producers stop
-    /// (messages only move to strictly higher hops).
+    /// (messages only move to strictly higher hops); at one part, one
+    /// round.
     ///
     /// # Errors
     ///
-    /// [`ServeError::ShardFailed`] naming the failed shard once any shard
-    /// has stopped abnormally (engine failure, WAL failure, or panic).
+    /// The session's typed terminal failure (see [`ServeHandle::failure`])
+    /// once a part has stopped abnormally.
     pub fn quiesce(&self) -> crate::Result<u64> {
         loop {
             let Some(epoch) = self.flush() else {
-                return Err(self.tier_failure());
+                return Err(self.failure().unwrap_or(ServeError::SchedulerPanicked));
             };
             if self.halo_in_flight.load(Ordering::Acquire) == 0
                 && self.depths.iter().all(|d| d.load(Ordering::Acquire) == 0)
@@ -203,29 +225,16 @@ impl ShardedServeHandle {
         }
     }
 
-    /// Per-shard recovery reports, indexed by [`PartitionId`] (one per
-    /// shard iff the tier was spawned with [`ServeConfig::durability`]).
+    /// Per-part recovery reports, indexed by [`PartitionId`] (one per part
+    /// iff the session was spawned with [`ServeConfig::durability`]).
     pub fn recovery_reports(&self) -> Vec<RecoveryReport> {
         let reports = self.shards.iter().filter_map(|s| s.recovery.clone());
         reports.collect()
     }
 
-    /// The typed failure of the first shard that stopped abnormally.
-    fn tier_failure(&self) -> ServeError {
-        for (p, shard) in self.shards.iter().enumerate() {
-            if let Some(error) = shard.failure() {
-                return ServeError::ShardFailed {
-                    shard: p as u32,
-                    error: Box::new(error),
-                };
-            }
-        }
-        ServeError::SchedulerPanicked
-    }
-
-    /// The per-shard flush logs, indexed by [`PartitionId`] (empty unless
+    /// The per-part flush logs, indexed by [`PartitionId`] (empty unless
     /// [`ServeConfig::record_batches`] is set); cloned so they stay
-    /// readable after [`ShardedServeHandle::shutdown`].
+    /// readable after [`ServeHandle::shutdown`].
     pub fn flush_logs(&self) -> Vec<FlushLog> {
         self.shards
             .iter()
@@ -233,41 +242,58 @@ impl ShardedServeHandle {
             .collect()
     }
 
-    /// Quiesces the tier, stops every shard worker and returns the shard
-    /// engines (with every accepted update and cross-shard delta applied).
+    /// The terminal error of the first part that stopped abnormally, if
+    /// any: an engine failure ([`ServeError::Engine`]), a durability
+    /// failure ([`ServeError::Wal`]) or a caught panic
+    /// ([`ServeError::SchedulerPanicked`]). With more than one part it
+    /// comes as [`ServeError::ShardFailed`] naming the part.
+    pub fn failure(&self) -> Option<ServeError> {
+        let mut failures = self.shards.iter().map(Running::failure).enumerate();
+        failures.find_map(|(p, failure)| Some(self.part_failure(p, failure?)))
+    }
+
+    /// Part `p`'s failure as the session reports it.
+    fn part_failure(&self, p: usize, error: ServeError) -> ServeError {
+        match self.owners {
+            Some(_) => ServeError::ShardFailed {
+                shard: p as u32,
+                error: Box::new(error),
+            },
+            None => error,
+        }
+    }
+
+    /// Quiesces the session, stops every part and returns its engine(s),
+    /// with every accepted update and cross-shard delta applied.
     ///
     /// # Errors
     ///
-    /// [`ServeError::ShardFailed`] naming the first shard that stopped
-    /// abnormally and carrying its typed failure (engine error, WAL error,
-    /// or [`ServeError::SchedulerPanicked`] for a caught panic).
-    pub fn shutdown(mut self) -> Result<ShardedEngines, ServeError> {
+    /// The typed failure (see [`ServeHandle::failure`]) of the first part
+    /// that stopped abnormally.
+    pub fn shutdown(mut self) -> Result<E, ServeError> {
         // Drain in-flight halos first so the recovered engines are at
-        // quiescence; a dead shard aborts the drain and surfaces its error
+        // quiescence; a dead part aborts the drain and surfaces its error
         // from the join below.
         let _ = self.quiesce();
         self.stop_all();
-        // Join every shard before reporting the first failure.
+        // Join every part before reporting the first failure.
         let stopped: Vec<_> = std::mem::take(&mut self.shards)
             .into_iter()
             .map(Running::stop)
             .collect();
         let mut engines = Vec::with_capacity(stopped.len());
         for (p, result) in stopped.into_iter().enumerate() {
-            engines.push(result.map_err(|e| ServeError::ShardFailed {
-                shard: p as u32,
-                error: Box::new(e),
-            })?);
+            engines.push(result.map_err(|e| self.part_failure(p, e))?);
         }
-        Ok(ShardedEngines {
+        Ok((self.finish)(ShardedEngines {
             engines,
             partitioning: Arc::clone(&self.partitioning),
-        })
+        }))
     }
 
-    /// Sends every shard its stop message. Each shard's peers hold a sender
+    /// Sends every part its stop message. Each part's peers hold a sender
     /// to every queue, its own included, so no queue ever disconnects on
-    /// its own: a shard exits only when told to (or on a failure).
+    /// its own: a part exits only when told to (or on a failure).
     fn stop_all(&self) {
         for tx in &self.txs {
             let _ = tx.send(Msg::Stop);
@@ -275,9 +301,23 @@ impl ShardedServeHandle {
     }
 }
 
-impl Drop for ShardedServeHandle {
-    /// Stops and joins every shard thread still running, so a handle
-    /// dropped without [`ShardedServeHandle::shutdown`] leaves none behind.
+impl ServeHandle<RippleEngine> {
+    /// The flush log (present iff [`ServeConfig::record_batches`]); cloned
+    /// so it stays readable after [`ServeHandle::shutdown`].
+    pub fn flush_log(&self) -> Option<FlushLog> {
+        self.flush_logs().pop()
+    }
+
+    /// What recovery did at session start (present iff the session was
+    /// spawned with [`ServeConfig::durability`]).
+    pub fn recovery_report(&self) -> Option<RecoveryReport> {
+        self.recovery_reports().pop()
+    }
+}
+
+impl<E> Drop for ServeHandle<E> {
+    /// Stops and joins every part thread still running, so a handle
+    /// dropped without [`ServeHandle::shutdown`] leaves none behind.
     fn drop(&mut self) {
         self.stop_all();
         for running in self.shards.drain(..) {
@@ -286,17 +326,48 @@ impl Drop for ShardedServeHandle {
     }
 }
 
+/// Spawns a one-part serving session over `engine` and returns its handle.
+/// The engine's current store is published as epoch 0 — or, with
+/// [`ServeConfig::durability`] set, recovery runs first: the latest valid
+/// checkpoint under the durability directory is restored into the engine,
+/// the WAL tail beyond it is replayed window by window (bit-identical to a
+/// session that never crashed, because the engine is deterministic given
+/// the same windows), and the recovered store is published at the
+/// recovered epoch — so queries work immediately.
+///
+/// # Errors
+///
+/// [`ServeError::Wal`] if the durability directory cannot be scanned or
+/// reopened; [`ServeError::Engine`] if checkpoint restore or WAL replay
+/// fails in the engine. A session without durability cannot fail to spawn.
+pub fn spawn(
+    engine: RippleEngine,
+    config: ServeConfig,
+) -> crate::Result<ServeHandle<RippleEngine>> {
+    let engine = ShardEngine::whole(engine)?;
+    let partitioning = Arc::clone(engine.partitioning());
+    let durability = config.durability.clone();
+    start(
+        vec![(engine, durability)],
+        partitioning,
+        config,
+        whole_engine,
+    )
+}
+
 /// Spawns a sharded serving session: hash-partitions `graph` into `shards`
 /// parts, builds one halo-restricted [`ShardEngine`] per part from the
 /// bootstrapped `store`, and runs each behind its own scheduler thread and
 /// snapshot publisher. Every shard's bootstrap store is published as its
-/// epoch 0, so queries work immediately.
+/// epoch 0 (or, with [`ServeConfig::durability`] set, each shard first
+/// recovers its own subdirectory like [`spawn`] does), so queries work
+/// immediately.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::InvalidConfig`] if `shards` is zero or exceeds the
-/// vertex count, and [`ServeError::Engine`] if graph/model/store shapes do
-/// not fit together.
+/// vertex count, [`ServeError::Engine`] if graph/model/store shapes do not
+/// fit together, and recovery's errors as [`spawn`] does.
 pub fn spawn_sharded(
     graph: &DynamicGraph,
     model: &GnnModel,
@@ -304,7 +375,7 @@ pub fn spawn_sharded(
     engine_config: RippleConfig,
     config: ServeConfig,
     shards: usize,
-) -> crate::Result<ShardedServeHandle> {
+) -> crate::Result<ServeHandle<ShardedEngines>> {
     if shards == 0 {
         return Err(ServeError::InvalidConfig(
             "a sharded session needs at least one shard".to_string(),
@@ -315,33 +386,46 @@ pub fn spawn_sharded(
             .partition(graph, shards)
             .map_err(|e| ServeError::InvalidConfig(format!("partitioning failed: {e}")))?,
     );
-
-    let metrics = Arc::new(ServeMetrics::new());
-    let total_submitted = Arc::new(AtomicU64::new(0));
-    let halo_in_flight = Arc::new(AtomicU64::new(0));
-    let mut txs = Vec::with_capacity(shards);
-    let mut rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = mpsc::channel();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-
-    // Build (and recover) every shard's pipeline before any thread starts:
-    // a shard that fails to build leaves nothing running, and recovery's
-    // re-shipped halos wait in queues that already exist.
-    let mut depths = Vec::with_capacity(shards);
-    let mut pipelines = Vec::with_capacity(shards);
+    let mut parts = Vec::with_capacity(shards);
     for p in 0..shards {
-        let part = PartitionId(p as u32);
         let engine = ShardEngine::new(
             graph,
             model.clone(),
             store.clone(),
             engine_config,
             Arc::clone(&partitioning),
-            part,
+            PartitionId(p as u32),
         )?;
+        // Each shard logs and checkpoints its own window sequence under
+        // `dir/shard-{p}/`.
+        let durability = config.durability.as_ref().map(|d| d.for_shard(p));
+        parts.push((engine, durability));
+    }
+    start(parts, partitioning, config, std::convert::identity)
+}
+
+/// The one session constructor behind [`spawn`] and [`spawn_sharded`]:
+/// `parts[p]` is part `p`'s engine and durability configuration.
+fn start<E>(
+    parts: Vec<(ShardEngine, Option<DurabilityConfig>)>,
+    partitioning: Arc<Partitioning>,
+    config: ServeConfig,
+    finish: fn(ShardedEngines) -> E,
+) -> crate::Result<ServeHandle<E>> {
+    let shards = parts.len();
+    let owners = Owners::of(&partitioning);
+    let metrics = Arc::new(ServeMetrics::new());
+    let total_submitted = Arc::new(AtomicU64::new(0));
+    let halo_in_flight = Arc::new(AtomicU64::new(0));
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..shards).map(|_| mpsc::channel()).unzip();
+
+    // Build (and recover) every part's pipeline before any thread starts:
+    // a part that fails to build leaves nothing running, and recovery's
+    // re-shipped halos wait in queues that already exist.
+    let mut depths = Vec::with_capacity(shards);
+    let mut pipelines = Vec::with_capacity(shards);
+    for (p, (engine, durability)) in parts.into_iter().enumerate() {
+        let part = PartitionId(p as u32);
         let depth = Arc::new(AtomicUsize::new(0));
         let peers = Peers::new(
             part,
@@ -349,25 +433,18 @@ pub fn spawn_sharded(
             Arc::clone(&halo_in_flight),
             Arc::clone(&depth),
         );
-        // Each shard indexes only the rows it owns: the merged approximate
-        // read scores every candidate from its owner's snapshot, exactly
-        // like the merged exact scan.
-        let owned = config.index.map(|_| {
+        // With more than one part, each indexes only the rows it owns: the
+        // merged approximate read scores every candidate from its owner's
+        // snapshot, exactly like the merged exact scan.
+        let owned = owners.as_ref().filter(|_| config.index.is_some()).map(|_| {
             let assignment = partitioning.assignment().iter();
             assignment.map(|owner| *owner == part).collect()
         });
-        // Each shard logs and checkpoints its own window sequence under
-        // `dir/shard-{p}/` and recovers it here, replaying each frame's
-        // batch *and* logged received halos and re-shipping the replayed
-        // windows' outgoing deltas.
-        let (pipeline, _reader) = Pipeline::new(
-            engine,
-            &config,
-            config.durability.as_ref().map(|d| d.for_shard(p)),
-            owned,
-            Arc::clone(&metrics),
-            peers,
-        )?;
+        // Recovery replays each frame's batch *and* logged received halos
+        // and re-ships the replayed windows' outgoing deltas.
+        let metrics = Arc::clone(&metrics);
+        let (pipeline, _reader) =
+            Pipeline::new(engine, &config, durability, owned, metrics, peers)?;
         depths.push(depth);
         pipelines.push(pipeline);
     }
@@ -378,11 +455,11 @@ pub fn spawn_sharded(
         let alive_flag = Arc::new(AtomicBool::new(true));
         alive.push(Arc::clone(&alive_flag));
         let name = format!("ripple-serve-shard-{p}");
-        running.push(pipeline.spawn(name, rx, Some(alive_flag)));
+        running.push(pipeline.spawn(name, rx, alive_flag));
     }
     let counters = || (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
 
-    Ok(ShardedServeHandle {
+    Ok(ServeHandle {
         txs,
         depths,
         alive,
@@ -392,8 +469,10 @@ pub fn spawn_sharded(
         halo_in_flight,
         metrics,
         partitioning,
+        owners,
         config,
         shards: running,
+        finish,
     })
 }
 
@@ -401,8 +480,7 @@ pub fn spawn_sharded(
 mod tests {
     use super::*;
     use crate::scheduler::QueuedUpdate;
-    use crate::{ServeFrontend, Submission};
-    use ripple_core::RippleEngine;
+    use crate::Submission;
     use ripple_gnn::layer_wise::full_inference;
     use ripple_gnn::Workload;
     use ripple_graph::stream::{build_stream, StreamConfig};
@@ -555,12 +633,12 @@ mod tests {
     }
 
     #[test]
-    fn frontend_trait_is_object_safe_enough_for_generic_drivers() {
-        fn drive<F: ServeFrontend>(frontend: &F) -> (u64, usize) {
-            let client = frontend.client();
+    fn spawn_and_spawn_sharded_return_one_handle_type() {
+        fn drive<E>(handle: &ServeHandle<E>) -> (u64, usize) {
+            let client = handle.client();
             client.submit(GraphUpdate::add_edge(VertexId(1), VertexId(2)));
-            let epoch = frontend.quiesce().unwrap();
-            (epoch, frontend.num_shards())
+            let epoch = handle.quiesce().unwrap();
+            (epoch, handle.num_shards())
         }
         let (graph, model, store, _) = bootstrap(27);
         let single = crate::spawn(
@@ -662,7 +740,7 @@ mod tests {
         let metrics = Arc::new(ServeMetrics::new());
         let halo_in_flight = Arc::new(AtomicU64::new(0));
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| mpsc::channel()).unzip();
-        let mut workers: Vec<Pipeline<ShardEngine>> = (0..2)
+        let mut workers: Vec<Pipeline> = (0..2)
             .map(|p| {
                 let part = PartitionId(p as u32);
                 let engine = ShardEngine::new(

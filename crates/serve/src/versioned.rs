@@ -75,7 +75,7 @@ impl EpochSnapshot {
 
     /// Of [`EpochSnapshot::applied_seq`], how many were **secondary** route
     /// copies: the second delivery of a cross-shard edge update that fanned
-    /// out to both endpoint owners. Always 0 for single-engine sessions.
+    /// out to both endpoint owners. Always 0 for one-part sessions.
     /// Merged whole-graph reads subtract the secondary backlog so one
     /// logical update pending at two owners counts once in their staleness
     /// stamp.

@@ -94,8 +94,9 @@ fn main() -> Result<(), ServeError> {
 
     // ------------------------------------------------------------------
     // The same workload on the sharded tier: two hash-partitioned shard
-    // engines behind the identical `ServeFrontend` surface. Point reads now
-    // carry the owning shard; whole-graph reads carry the epoch vector.
+    // engines behind the same `ServeHandle` — `spawn` above is this session
+    // at one part. Point reads now carry the owning shard; whole-graph
+    // reads carry the epoch vector.
     // ------------------------------------------------------------------
     println!();
     println!("-- sharded tier (2 shards) --");
@@ -110,8 +111,8 @@ fn main() -> Result<(), ServeError> {
         ServeConfig::builder().max_batch(32).build()?,
         2,
     )?;
-    let router = sharded.client();
-    router.submit(GraphUpdate::add_edge(VertexId(3), VertexId(42)));
+    let client = sharded.client();
+    client.submit(GraphUpdate::add_edge(VertexId(3), VertexId(42)));
     sharded.quiesce()?;
     let mut queries = sharded.query_service();
     let stamped = queries.read_label(watched)?;

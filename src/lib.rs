@@ -69,8 +69,7 @@ pub mod prelude {
     };
     pub use ripple_serve::{
         spawn as spawn_serve, spawn_sharded, BackpressurePolicy, FlushLog, IndexParams, IndexStats,
-        QueryService, ReadMode, ServeClient, ServeConfig, ServeError, ServeFrontend, ServeHandle,
-        ServeMetrics, ShardRouter, ShardedServeHandle, Stamped, Submission, TopKRequest,
-        UpdateClient,
+        QueryService, ReadMode, ServeConfig, ServeError, ServeHandle, ServeMetrics, ShardedEngines,
+        Stamped, Submission, TopKRequest, UpdateClient,
     };
 }

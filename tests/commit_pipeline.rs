@@ -6,8 +6,8 @@
 //!   stream served by `spawn` over a [`RippleEngine`] and by
 //!   `spawn_sharded(.., 1)` commits the same windows with the same stamps
 //!   and ends in bit-identical stores, durable and at admission depths 1
-//!   and 4 (where the unsharded tier merges disjoint windows into one
-//!   engine pass and the shard runs them one by one).
+//!   and 4 (where both merge disjoint windows into one engine pass: the
+//!   part count decides, not the entry point).
 //! * **No durable poison pill.** A window the engine would reject — a
 //!   feature vector of the wrong width, a vertex outside the served id
 //!   space, a delete of a missing edge or an add of an existing one — is

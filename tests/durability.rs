@@ -763,7 +763,7 @@ type Answers = Vec<(Vec<f32>, usize, Vec<(u32, u32)>)>;
 /// After recovery, reads the session's index and snapshot epochs (which
 /// must agree shard by shard) and answers a few exact reads; every one
 /// must take the pruned path.
-fn exact_reads_after_recovery<F: ServeFrontend>(handle: &F, resumed: Vec<u64>) -> Answers {
+fn exact_reads_after_recovery<E>(handle: &ServeHandle<E>, resumed: Vec<u64>) -> Answers {
     handle.quiesce().unwrap();
     let mut reads = handle.query_service();
     assert!(

@@ -1,6 +1,8 @@
-//! A serving session joins every thread it started: a sharded handle
-//! dropped without `shutdown()` and a `spawn_sharded` that fails part-way
-//! both leave no `ripple-serve*` thread alive.
+//! A serving session joins every thread it started: a handle dropped
+//! without `shutdown()`, from `spawn` or from `spawn_sharded`, and a spawn
+//! that fails (`spawn` on a plain file, `spawn_sharded` part-way) leave no
+//! `ripple-serve*` thread alive. Every part's peers hold a sender to its
+//! own queue, so only the handle can stop a part's thread.
 //!
 //! The probe counts this process's threads by name in `/proc/self/task`,
 //! so this file holds a single test: no other session may run in the
@@ -62,6 +64,45 @@ fn bootstrap() -> (DynamicGraph, GnnModel, EmbeddingStore, Vec<GraphUpdate>) {
 fn sharded_sessions_leave_no_thread_behind() {
     let (graph, model, store, updates) = bootstrap();
     assert_eq!(serve_threads(), 0, "no session runs before the test");
+
+    // A dropped `spawn` handle stops and joins its one part.
+    let engine = RippleEngine::new(
+        graph.clone(),
+        model.clone(),
+        store.clone(),
+        RippleConfig::default(),
+    )
+    .unwrap();
+    let handle = spawn_serve(engine.clone(), ServeConfig::default()).unwrap();
+    let (accepted, _) = handle.client().submit_all(updates.iter().cloned());
+    assert!(accepted > 0);
+    handle.flush().unwrap();
+    assert_eq!(serve_threads(), 1, "one thread for a spawned session");
+    drop(handle);
+    assert_eq!(
+        serve_threads_after_grace(),
+        0,
+        "a dropped spawn handle left its thread running"
+    );
+
+    // A `spawn` whose durability directory is a plain file fails and
+    // starts nothing.
+    let file = std::env::temp_dir().join(format!("ripple-serve-file-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let config = ServeConfig::builder()
+        .durability(DurabilityConfig::new(&file))
+        .build()
+        .unwrap();
+    assert!(
+        spawn_serve(engine, config).is_err(),
+        "the durability dir is a plain file"
+    );
+    assert_eq!(
+        serve_threads_after_grace(),
+        0,
+        "a failed spawn left a thread running"
+    );
+    let _ = std::fs::remove_file(&file);
 
     // A handle dropped without `shutdown()` stops and joins its shards.
     let config = ServeConfig::builder().max_batch(8).build().unwrap();

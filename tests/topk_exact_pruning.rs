@@ -136,12 +136,12 @@ type Counters = (u64, u64);
 /// Drives `updates` through a session, quiesces, then answers every query
 /// at every `k` of `n` rows; returns the answers, the counters and the
 /// engine(s).
-fn serve_and_read<F: ServeFrontend>(
-    handle: F,
+fn serve_and_read<E>(
+    handle: ServeHandle<E>,
     updates: &[GraphUpdate],
     queries: &[Vec<f32>],
     n: usize,
-) -> (Vec<Read>, Counters, F::Engine) {
+) -> (Vec<Read>, Counters, E) {
     let client = handle.client();
     for update in updates {
         assert!(matches!(
