@@ -285,9 +285,44 @@ const CKPT_MAGIC: &[u8; 8] = b"RPLCKPT2";
 /// skipping a durable checkpoint as corrupt.
 const CKPT_MAGIC_V1: &[u8; 8] = b"RPLCKPT1";
 
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 lookup tables (Kounavis & Berry, ISCC 2005):
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight table lookups fold eight input bytes into the state at once.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
 /// CRC-32 (IEEE 802.3, reflected) — hand-rolled because the offline shim
-/// set has no checksum crate. Bitwise, no table: WAL frames are small and
-/// checkpoint writes are rare.
+/// set has no checksum crate. Table-driven (slicing-by-8): every checkpoint
+/// write, checkpoint load, WAL frame encode and WAL scan checksums its
+/// whole payload, and a bitwise loop made this the larger part of a
+/// multi-megabyte checkpoint's write and load time.
 pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, data)
 }
@@ -296,14 +331,37 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// with a bitwise NOT). Lets the streaming checkpoint writer checksum
 /// without buffering the whole payload.
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// The definition the tables implement: one shift-xor step per bit.
+#[cfg(test)]
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFF_u32;
     for &byte in data {
         crc ^= byte as u32;
         for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
         }
     }
-    crc
+    !crc
 }
 
 /// A `Write` adapter that checksums everything passing through it. The
@@ -347,8 +405,20 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    put_u32(buf, v.to_bits());
+/// Appends `values` as little-endian IEEE-754 words: one resize, then one
+/// pass over the new bytes.
+fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
+    let start = buf.len();
+    buf.resize(start + values.len() * 4, 0);
+    for (dst, x) in buf[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// The little-endian `u32` in the first 4 bytes of `bytes`; callers pass
+/// slices already length-checked to hold them.
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
 }
 
 /// Bounds-checked little-endian reader over a byte slice. Every decode
@@ -375,27 +445,28 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Option<u32> {
-        self.take(4).and_then(le_u32)
+        self.take(4).map(le_u32)
     }
 
     fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    fn f32(&mut self) -> Option<f32> {
-        self.u32().map(f32::from_bits)
+    /// `N` consecutive `u32`s, length-checked once.
+    fn u32s<const N: usize>(&mut self) -> Option<[u32; N]> {
+        let bytes = self.take(N * 4)?;
+        Some(std::array::from_fn(|i| le_u32(&bytes[4 * i..])))
     }
 
     fn f32_vec(&mut self, len: usize) -> Option<Vec<f32>> {
-        // Guard against corrupt lengths before allocating.
-        if len > self.buf.len().saturating_sub(self.pos) / 4 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f32()?);
-        }
-        Some(out)
+        // A corrupt length fails here, before anything is allocated.
+        let bytes = self.take(len.checked_mul(4)?)?;
+        Some(
+            bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_bits(le_u32(b)))
+                .collect(),
+        )
     }
 
     fn done(&self) -> bool {
@@ -409,7 +480,7 @@ fn put_update(buf: &mut Vec<u8>, update: &GraphUpdate) {
             buf.push(0);
             put_u32(buf, src.0);
             put_u32(buf, dst.0);
-            put_f32(buf, *weight);
+            put_u32(buf, weight.to_bits());
         }
         GraphUpdate::DeleteEdge { src, dst } => {
             buf.push(1);
@@ -420,9 +491,7 @@ fn put_update(buf: &mut Vec<u8>, update: &GraphUpdate) {
             buf.push(2);
             put_u32(buf, vertex.0);
             put_u32(buf, features.len() as u32);
-            for &x in features {
-                put_f32(buf, x);
-            }
+            put_f32s(buf, features);
         }
     }
 }
@@ -430,21 +499,27 @@ fn put_update(buf: &mut Vec<u8>, update: &GraphUpdate) {
 fn read_update(cur: &mut Cursor<'_>) -> Option<GraphUpdate> {
     match cur.u8()? {
         0 => {
-            let src = VertexId(cur.u32()?);
-            let dst = VertexId(cur.u32()?);
-            let weight = cur.f32()?;
-            Some(GraphUpdate::AddEdge { src, dst, weight })
+            let [src, dst, weight] = cur.u32s()?;
+            Some(GraphUpdate::AddEdge {
+                src: VertexId(src),
+                dst: VertexId(dst),
+                weight: f32::from_bits(weight),
+            })
         }
         1 => {
-            let src = VertexId(cur.u32()?);
-            let dst = VertexId(cur.u32()?);
-            Some(GraphUpdate::DeleteEdge { src, dst })
+            let [src, dst] = cur.u32s()?;
+            Some(GraphUpdate::DeleteEdge {
+                src: VertexId(src),
+                dst: VertexId(dst),
+            })
         }
         2 => {
-            let vertex = VertexId(cur.u32()?);
-            let len = cur.u32()? as usize;
-            let features = cur.f32_vec(len)?;
-            Some(GraphUpdate::UpdateFeature { vertex, features })
+            let [vertex, len] = cur.u32s()?;
+            let features = cur.f32_vec(len as usize)?;
+            Some(GraphUpdate::UpdateFeature {
+                vertex: VertexId(vertex),
+                features,
+            })
         }
         _ => None,
     }
@@ -457,35 +532,31 @@ fn read_matrix(cur: &mut Cursor<'_>) -> Option<Matrix> {
     Matrix::from_flat(rows, cols, data).ok()
 }
 
-/// Encodes a frame's payload (everything the checksum covers).
-fn encode_payload(frame: &WalFrame) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + frame.batch.len() * 16);
-    put_u64(&mut buf, frame.window_seq);
-    put_u64(&mut buf, frame.epoch);
-    put_u64(&mut buf, frame.applied_seq);
-    put_u64(&mut buf, frame.applied_secondary);
-    put_u64(&mut buf, frame.topology_epoch);
-    put_u64(&mut buf, frame.raw);
-    put_u32(&mut buf, frame.batch.len() as u32);
+/// Appends a frame's payload (everything the checksum covers) to `buf`.
+fn encode_payload(buf: &mut Vec<u8>, frame: &WalFrame) {
+    put_u64(buf, frame.window_seq);
+    put_u64(buf, frame.epoch);
+    put_u64(buf, frame.applied_seq);
+    put_u64(buf, frame.applied_secondary);
+    put_u64(buf, frame.topology_epoch);
+    put_u64(buf, frame.raw);
+    put_u32(buf, frame.batch.len() as u32);
     for update in frame.batch.iter() {
-        put_update(&mut buf, update);
+        put_update(buf, update);
     }
-    put_u32(&mut buf, frame.halos.len() as u32);
+    put_u32(buf, frame.halos.len() as u32);
     for halo in &frame.halos {
-        put_u32(&mut buf, halo.target.0);
-        put_u32(&mut buf, halo.hop as u32);
-        put_u32(&mut buf, halo.delta.len() as u32);
-        for &x in &halo.delta {
-            put_f32(&mut buf, x);
-        }
+        put_u32(buf, halo.target.0);
+        put_u32(buf, halo.hop as u32);
+        put_u32(buf, halo.delta.len() as u32);
+        put_f32s(buf, &halo.delta);
     }
-    put_u32(&mut buf, frame.halo_sources.len() as u32);
+    put_u32(buf, frame.halo_sources.len() as u32);
     for source in &frame.halo_sources {
-        put_u32(&mut buf, source.from.0);
-        put_u64(&mut buf, source.window_seq);
-        put_u32(&mut buf, source.count);
+        put_u32(buf, source.from.0);
+        put_u64(buf, source.window_seq);
+        put_u32(buf, source.count);
     }
-    buf
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalFrame> {
@@ -504,10 +575,9 @@ fn decode_payload(payload: &[u8]) -> Option<WalFrame> {
     let n_halos = cur.u32()? as usize;
     let mut halos = Vec::with_capacity(n_halos.min(payload.len()));
     for _ in 0..n_halos {
-        let target = VertexId(cur.u32()?);
-        let hop = cur.u32()? as usize;
-        let len = cur.u32()? as usize;
-        halos.push(DeltaMessage::new(target, hop, cur.f32_vec(len)?));
+        let [target, hop, len] = cur.u32s()?;
+        let delta = cur.f32_vec(len as usize)?;
+        halos.push(DeltaMessage::new(VertexId(target), hop as usize, delta));
     }
     let n_sources = cur.u32()? as usize;
     let mut halo_sources = Vec::with_capacity(n_sources.min(payload.len()));
@@ -545,11 +615,14 @@ fn decode_payload(payload: &[u8]) -> Option<WalFrame> {
 /// Encodes a frame exactly as it appears on disk: `[len][crc][payload]`.
 /// Exposed so the torn-write tests can compute frame boundaries.
 pub fn encode_frame(frame: &WalFrame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    put_u32(&mut buf, payload.len() as u32);
-    put_u32(&mut buf, crc32(&payload));
-    buf.extend_from_slice(&payload);
+    // The payload is encoded in place behind a reserved header, which is
+    // patched once its length and checksum are known.
+    let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + 64 + frame.batch.len() * 16);
+    buf.resize(FRAME_HEADER_BYTES, 0);
+    encode_payload(&mut buf, frame);
+    let (header, payload) = buf.split_at_mut(FRAME_HEADER_BYTES);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     buf
 }
 
@@ -763,11 +836,6 @@ impl WalWriter {
     }
 }
 
-/// The little-endian `u32` in `bytes`, or `None` unless it is 4 bytes long.
-fn le_u32(bytes: &[u8]) -> Option<u32> {
-    Some(u32::from_le_bytes(bytes.try_into().ok()?))
-}
-
 /// The longest prefix of `bytes` that parses as whole, checksummed frames:
 /// its frames in order and its length.
 fn valid_prefix(bytes: &[u8]) -> (Vec<WalFrame>, usize) {
@@ -777,9 +845,7 @@ fn valid_prefix(bytes: &[u8]) -> (Vec<WalFrame>, usize) {
         let Some(header) = bytes.get(pos..pos + FRAME_HEADER_BYTES) else {
             return (frames, pos);
         };
-        let (Some(len), Some(crc)) = (le_u32(&header[0..4]), le_u32(&header[4..8])) else {
-            return (frames, pos);
-        };
+        let (len, crc) = (le_u32(&header[0..4]), le_u32(&header[4..8]));
         let end = pos + FRAME_HEADER_BYTES + len as usize;
         let Some(payload) = bytes.get(pos + FRAME_HEADER_BYTES..end) else {
             return (frames, pos);
@@ -888,76 +954,126 @@ pub struct CheckpointRef<'a> {
     pub halo_watermarks: &'a [(PartitionId, u64)],
 }
 
-fn write_u32<W: Write>(w: &mut W, v: u32) -> std::io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// Bytes the checkpoint encoder gathers before each `write_all`.
+const BLOCK_BYTES: usize = 4096;
+
+/// Encodes little-endian words into a fixed [`BLOCK_BYTES`] block and hands
+/// the inner writer one `write_all` per full block, so the per-call cost of
+/// the writer chain (checksum, buffering) is paid per block, not per value,
+/// and no payload-sized buffer ever exists.
+struct BlockWriter<'a, W: Write> {
+    inner: &'a mut W,
+    block: [u8; BLOCK_BYTES],
+    len: usize,
 }
 
-fn write_u64<W: Write>(w: &mut W, v: u64) -> std::io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_f32<W: Write>(w: &mut W, v: f32) -> std::io::Result<()> {
-    write_u32(w, v.to_bits())
-}
-
-fn write_matrix<W: Write>(w: &mut W, m: &Matrix) -> std::io::Result<()> {
-    write_u32(w, m.rows() as u32)?;
-    write_u32(w, m.cols() as u32)?;
-    for &x in m.as_slice() {
-        write_f32(w, x)?;
+impl<'a, W: Write> BlockWriter<'a, W> {
+    fn new(inner: &'a mut W) -> Self {
+        BlockWriter {
+            inner,
+            block: [0; BLOCK_BYTES],
+            len: 0,
+        }
     }
-    Ok(())
+
+    /// Writes the buffered bytes out.
+    fn drain(&mut self) -> std::io::Result<()> {
+        self.inner.write_all(&self.block[..self.len])?;
+        self.len = 0;
+        Ok(())
+    }
+
+    /// Buffers at most 8 bytes, draining first if they do not fit.
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        if self.len + bytes.len() > BLOCK_BYTES {
+            self.drain()?;
+        }
+        self.block[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        Ok(())
+    }
+
+    fn u32(&mut self, v: u32) -> std::io::Result<()> {
+        self.put(&v.to_le_bytes())
+    }
+
+    fn u64(&mut self, v: u64) -> std::io::Result<()> {
+        self.put(&v.to_le_bytes())
+    }
+
+    fn f32s(&mut self, mut values: &[f32]) -> std::io::Result<()> {
+        while !values.is_empty() {
+            if self.len + 4 > BLOCK_BYTES {
+                self.drain()?;
+            }
+            let fit = ((BLOCK_BYTES - self.len) / 4).min(values.len());
+            let (now, rest) = values.split_at(fit);
+            for (dst, x) in self.block[self.len..].chunks_exact_mut(4).zip(now) {
+                dst.copy_from_slice(&x.to_le_bytes());
+            }
+            self.len += fit * 4;
+            values = rest;
+        }
+        Ok(())
+    }
+
+    fn matrix(&mut self, m: &Matrix) -> std::io::Result<()> {
+        self.u32(m.rows() as u32)?;
+        self.u32(m.cols() as u32)?;
+        self.f32s(m.as_slice())
+    }
+
+    /// One adjacency section: per vertex, its degree, then `(id, weight)`
+    /// pairs.
+    fn adjacency<'g>(
+        &mut self,
+        lists: impl Iterator<Item = (&'g [VertexId], &'g [f32])>,
+    ) -> std::io::Result<()> {
+        for (neighbors, weights) in lists {
+            self.u32(neighbors.len() as u32)?;
+            for (id, weight) in neighbors.iter().zip(weights) {
+                self.u32(id.0)?;
+                self.u32(weight.to_bits())?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Streams the checkpoint payload (everything the trailer checksum covers)
 /// straight into `w`. This is the no-clone path: the graph and store are
 /// borrowed, the matrices are walked in place, and the only buffering is
-/// whatever `w` itself does (a `BufWriter` in practice).
+/// one fixed [`BLOCK_BYTES`] block plus whatever `w` itself does (a
+/// `BufWriter` in practice).
 fn write_checkpoint_payload<W: Write>(w: &mut W, ckpt: &CheckpointRef<'_>) -> std::io::Result<()> {
-    write_u64(w, ckpt.window_seq)?;
-    write_u64(w, ckpt.epoch)?;
-    write_u64(w, ckpt.applied_seq)?;
-    write_u64(w, ckpt.applied_secondary)?;
-    write_u64(w, ckpt.topology_epoch)?;
-    let n = ckpt.graph.num_vertices();
-    write_u32(w, n as u32)?;
-    write_matrix(w, ckpt.graph.features())?;
-    write_u64(w, ckpt.graph.num_edges() as u64)?;
-    for u in 0..n {
-        let v = VertexId(u as u32);
-        let neighbors = ckpt.graph.out_neighbors(v);
-        let weights = ckpt.graph.out_weights(v);
-        write_u32(w, neighbors.len() as u32)?;
-        for (id, weight) in neighbors.iter().zip(weights) {
-            write_u32(w, id.0)?;
-            write_f32(w, *weight)?;
-        }
-    }
-    for u in 0..n {
-        let v = VertexId(u as u32);
-        let neighbors = ckpt.graph.in_neighbors(v);
-        let weights = ckpt.graph.in_weights(v);
-        write_u32(w, neighbors.len() as u32)?;
-        for (id, weight) in neighbors.iter().zip(weights) {
-            write_u32(w, id.0)?;
-            write_f32(w, *weight)?;
-        }
-    }
+    let mut out = BlockWriter::new(w);
+    out.u64(ckpt.window_seq)?;
+    out.u64(ckpt.epoch)?;
+    out.u64(ckpt.applied_seq)?;
+    out.u64(ckpt.applied_secondary)?;
+    out.u64(ckpt.topology_epoch)?;
+    let graph = ckpt.graph;
+    let vertices = || (0..graph.num_vertices() as u32).map(VertexId);
+    out.u32(graph.num_vertices() as u32)?;
+    out.matrix(graph.features())?;
+    out.u64(graph.num_edges() as u64)?;
+    out.adjacency(vertices().map(|v| (graph.out_neighbors(v), graph.out_weights(v))))?;
+    out.adjacency(vertices().map(|v| (graph.in_neighbors(v), graph.in_weights(v))))?;
     let layers = ckpt.store.num_layers();
-    write_u32(w, (layers + 1) as u32)?;
+    out.u32((layers + 1) as u32)?;
     for l in 0..=layers {
-        write_matrix(w, ckpt.store.embeddings(l))?;
+        out.matrix(ckpt.store.embeddings(l))?;
     }
-    write_u32(w, layers as u32)?;
+    out.u32(layers as u32)?;
     for l in 1..=layers {
-        write_matrix(w, ckpt.store.aggregates(l))?;
+        out.matrix(ckpt.store.aggregates(l))?;
     }
-    write_u32(w, ckpt.halo_watermarks.len() as u32)?;
+    out.u32(ckpt.halo_watermarks.len() as u32)?;
     for (peer, seq) in ckpt.halo_watermarks {
-        write_u32(w, peer.0)?;
-        write_u64(w, *seq)?;
+        out.u32(peer.0)?;
+        out.u64(*seq)?;
     }
-    Ok(())
+    out.drain()
 }
 
 fn decode_checkpoint(payload: &[u8]) -> Option<Checkpoint> {
@@ -976,14 +1092,10 @@ fn decode_checkpoint(payload: &[u8]) -> Option<Checkpoint> {
         let mut weights = Vec::with_capacity(n);
         for _ in 0..n {
             let len = cur.u32()? as usize;
-            let mut vs = Vec::with_capacity(len.min(payload.len()));
-            let mut ws = Vec::with_capacity(len.min(payload.len()));
-            for _ in 0..len {
-                vs.push(VertexId(cur.u32()?));
-                ws.push(cur.f32()?);
-            }
-            ids.push(vs);
-            weights.push(ws);
+            // `take` refuses a corrupt degree before anything is allocated.
+            let pairs = cur.take(len.checked_mul(8)?)?.chunks_exact(8);
+            ids.push(pairs.clone().map(|p| VertexId(le_u32(p))).collect());
+            weights.push(pairs.map(|p| f32::from_bits(le_u32(&p[4..]))).collect());
         }
         Some((ids, weights))
     };
@@ -1140,7 +1252,7 @@ pub fn load_latest_checkpoint(dir: &Path) -> crate::Result<Option<Checkpoint>> {
             continue;
         }
         let (payload, crc_bytes) = rest.split_at(rest.len() - 4);
-        if le_u32(crc_bytes) != Some(crc32(payload)) {
+        if le_u32(crc_bytes) != crc32(payload) {
             continue;
         }
         if let Some(ckpt) = decode_checkpoint(payload) {
@@ -1276,6 +1388,46 @@ mod tests {
     fn crc_matches_known_vector() {
         // The classic IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0x0000_0000);
+    }
+
+    /// `n` bytes from a SplitMix64 stream.
+    fn seeded_bytes(n: usize, mut seed: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_crc_matches_the_bitwise_definition() {
+        let bytes = seeded_bytes(1024, 7);
+        for len in 0..=bytes.len() {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bitwise(&bytes[..len]),
+                "length {len}"
+            );
+        }
+        let big = seeded_bytes(3 << 20, 11);
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
+    }
+
+    #[test]
+    fn crc_writer_is_split_invariant() {
+        let bytes = seeded_bytes(257, 13);
+        for split in 0..=bytes.len() {
+            let mut writer = CrcWriter::new(Vec::new());
+            writer.write_all(&bytes[..split]).unwrap();
+            writer.write_all(&bytes[split..]).unwrap();
+            assert_eq!(writer.finish_crc(), crc32(&bytes), "split at {split}");
+            assert_eq!(writer.inner, bytes);
+        }
     }
 
     #[test]
@@ -1465,5 +1617,86 @@ mod tests {
         );
         recover(&dir).expect_err("recovery must surface the rejection");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// FNV-1a-64 over a file's bytes.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A `rows × cols` table of small exactly-representable values, so the
+    /// golden depends on the encoding alone and not on any model's numerics.
+    fn pattern(rows: usize, cols: usize, salt: u32) -> Matrix {
+        let data = (0..(rows * cols) as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) ^ salt) % 1024)
+            .map(|x| x as f32 / 64.0 - 8.0)
+            .collect();
+        Matrix::from_flat(rows, cols, data).unwrap()
+    }
+
+    /// Pins the on-disk bytes of a checkpoint and of a two-frame WAL
+    /// segment. The constants were computed with the bitwise CRC and the
+    /// per-value encoders, before the table CRC and the bulk encoders
+    /// replaced them: a mismatch means the format changed and its magic
+    /// must be bumped.
+    #[test]
+    fn on_disk_bytes_match_the_golden() {
+        use ripple_graph::synth::DatasetSpec;
+        let graph = DatasetSpec::custom(1500, 4.0, 16, 4).generate(21).unwrap();
+        let n = graph.num_vertices();
+        let store = EmbeddingStore::from_parts(
+            vec![graph.features().clone(), pattern(n, 8, 1), pattern(n, 4, 2)],
+            vec![pattern(n, 16, 3), pattern(n, 8, 4)],
+        )
+        .unwrap();
+        let dir = test_dir("golden");
+        let watermarks = [(PartitionId(0), 3u64), (PartitionId(1), 5)];
+        let ckpt = CheckpointRef {
+            window_seq: 7,
+            epoch: 7,
+            applied_seq: 40,
+            applied_secondary: 2,
+            topology_epoch: 3,
+            graph: &graph,
+            store: &store,
+            halo_watermarks: &watermarks,
+        };
+        write_checkpoint_ref(&dir, &ckpt, FsyncPolicy::Never, &FailPoints::new()).unwrap();
+        let mut wal =
+            WalWriter::open(&dir, 8, u64::MAX, FsyncPolicy::Never, FailPoints::new()).unwrap();
+        let features: Vec<f32> = (0..16).map(|i| i as f32 * 0.375 - 2.5).collect();
+        wal.append(&frame(8, sample_updates())).unwrap();
+        let mut second = frame(
+            9,
+            vec![GraphUpdate::update_feature(VertexId(11), features.clone())],
+        );
+        second.halos = vec![
+            DeltaMessage::new(VertexId(5), 1, features[..8].to_vec()),
+            DeltaMessage::new(VertexId(6), 2, features[8..].to_vec()),
+        ];
+        second.halo_sources = vec![HaloSource {
+            from: PartitionId(1),
+            window_seq: 4,
+            count: 2,
+        }];
+        wal.append(&second).unwrap();
+        drop(wal);
+        let ckpt_bytes = fs::read(checkpoint_path(&dir, 7)).unwrap();
+        let wal_bytes = fs::read(segment_path(&dir, 8)).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(ckpt_bytes.len(), 516_148);
+        assert_eq!(
+            fnv1a64(&ckpt_bytes),
+            0xe18e_64f0_a36d_81a7,
+            "checkpoint bytes moved"
+        );
+        assert_eq!(wal_bytes.len(), 400);
+        assert_eq!(
+            fnv1a64(&wal_bytes),
+            0x666e_0b3a_7581_53dd,
+            "WAL segment bytes moved"
+        );
     }
 }
